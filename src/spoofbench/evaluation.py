@@ -1,9 +1,14 @@
 """Detection metrics: EER on the ROC convex hull, DET curve points,
-per-attack aggregation, and long-term average spectrum diagnostics."""
+per-attack aggregation, and long-term average spectrum diagnostics.
+
+A report builds its EER and its DET points from one vectorised sweep of
+the step ROC (a sort and a `searchsorted` per class), costing O(n log n)
+in the trial count.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +34,19 @@ def _roc_vertices(target_scores, nontarget_scores):
     non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     if tar.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one non-target trial")
+    # np.sort puts NaN last; a NaN has no place on the threshold axis
+    if np.isnan(tar[-1]) or np.isnan(non[-1]):
+        raise ValueError("scores must not be NaN")
     thresholds = np.unique(np.concatenate([tar, non]))
-    points = [(1.0, 0.0)]
-    for th in thresholds:
-        p_fa = (non.size - np.searchsorted(non, th, side="left")) / non.size
-        p_miss = np.searchsorted(tar, th, side="left") / tar.size
-        if (p_fa, p_miss) != points[-1]:
-            points.append((p_fa, p_miss))
-    if points[-1] != (0.0, 1.0):
-        points.append((0.0, 1.0))
-    return points
+    p_fa = np.concatenate(
+        [[1.0], (non.size - np.searchsorted(non, thresholds, "left"))
+         / non.size, [0.0]])
+    p_miss = np.concatenate(
+        [[0.0], np.searchsorted(tar, thresholds, "left") / tar.size, [1.0]])
+    # both coordinates are monotone, so repeated points are adjacent
+    keep = np.ones(p_fa.size, dtype=bool)
+    keep[1:] = (p_fa[1:] != p_fa[:-1]) | (p_miss[1:] != p_miss[:-1])
+    return list(zip(p_fa[keep].tolist(), p_miss[keep].tolist()))
 
 
 def _lower_hull(points):
@@ -56,12 +64,9 @@ def _lower_hull(points):
     return hull
 
 
-def rocch_eer(target_scores, nontarget_scores) -> float:
-    """EER as the intersection of the ROC convex hull with p_miss = p_fa.
-
-    Returned as a fraction in [0, 0.5].
-    """
-    hull = _lower_hull(_roc_vertices(target_scores, nontarget_scores))
+def _hull_eer(vertices) -> float:
+    """Where the convex hull of the ROC vertices crosses p_miss = p_fa."""
+    hull = _lower_hull(vertices)
     for (x1, y1), (x2, y2) in zip(hull[:-1], hull[1:]):
         d1, d2 = y1 - x1, y2 - x2
         if d1 == 0.0:
@@ -72,18 +77,32 @@ def rocch_eer(target_scores, nontarget_scores) -> float:
     return hull[-1][0] if hull[-1][1] == hull[-1][0] else 0.0
 
 
+def _det(vertices):
+    return [(p_miss, p_fa) for p_fa, p_miss in vertices]
+
+
+def rocch_eer(target_scores, nontarget_scores) -> float:
+    """EER as the intersection of the ROC convex hull with p_miss = p_fa.
+
+    Returned as a fraction in [0, 0.5].
+    """
+    return _hull_eer(_roc_vertices(target_scores, nontarget_scores))
+
+
 def det_points(target_scores, nontarget_scores):
     """(p_miss, p_fa) operating points ordered by rising threshold."""
-    return [(p_miss, p_fa)
-            for p_fa, p_miss in _roc_vertices(target_scores, nontarget_scores)]
+    return _det(_roc_vertices(target_scores, nontarget_scores))
+
+
+def _report(tar, non, grouping) -> EvalReport:
+    """EER and DET points of one (targets, non-targets) pair, one sweep."""
+    vertices = _roc_vertices(tar, non)
+    return EvalReport(100.0 * _hull_eer(vertices), tuple(_det(vertices)),
+                      tar.size, non.size, grouping)
 
 
 def compute_eer_rocch(scores: ScoreSet, grouping="pooled") -> EvalReport:
-    tar = scores.target_scores
-    non = scores.nontarget_scores
-    eer = rocch_eer(tar, non)
-    return EvalReport(100.0 * eer, tuple(det_points(tar, non)),
-                      tar.size, non.size, grouping)
+    return _report(scores.target_scores, scores.nontarget_scores, grouping)
 
 
 def per_attack_eers(scores: ScoreSet, average_over=None):
@@ -92,17 +111,14 @@ def per_attack_eers(scores: ScoreSet, average_over=None):
     labels = np.asarray(scores.labels)
     attacks = np.asarray(scores.attack_ids)
     tar = scores.scores[labels == HUMAN]
-    present = sorted(set(attacks[labels == SPOOF]))
+    spoof = labels == SPOOF
+    present = sorted(set(attacks[spoof]))
     if not present:
         raise ValueError("no spoof trials with attack tags")
     reports = {}
     for attack in present:
-        non = scores.scores[(labels == SPOOF) & (attacks == attack)]
-        eer = rocch_eer(tar, non)
-        reports[attack] = EvalReport(100.0 * eer,
-                                     tuple(det_points(tar, non)),
-                                     tar.size, non.size,
-                                     grouping=f"attack:{attack}")
+        non = scores.scores[spoof & (attacks == attack)]
+        reports[attack] = _report(tar, non, f"attack:{attack}")
     chosen = present if average_over is None else list(average_over)
     if not chosen:
         raise ValueError("empty attack subset for averaging")

@@ -7,7 +7,7 @@ with repr() so a re-read is bit-exact and repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,11 @@ class ScoreSet:
         bad = set(self.labels) - {HUMAN, SPOOF}
         if bad:
             raise ValueError(f"unknown labels {sorted(bad)}")
+        finite = np.isfinite(self.scores)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"non-finite score {float(self.scores[i])!r} "
+                             f"for trial {self.utt_ids[i]}")
 
     def __len__(self):
         return len(self.utt_ids)

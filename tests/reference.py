@@ -70,6 +70,25 @@ def synth_harmonic(f0, thetas, amps, n_samples, sample_rate):
     return x
 
 
+def roc_vertices_oracle(target_scores, nontarget_scores):
+    """Step-ROC vertices (p_fa, p_miss) by a scalar walk over the distinct
+    thresholds, dropping a point equal to the one before it."""
+    tar = np.sort(np.asarray(target_scores, dtype=np.float64))
+    non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
+    if tar.size == 0 or non.size == 0:
+        raise ValueError("need at least one target and one non-target trial")
+    thresholds = np.unique(np.concatenate([tar, non]))
+    points = [(1.0, 0.0)]
+    for th in thresholds:
+        p_fa = (non.size - np.searchsorted(non, th, side="left")) / non.size
+        p_miss = np.searchsorted(tar, th, side="left") / tar.size
+        if (p_fa, p_miss) != points[-1]:
+            points.append((p_fa, p_miss))
+    if points[-1] != (0.0, 1.0):
+        points.append((0.0, 1.0))
+    return points
+
+
 def rocch_eer_oracle(target_scores, nontarget_scores):
     """ROC convex hull EER by exhaustive enumeration.
 

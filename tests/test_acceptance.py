@@ -332,6 +332,7 @@ def toy_corpus(tmp_path_factory):
     return root, manifest
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end_trends(toy_corpus, tmp_path):
     """The full pipeline reproduces the headline behavioral trends on the
     toy corpus: clean detection works for every front-end, 0 dB white

@@ -192,6 +192,18 @@ class TestErrorContract:
         assert rc == 1
         assert "error\tValueError" in capsys.readouterr().err
 
+    def test_nan_score_file_names_the_trial(self, tmp_path, capsys):
+        path = tmp_path / "scores.tsv"
+        path.write_text("utt_id\tscore\tlabel\tattack_id\tcondition\n"
+                        "h1\t1.5\thuman\t-\tclean\n"
+                        "s1\tnan\tspoof\tS1\tclean\n", encoding="utf-8")
+        rc = main(["eval", "--scores", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t")
+        assert "nan for trial s1" in err
+        assert err.count("\n") == 1
+
     def test_entry_point_exit_codes(self, tmp_path):
         # exercise the installed console script end to end
         ok = subprocess.run(

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoofbench.audio import AudioSignal
 from spoofbench.errors import NoActiveSpeechError
 from spoofbench import evaluation as ev
 
-from reference import rocch_eer_oracle
+from reference import roc_vertices_oracle, rocch_eer_oracle
 from test_scores import make_scores
 
 RATE = 16000
@@ -73,6 +74,45 @@ class TestRocchEer:
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
             ev.rocch_eer([1.0, 2.0], [])
+
+    def test_nan_score_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ev.rocch_eer([np.nan, 1.0, 2.0], [0.0, 3.0])
+        with pytest.raises(ValueError, match="NaN"):
+            ev.det_points([1.0, 2.0], [0.0, np.nan])
+
+
+# score pools for the vertex-oracle property: few distinct values force
+# ties, and the infinities sit at both ends of the threshold axis
+_TIED = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+_WITH_INF = st.sampled_from([-np.inf, -1.0, 0.0, 0.25, 1.0, np.inf])
+_CONTINUOUS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def _score_lists(values, max_size):
+    return st.tuples(st.lists(values, min_size=1, max_size=max_size),
+                     st.lists(values, min_size=1, max_size=max_size))
+
+
+_SCORE_PAIRS = st.one_of(
+    _score_lists(_TIED, 40),
+    _score_lists(_WITH_INF, 40),
+    _score_lists(_CONTINUOUS, 40),
+    _score_lists(_TIED, 1),                                 # one per class
+    st.builds(lambda v, n, m: ([v] * n, [v] * m),           # all equal
+              _WITH_INF, st.integers(1, 20), st.integers(1, 20)),
+)
+
+
+class TestVertexOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_SCORE_PAIRS)
+    def test_sweep_equals_scalar_walk_exactly(self, pair):
+        tar, non = pair
+        want = roc_vertices_oracle(tar, non)
+        assert ev._roc_vertices(tar, non) == want
+        assert ev.det_points(tar, non) == [(m, f) for f, m in want]
+        assert ev.rocch_eer(tar, non) == ev._hull_eer(want)
 
 
 class TestDetPoints:
@@ -142,6 +182,36 @@ class TestPerAttack:
         humans_only = make_scores([1.0, 2.0], ["human", "human"])
         with pytest.raises(ValueError):
             ev.per_attack_eers(humans_only)
+
+
+class TestSingleSweep:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        original = ev._roc_vertices
+
+        def counting(tar, non):
+            calls.append(len(non))
+            return original(tar, non)
+
+        monkeypatch.setattr(ev, "_roc_vertices", counting)
+        return calls
+
+    def test_pooled_report_sweeps_once(self, sweeps):
+        s = make_scores([2.0, 0.0, 1.0, -1.0],
+                        ["human", "human", "spoof", "spoof"])
+        report = ev.compute_eer_rocch(s)
+        assert sweeps == [2]
+        assert report.det_points == tuple(ev.det_points([2.0, 0.0],
+                                                        [1.0, -1.0]))
+
+    def test_per_attack_sweeps_once_per_attack(self, sweeps):
+        s = make_scores([4.0, 3.5, 0.0, -1.0, 3.9, 3.6, 2.0],
+                        ["human"] * 2 + ["spoof"] * 5,
+                        attacks=["-", "-", "A", "A", "B", "B", "C"])
+        reports, _ = ev.per_attack_eers(s)
+        assert sorted(reports) == ["A", "B", "C"]
+        assert sweeps == [2, 2, 1]
 
 
 class TestLtas:

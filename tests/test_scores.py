@@ -34,6 +34,11 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             make_scores([1.0], ["genuine"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_with_trial_id(self, bad):
+        with pytest.raises(ValueError, match=rf"{bad!r} for trial u001"):
+            make_scores([1.0, bad, bad], ["human", "spoof", "spoof"])
+
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ScoreSet(["a", "b"], np.zeros(2), ["human"], ["-", "-"],
