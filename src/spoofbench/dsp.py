@@ -205,10 +205,11 @@ def apply_vad(features, vad_mask) -> np.ndarray:
 
 
 def analytic_envelope(samples) -> np.ndarray:
-    """Squared magnitude of the analytic signal (FFT Hilbert method)."""
+    """Squared magnitude of the analytic signal (FFT Hilbert method), along
+    the last axis, so each row of a matrix is one signal."""
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
-        return np.zeros(0)
+        return np.zeros(x.shape)
     return np.abs(scipy.signal.hilbert(x)) ** 2
 
 

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.interpolate
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp, filterbanks
 from .audio import AudioSignal
@@ -244,23 +245,39 @@ def extract_cqcc(signal, config=None, vad=None):
     return _finalize(raw, config, vad)
 
 
+# gammatone channels per streamed MHEC block: the FFTs behind the Hilbert
+# envelope run several rows at once, so a block of rows costs less per row
+# than one row alone while its memory stays a small slice of the whole bank
+_MHEC_BLOCK = 8
+
+
+def mhec_band_energies(signal, config, n_frames) -> np.ndarray:
+    """(M, n_frames) window-averaged smoothed Hilbert energies per gammatone
+    channel.  Channels are streamed in blocks (filter, squared Hilbert
+    envelope, 20 Hz zero-phase smoothing, framing), so only a block of
+    signal-length rows is alive at once; every step works row by row, so
+    the result does not depend on the block size."""
+    bank = _gt_bank(signal.sample_rate, config.n_filters, config.gt_f_lo, config.gt_f_hi)
+    b, a = scipy.signal.butter(2, config.envelope_cutoff_hz / (signal.sample_rate / 2.0))
+    n = dsp.frame_length_samples(config.frame_ms, signal.sample_rate)
+    shift = dsp.frame_shift_samples(config.shift_ms, signal.sample_rate)
+    w = dsp.window_function(config.window, n)
+    w = w / w.sum()
+    energies = np.empty((bank.n_filters, n_frames))
+    for lo in range(0, bank.n_filters, _MHEC_BLOCK):
+        rows = slice(lo, lo + _MHEC_BLOCK)
+        env = dsp.analytic_envelope(bank.filter(signal.samples, rows))
+        smooth = scipy.signal.filtfilt(b, a, env)
+        energies[rows] = sliding_window_view(smooth, n, axis=1)[:, ::shift][:, :n_frames] @ w
+    return energies
+
+
 def extract_mhec(signal, config=None, vad=None):
     """Gammatone channels -> squared Hilbert envelope -> 20 Hz smoothing ->
     frame-averaged energies -> log -> DCT."""
     config = config or FeatureConfig("mhec")
     fm, vad = _frames_and_vad(signal, config, vad)
-    bank = _gt_bank(signal.sample_rate, config.n_filters, config.gt_f_lo, config.gt_f_hi)
-    channels = bank.filter(signal.samples)
-    env = np.abs(scipy.signal.hilbert(channels, axis=1)) ** 2
-    b, a = scipy.signal.butter(2, config.envelope_cutoff_hz / (signal.sample_rate / 2.0))
-    smooth = scipy.signal.filtfilt(b, a, env, axis=1)
-
-    n = dsp.frame_length_samples(config.frame_ms, signal.sample_rate)
-    shift = dsp.frame_shift_samples(config.shift_ms, signal.sample_rate)
-    idx = shift * np.arange(fm.n_frames)[:, None] + np.arange(n)[None, :]
-    w = dsp.window_function(config.window, n)
-    w = w / w.sum()
-    energies = smooth[:, idx] @ w          # (M, T)
+    energies = mhec_band_energies(signal, config, fm.n_frames)
     raw = dsp.dct_features(dsp.safe_log(energies.T), config.n_coeffs)
     return _finalize(raw, config, vad)
 

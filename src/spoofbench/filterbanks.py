@@ -4,10 +4,11 @@ an ERB-spaced gammatone filterbank and a constant-Q transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.signal
+from numpy.lib.stride_tricks import as_strided
 
 from .audio import AudioSignal
 from .dsp import frame_length_samples, frame_shift_samples, n_frames_for, window_function
@@ -136,15 +137,22 @@ class GammatoneBank:
     def n_filters(self) -> int:
         return self.center_freqs.size
 
-    def filter(self, samples) -> np.ndarray:
-        """Run the signal through every channel; returns (M, len(samples))."""
+    @property
+    def sos(self) -> np.ndarray:
+        """(M, 4, 6) second-order sections: row s of channel i is
+        forward[i, s] | feedback[i]."""
+        feedback = np.broadcast_to(self.feedback[:, None, :], self.forward.shape)
+        return np.concatenate([self.forward, feedback], axis=2)
+
+    def filter(self, samples, channels: slice = slice(None)) -> np.ndarray:
+        """Run the signal through every channel, or through the `channels`
+        slice of them, one sosfilt each; returns (channels, len(samples))."""
         x = np.asarray(samples, dtype=np.float64)
-        out = np.empty((self.n_filters, x.size))
-        for i in range(self.n_filters):
-            y = x
-            for s in range(4):
-                y = scipy.signal.lfilter(self.forward[i, s], self.feedback[i], y)
-            out[i] = y
+        sos = self.sos[channels]
+        out = np.zeros((len(sos), x.size))
+        if x.size:  # sosfilt rejects an empty signal
+            for i, sections in enumerate(sos):
+                out[i] = scipy.signal.sosfilt(sections, x)
         return out
 
     def impulse_responses(self, n_samples: int) -> np.ndarray:
@@ -233,7 +241,8 @@ class CqtKernel:
 
     Bin b sits at f_min * 2**(b / bins_per_octave); its kernel spans
     ceil(Q * sample_rate / f_b) samples where Q = 1 / (2**(1/bpo) - 1).
-    Kernels are synthesized on demand (low bins can be very long).
+    The kernels are synthesized once per analysis grid (frame length,
+    shift) and kept on the instance as blocked rows, see `blocked_rows`.
     """
 
     sample_rate: int
@@ -244,10 +253,17 @@ class CqtKernel:
     lengths: np.ndarray       # (B,) int
     q: float
     window: str = "hamming"
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n_bins(self) -> int:
         return self.center_freqs.size
+
+    @property
+    def padding(self) -> int:
+        """Zeros added at each end of the signal so every kernel fits."""
+        return int(self.lengths.max() // 2) + 1
 
     def kernel(self, b: int) -> np.ndarray:
         """Unit-normalized analysis kernel for bin b (complex, length L_b)."""
@@ -256,6 +272,32 @@ class CqtKernel:
         phase = np.exp(2j * np.pi * self.center_freqs[b] / self.sample_rate
                        * np.arange(length))
         return w * phase / length
+
+    def blocked_rows(self, frame_length: int, shift: int) -> list:
+        """Per bin, (q0_b, W_b): the conjugated kernel cut into rows of
+        `shift` samples, for frames of `frame_length` advancing by `shift`.
+
+        Frame 0's kernel starts c_b = frame_length//2 + padding - L_b//2
+        samples into the padded signal.  Front-padding the kernel with
+        c_b mod shift zeros puts its start on a row boundary, at signal row
+        q0_b = c_b // shift.  Its nq_b rows are stored transposed as one
+        real (shift x 2 nq_b) matrix [Re | Im].  Built on first use and
+        cached per (frame_length, shift).
+        """
+        key = (frame_length, shift)
+        if key not in self._rows:
+            rows = []
+            for b in range(self.n_bins):
+                length = int(self.lengths[b])
+                q0, lead = divmod(frame_length // 2 + self.padding - length // 2,
+                                  shift)
+                nq = -(-(lead + length) // shift)
+                k = np.zeros(nq * shift, dtype=complex)
+                k[lead:lead + length] = np.conj(self.kernel(b))
+                k = k.reshape(nq, shift).T
+                rows.append((q0, np.concatenate([k.real, k.imag], axis=1)))
+            self._rows[key] = rows
+        return self._rows[key]
 
 
 def cqt_kernel(sample_rate: int, bins_per_octave: int = 96,
@@ -284,6 +326,11 @@ def cqt(signal: AudioSignal, kernel: CqtKernel,
     Output row t corresponds to the analysis frame starting at t * shift;
     each kernel is centered on that frame's midpoint (edges are zero-padded),
     so the row count equals the frame count of frame_signal.
+
+    The padded signal is cut into rows of `shift` samples.  For bin b,
+    G = rows[q0_b : q0_b + T + nq_b - 1] @ W_b holds the dot product of
+    every signal row with every kernel row, and frame t's coefficient is
+    the sum of the diagonal of G that starts at row t.
     """
     if signal.sample_rate != kernel.sample_rate:
         raise ValueError("kernel was designed for a different sample rate")
@@ -293,18 +340,19 @@ def cqt(signal: AudioSignal, kernel: CqtKernel,
     n_frames = n_frames_for(len(x), frame_ms, shift_ms, signal.sample_rate)
     if n_frames <= 0:
         raise EmptyFeaturesError("signal shorter than one analysis frame")
-    centers = shift * np.arange(n_frames) + n // 2
-    pad = int(kernel.lengths.max() // 2) + 1
-    padded = np.pad(x, (pad, pad))
+    kernel_rows = kernel.blocked_rows(n, shift)
+    pad = kernel.padding
+    n_blocks = max(max(q0 + n_frames - 1 + w.shape[1] // 2 for q0, w in kernel_rows),
+                   -(-(len(x) + 2 * pad) // shift))
+    padded = np.zeros(n_blocks * shift)
+    padded[pad:pad + len(x)] = x
+    blocks = padded.reshape(n_blocks, shift)
     power = np.empty((n_frames, kernel.n_bins))
-    # chunk frames so that low-frequency (long) kernels stay memory friendly
-    chunk = max(1, int(4e6 // kernel.lengths.max()))
-    for b in range(kernel.n_bins):
-        k = np.conj(kernel.kernel(b))
-        length = int(kernel.lengths[b])
-        starts = centers + pad - length // 2
-        for lo in range(0, n_frames, chunk):
-            hi = min(lo + chunk, n_frames)
-            idx = starts[lo:hi, None] + np.arange(length)[None, :]
-            power[lo:hi, b] = np.abs(padded[idx] @ k) ** 2
+    for b, (q0, w) in enumerate(kernel_rows):
+        nq = w.shape[1] // 2
+        g = blocks[q0:q0 + n_frames + nq - 1] @ w
+        strides = (g.strides[0], g.strides[0] + g.strides[1])
+        re = as_strided(g, (n_frames, nq), strides, writeable=False).sum(axis=1)
+        im = as_strided(g[:, nq:], (n_frames, nq), strides, writeable=False).sum(axis=1)
+        power[:, b] = re * re + im * im
     return power

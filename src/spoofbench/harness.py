@@ -34,8 +34,17 @@ from .manifest import Manifest
 from .noiselab import make_noise, mix_at_snr
 from .scores import HUMAN, ScoreSet, write_scores
 
+# salt of every feature and model cache key: bump it whenever a change
+# alters the bytes an extractor writes, so an old work dir re-extracts
+# instead of mixing old and new features (2: blocked-GEMM constant-Q
+# transform, sosfilt gammatone bank)
+CACHE_VERSION = 2
+
 # desk-scale CQT geometry: full-resolution kernels dominate runtime while
-# adding nothing at toy-corpus scale
+# adding nothing at toy-corpus scale.  CQCC per 1.5 s toy utterance, one
+# thread of a 2-vCPU Xeon VM: 32 ms at 24x6, 1.4 s at the paper's 96x9
+# (plus a one-off 2.6 s to build 316 MB of kernel rows), so the end-to-end
+# acceptance run (about 1,000 CQCC extractions) cannot afford 96x9.
 DESK_FEATURE_OVERRIDES = {"cqcc": (("cqt_bins_per_octave", 24),
                                    ("cqt_octaves", 6))}
 
@@ -57,7 +66,7 @@ def _stage_hash(*parts) -> str:
 
 def _feature_text(cfg: features.FeatureConfig) -> str:
     d = asdict(cfg)
-    return ",".join(f"{k}={d[k]}" for k in sorted(d))
+    return f"cache_version={CACHE_VERSION}," + ",".join(f"{k}={d[k]}" for k in sorted(d))
 
 
 def condition_tag(cell: GridCell, enhancement: str | None) -> str:

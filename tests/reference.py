@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.signal
+
+from spoofbench.dsp import (frame_length_samples, frame_shift_samples, n_frames_for,
+                            window_function)
 
 
 def naive_dft(frame, dft_size):
@@ -124,3 +128,56 @@ def rocch_eer_oracle(target_scores, nontarget_scores):
             if 0.0 <= t <= 1.0:
                 best = min(best, x1 + t * dx)
     return best
+
+
+def cqt_direct_oracle(signal, kernel, frame_ms=20.0, shift_ms=10.0):
+    """Constant-Q power by direct summation: for every bin and frame, gather
+    the kernel-length window centred on the frame's midpoint from the
+    zero-padded signal and take its complex dot product with the
+    conjugated kernel."""
+    x = signal.samples
+    n = frame_length_samples(frame_ms, signal.sample_rate)
+    shift = frame_shift_samples(shift_ms, signal.sample_rate)
+    n_frames = n_frames_for(len(x), frame_ms, shift_ms, signal.sample_rate)
+    centers = shift * np.arange(n_frames) + n // 2
+    pad = int(kernel.lengths.max() // 2) + 1
+    padded = np.pad(x, (pad, pad))
+    power = np.empty((n_frames, kernel.n_bins))
+    for b in range(kernel.n_bins):
+        k = np.conj(kernel.kernel(b))
+        length = int(kernel.lengths[b])
+        starts = centers + pad - length // 2
+        idx = starts[:, None] + np.arange(length)[None, :]
+        power[:, b] = np.abs(padded[idx] @ k) ** 2
+    return power
+
+
+def gammatone_cascade_oracle(bank, samples):
+    """Every gammatone channel as four cascaded lfilter sections sharing
+    the channel's feedback polynomial."""
+    x = np.asarray(samples, dtype=np.float64)
+    out = np.empty((bank.n_filters, x.size))
+    for i in range(bank.n_filters):
+        y = x
+        for s in range(4):
+            y = scipy.signal.lfilter(bank.forward[i, s], bank.feedback[i], y)
+        out[i] = y
+    return out
+
+
+def mhec_energies_whole_matrix(channels, sample_rate, frame_ms=20.0,
+                               shift_ms=10.0, window="hamming",
+                               cutoff_hz=20.0):
+    """MHEC band energies over the whole (M, N) channel matrix at once:
+    squared Hilbert envelope along axis 1, 20 Hz zero-phase smoothing along
+    axis 1, then an (M, T, n) gather of every frame times the normalized
+    window."""
+    env = np.abs(scipy.signal.hilbert(channels, axis=1)) ** 2
+    b, a = scipy.signal.butter(2, cutoff_hz / (sample_rate / 2.0))
+    smooth = scipy.signal.filtfilt(b, a, env, axis=1)
+    n = frame_length_samples(frame_ms, sample_rate)
+    shift = frame_shift_samples(shift_ms, sample_rate)
+    n_frames = n_frames_for(channels.shape[1], frame_ms, shift_ms, sample_rate)
+    idx = shift * np.arange(n_frames)[:, None] + np.arange(n)[None, :]
+    w = window_function(window, n)
+    return smooth[:, idx] @ (w / w.sum())

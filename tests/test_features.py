@@ -9,7 +9,8 @@ from spoofbench import dsp, features
 from spoofbench.audio import AudioSignal
 from spoofbench.errors import EmptyFeaturesError
 
-from reference import naive_dct, naive_dft_matrix, synth_harmonic
+from reference import (mhec_energies_whole_matrix, naive_dct, naive_dft_matrix,
+                       synth_harmonic)
 
 RATE = 16000
 
@@ -233,6 +234,21 @@ def test_mhec_shape_and_finite():
     out = features.extract_mhec(sig)
     assert out.shape[1] == 96
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("seconds, block", [(0.5, 8), (0.7719, 8), (1.0, 8),
+                                            (0.7719, 1), (0.7719, 5)])
+def test_mhec_streamed_energies_equal_whole_matrix_energies(seconds, block,
+                                                            monkeypatch):
+    """Streaming the envelope, smoothing and framing a block of channels at
+    a time reproduces the whole-matrix computation bit for bit."""
+    monkeypatch.setattr(features, "_MHEC_BLOCK", block)
+    sig = _voiced_test_signal(seconds)
+    cfg = features.FeatureConfig("mhec")
+    bank = features._gt_bank(RATE, cfg.n_filters, cfg.gt_f_lo, cfg.gt_f_hi)
+    want = mhec_energies_whole_matrix(bank.filter(sig.samples), RATE)
+    n_frames = dsp.n_frames_for(len(sig), cfg.frame_ms, cfg.shift_ms, RATE)
+    assert np.array_equal(features.mhec_band_energies(sig, cfg, n_frames), want)
 
 
 def test_mhec_band_energy_tracks_slow_amplitude_modulation():

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spoofbench import filterbanks as fb
 from spoofbench.audio import AudioSignal
 from spoofbench.errors import EmptyFeaturesError
+
+from reference import cqt_direct_oracle, gammatone_cascade_oracle
 
 RATE = 16000
 
@@ -215,3 +218,52 @@ def test_cqt_frame_count_matches_common_grid():
     sig = AudioSignal(np.random.default_rng(1).standard_normal(8000), RATE)
     power = fb.cqt(sig, kern)
     assert power.shape == ((8000 - 320) // 160 + 1, kern.n_bins)
+
+
+# --- fast paths against the direct oracles -------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       bins_per_octave=st.sampled_from([12, 24]),
+       f_min=st.floats(20.0, 2000.0),
+       octaves=st.floats(1.0, 8.0),
+       n_samples=st.integers(320, 4000))
+@example(seed=0, bins_per_octave=24, f_min=20.0, octaves=8.0, n_samples=320)
+@example(seed=1, bins_per_octave=12, f_min=30.0, octaves=4.0, n_samples=479)
+def test_cqt_matches_direct_summation_oracle(seed, bins_per_octave, f_min,
+                                            octaves, n_samples):
+    """Covers single-frame signals (320..479 samples) and low bins whose
+    kernels are far longer than the signal."""
+    f_max = min(f_min * 2.0 ** octaves, RATE / 2.0)
+    kern = fb.cqt_kernel(RATE, bins_per_octave=bins_per_octave, f_min=f_min,
+                         f_max=f_max)
+    sig = AudioSignal(np.random.default_rng(seed).standard_normal(n_samples), RATE)
+    want = cqt_direct_oracle(sig, kern)
+    got = fb.cqt(sig, kern)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cqt_reuses_blocked_rows_per_grid():
+    kern = fb.cqt_kernel(RATE, bins_per_octave=12, f_min=200.0, f_max=3200.0)
+    rows = kern.blocked_rows(320, 160)
+    assert kern.blocked_rows(320, 160) is rows
+    assert kern.blocked_rows(400, 160) is not rows
+
+
+def test_gammatone_empty_signal_filters_to_empty():
+    assert fb.gammatone_bank(RATE).filter(np.zeros(0)).shape == (32, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_filters=st.integers(1, 32),
+       f_lo=st.floats(50.0, 1000.0),
+       n_samples=st.integers(1, 4000))
+def test_gammatone_matches_lfilter_cascade_oracle(seed, n_filters, f_lo, n_samples):
+    bank = fb.gammatone_bank(RATE, n_filters, f_lo, RATE / 2.0)
+    x = np.random.default_rng(seed).standard_normal(n_samples)
+    want = gammatone_cascade_oracle(bank, x)
+    got = bank.filter(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -191,3 +191,26 @@ class TestBuildingBlocks:
         assert np.isfinite(s_cos) and np.isfinite(s_plda)
         with pytest.raises(ValueError):
             harness.ivector_score(stack, feats[rows[0].utt_id], "svm")
+
+
+class TestCacheVersion:
+    def test_changed_salt_re_extracts(self, corpus, tmp_path, monkeypatch):
+        root, man = corpus
+        cfg = _config()
+        calls = []
+        extract = features.extract
+
+        def counting(signal, config, vad=None):
+            calls.append(config.kind)
+            return extract(signal, config, vad=vad)
+
+        monkeypatch.setattr(features, "extract", counting)
+        work = tmp_path / "work"
+        run_experiment(cfg, man, work, wav_root=root)
+        cold = len(calls)
+        assert cold > 0
+        run_experiment(cfg, man, work, wav_root=root)
+        assert len(calls) == cold
+        monkeypatch.setattr(harness, "CACHE_VERSION", harness.CACHE_VERSION + 1)
+        run_experiment(cfg, man, work, wav_root=root)
+        assert len(calls) == 2 * cold
