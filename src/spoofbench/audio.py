@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
@@ -84,8 +83,3 @@ def read_features(path) -> np.ndarray:
     if len(payload) != 8 * t * d:
         raise ValueError(f"{path}: truncated feature cache file")
     return np.frombuffer(payload, dtype="<f8").reshape(t, d).copy()
-
-
-def feature_cache_path(root, utt_id: str, kind: str) -> Path:
-    """Per-utterance cache file: <root>/<utt_id>.<kind>.spbf"""
-    return Path(root) / f"{utt_id}.{kind}.spbf"

@@ -190,12 +190,11 @@ def cmd_extract_ivec(args):
     cfg = _feature_config(args)
     ubm = gmm.load_gmm(args.ubm)
     tv = ivector.load_tv(args.tv)
-    ids, vecs = [], []
-    for r in rows:
-        frames = features.extract(_load_signal(r, root), cfg)
-        ids.append(r.utt_id)
-        vecs.append(ivector.extract_ivector(frames, ubm, tv))
-    ivector.save_ivectors(args.out, ids, vecs)
+    ids = [r.utt_id for r in rows]
+    stats = [ivector.baum_welch_stats(
+        features.extract(_load_signal(r, root), cfg), ubm) for r in rows]
+    ivector.save_ivectors(args.out, ids,
+                          ivector.ivectors_from_stats(stats, ubm, tv))
     print(f"{args.out}\t{len(ids)}")
 
 

@@ -17,7 +17,10 @@ runs bit-identical.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +98,11 @@ class IvectorStack:
     class_means: dict
     plda: ivector.PldaModel | None = None
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Gram blocks of the UBM and TV pair, computed on first use."""
+        return ivector.gram_blocks(self.tv.matrix, self.ubm)
+
 
 def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
                         tv_iterations, seed, with_plda=False,
@@ -105,8 +113,7 @@ def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
              for r in rows]
     tv, _ = ivector.train_tv(stats, ubm, tv_rank, tv_iterations,
                              seed=derive_seed(seed, "tv"))
-    raw = np.array([ivector.ivector_from_stats(n, f, ubm, tv)
-                    for n, f in stats])
+    raw = ivector.ivectors_from_stats(stats, ubm, tv)
     labels = [r.label for r in rows]
     b = ivector.train_wccn(raw, labels)
     normed = ivector.length_normalize(ivector.apply_wccn(b, raw))
@@ -120,7 +127,7 @@ def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
 
 
 def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
-    w = ivector.extract_ivector(frames, stack.ubm, stack.tv)
+    w = ivector.extract_ivector(frames, stack.ubm, stack.tv, stack.gram)
     return ivector.length_normalize(ivector.apply_wccn(stack.wccn,
                                                        w[None, :]))[0]
 
@@ -135,6 +142,21 @@ def ivector_score(stack: IvectorStack, frames, scoring: str) -> float:
             raise ValueError("this model stack was trained without PLDA")
         return ivector.plda_detection_score(stack.plda, w, nat, syn)
     raise ValueError(f"unknown i-vector scoring {scoring!r}")
+
+
+def _write_via_temp(write, path: Path, value):
+    """write(tmp, value) to a fresh temp file next to path, then rename it
+    onto path, so concurrent runs sharing a work dir never share a temp
+    file and a reader never sees a partial artifact."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                               dir=path.parent)
+    os.close(fd)
+    try:
+        write(tmp, value)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def check_hygiene(train_utt_ids, scored_utt_ids):
@@ -185,6 +207,7 @@ class _Runner:
                                        f"{r.attack_id},{r.subset}"
                                        for r in manifest))
         self._signal_cache = {}
+        self._scorers = {}
 
     # -- audio stages ------------------------------------------------------
 
@@ -224,9 +247,7 @@ class _Runner:
                                                      row.utt_id)).signal
         if method is not None:
             signal = enhance(signal, method)
-        tmp = path.with_suffix(".tmp.wav")
-        write_wav(tmp, signal)
-        tmp.replace(path)
+        _write_via_temp(write_wav, path, signal)
         return path
 
     def _prepared_signal(self, row, cell: GridCell) -> AudioSignal:
@@ -274,9 +295,7 @@ class _Runner:
             if processed:
                 vad = features.compute_vad_mask(self._source(row), cfg)
             values = features.extract(signal, cfg, vad=vad)
-            tmp = path.with_name(path.name + ".tmp")
-            write_features(tmp, values)
-            tmp.replace(path)
+            _write_via_temp(write_features, path, values)
             out[row.utt_id] = values
         return out
 
@@ -295,9 +314,7 @@ class _Runner:
                 out[row.utt_id] = read_features(path)
             else:
                 values = features.extract(self._source(row), cfg)
-                tmp = path.with_name(path.name + ".tmp")
-                write_features(tmp, values)
-                tmp.replace(path)
+                _write_via_temp(write_features, path, values)
                 out[row.utt_id] = values
         return out
 
@@ -374,21 +391,37 @@ class _Runner:
 
     # -- scoring -----------------------------------------------------------
 
+    def _scorer(self, kind, backend):
+        """(per-utterance scorer, training ids) of one feature and back-end;
+        its models are loaded or trained once per run."""
+        key = (kind, backend)
+        if key not in self._scorers:
+            if backend == "gmm":
+                nat, syn, train_ids = self._gmm_models(kind)
+                scorer = lambda f: gmm.llr_score(f, nat, syn)
+            else:
+                scoring = backend.split("-", 1)[1]
+                stack, train_ids = self._ivector_stack(
+                    kind, with_plda=scoring == "plda")
+                scorer = lambda f: ivector_score(stack, f, scoring)
+            self._scorers[key] = scorer, train_ids
+        return self._scorers[key]
+
     def _scoreset(self, rows, kind, backend, cell) -> ScoreSet:
         feats = self._cell_features(rows, kind, cell)
-        if backend == "gmm":
-            nat, syn, train_ids = self._gmm_models(kind)
-            scorer = lambda f: gmm.llr_score(f, nat, syn)
-        else:
-            scoring = backend.split("-", 1)[1]
-            stack, train_ids = self._ivector_stack(kind,
-                                                   with_plda=scoring == "plda")
-            scorer = lambda f: ivector_score(stack, f, scoring)
+        scorer, train_ids = self._scorer(kind, backend)
         check_hygiene(train_ids, [r.utt_id for r in rows])
         cond = condition_tag(cell, self.config.enhancement)
+        scores = np.array([scorer(feats[r.utt_id]) for r in rows])
+        finite = np.isfinite(scores)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"non-finite score {float(scores[i])!r} for "
+                             f"utterance {rows[i].utt_id} (feature {kind}, "
+                             f"back-end {backend}, condition {cond})")
         return ScoreSet(
             utt_ids=[r.utt_id for r in rows],
-            scores=np.array([scorer(feats[r.utt_id]) for r in rows]),
+            scores=scores,
             labels=[r.label for r in rows],
             attack_ids=[r.attack_id for r in rows],
             conditions=[cond] * len(rows),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,12 @@ def _posterior(n_vec, ftilde_flat, tv_mat, inv_var_flat, gram):
     return lmat, cov @ b, b, cov
 
 
-def _gram_blocks(tv_mat, ubm):
+def gram_blocks(tv_mat, ubm):
+    """T_c^T Sigma_c^-1 T_c for every component c, shape (C, R, R).
+
+    It depends on the model alone, so extraction computes it once per
+    (UBM, T) pair, not once per utterance (Glembek et al., ICASSP 2011).
+    """
     c, d = ubm.means.shape
     blocks = tv_mat.reshape(c, d, tv_mat.shape[1])
     return np.einsum("cdr,cd,cds->crs", blocks, ubm.variances ** -1.0, blocks)
@@ -111,7 +117,7 @@ def train_tv(stats, ubm: GmmModel, rank, n_iterations=10, seed=0):
 
     history = []
     for _ in range(n_iterations):
-        gram = _gram_blocks(tv_mat, ubm)
+        gram = gram_blocks(tv_mat, ubm)
         a_acc = np.zeros((c, rank, rank))
         b_acc = np.zeros((c * d, rank))
         objective = 0.0
@@ -131,21 +137,31 @@ def train_tv(stats, ubm: GmmModel, rank, n_iterations=10, seed=0):
     return TvMatrix(tv_mat, ubm.means.ravel()), history
 
 
-def extract_ivector(frames, ubm: GmmModel, tv: TvMatrix) -> np.ndarray:
-    """Posterior mean of the total-variability latent for one utterance."""
+def extract_ivector(frames, ubm: GmmModel, tv: TvMatrix,
+                    gram) -> np.ndarray:
+    """Posterior mean of the total-variability latent for one utterance;
+    gram is gram_blocks(tv.matrix, ubm)."""
     n, f = baum_welch_stats(frames, ubm)
-    return ivector_from_stats(n, f, ubm, tv)
+    return ivector_from_stats(n, f, ubm, tv, gram)
 
 
-def ivector_from_stats(n, f, ubm: GmmModel, tv: TvMatrix) -> np.ndarray:
+def ivector_from_stats(n, f, ubm: GmmModel, tv: TvMatrix,
+                       gram) -> np.ndarray:
     n = np.asarray(n, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     c, d = ubm.means.shape
     ftilde = (f - n[:, None] * tv.mean.reshape(c, d)).ravel()
     inv_var = (1.0 / ubm.variances).ravel()
-    gram = _gram_blocks(tv.matrix, ubm)
     _, mean_w, _, _ = _posterior(n, ftilde, tv.matrix, inv_var, gram)
     return mean_w
+
+
+def ivectors_from_stats(stats, ubm: GmmModel, tv: TvMatrix) -> np.ndarray:
+    """One i-vector row per (N, F) pair of stats, sharing one Gram
+    computation."""
+    gram = gram_blocks(tv.matrix, ubm)
+    return np.array([ivector_from_stats(n, f, ubm, tv, gram)
+                     for n, f in stats])
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +237,7 @@ def detection_score(w, mean_natural, mean_synthetic) -> float:
 # ---------------------------------------------------------------------------
 # PLDA (two-covariance, tied across classes)
 
-@dataclass
+@dataclass(frozen=True)
 class PldaModel:
     mu: np.ndarray       # (R,)
     factors: np.ndarray  # (R, q) between-class loading
@@ -230,6 +246,23 @@ class PldaModel:
     @property
     def rank(self):
         return self.mu.shape[0]
+
+    @cached_property
+    def pair_covariances(self):
+        """(same, logdet same, diff, logdet diff): the covariances of a
+        stacked pair [w1 - mu; w2 - mu] under the same-class and the
+        different-class hypotheses, with their log-determinants.  They
+        depend on the model alone, so they are built on first use and kept
+        (Sizov, Lee & Kinnunen, S+SSPR 2014)."""
+        r = self.rank
+        between = self.factors @ self.factors.T
+        total = between + self.sigma
+        same = np.block([[total, between], [between, total]])
+        diff = np.block([[total, np.zeros((r, r))],
+                         [np.zeros((r, r)), total]])
+        _, logdet_same = np.linalg.slogdet(same)
+        _, logdet_diff = np.linalg.slogdet(diff)
+        return same, logdet_same, diff, logdet_diff
 
 
 def train_plda(ivectors, labels, latent_rank=None, n_iterations=10, seed=0):
@@ -297,18 +330,11 @@ def train_plda(ivectors, labels, latent_rank=None, n_iterations=10, seed=0):
 
 def plda_llr(model: PldaModel, w1, w2) -> float:
     """log p(w1, w2 | same class) - log p(w1, w2 | different classes)."""
-    r = model.rank
-    between = model.factors @ model.factors.T
-    total = between + model.sigma
-    same = np.block([[total, between], [between, total]])
-    diff = np.block([[total, np.zeros((r, r))], [np.zeros((r, r)), total]])
+    same, logdet_same, diff, logdet_diff = model.pair_covariances
     u = np.concatenate([np.asarray(w1) - model.mu, np.asarray(w2) - model.mu])
-
-    def _logpdf(cov):
-        _, logdet = np.linalg.slogdet(cov)
-        return -0.5 * (logdet + u @ np.linalg.solve(cov, u))
-
-    return float(_logpdf(same) - _logpdf(diff))
+    same_ll = -0.5 * (logdet_same + u @ np.linalg.solve(same, u))
+    diff_ll = -0.5 * (logdet_diff + u @ np.linalg.solve(diff, u))
+    return float(same_ll - diff_ll)
 
 
 def plda_detection_score(model: PldaModel, w, mean_natural, mean_synthetic):

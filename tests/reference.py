@@ -181,3 +181,36 @@ def mhec_energies_whole_matrix(channels, sample_rate, frame_ms=20.0,
     idx = shift * np.arange(n_frames)[:, None] + np.arange(n)[None, :]
     w = window_function(window, n)
     return smooth[:, idx] @ (w / w.sum())
+
+
+def ivector_from_stats_oracle(n, f, ubm, tv):
+    """i-vector of one utterance with every model term rebuilt per call:
+    the per-component Gram blocks T_c^T Sigma_c^-1 T_c, then the posterior
+    precision L = I + sum_c N_c G_c and the mean L^-1 T^T Sigma^-1 F~."""
+    n = np.asarray(n, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    c, d = ubm.means.shape
+    ftilde = (f - n[:, None] * tv.mean.reshape(c, d)).ravel()
+    inv_var = (1.0 / ubm.variances).ravel()
+    blocks = tv.matrix.reshape(c, d, tv.matrix.shape[1])
+    gram = np.einsum("cdr,cd,cds->crs", blocks, ubm.variances ** -1.0, blocks)
+    lmat = np.eye(tv.matrix.shape[1]) + np.tensordot(n, gram, axes=1)
+    b = tv.matrix.T @ (ftilde * inv_var)
+    return np.linalg.inv(lmat) @ b
+
+
+def plda_llr_oracle(model, w1, w2):
+    """Two-covariance PLDA pair LLR with both 2R x 2R covariances and their
+    log-determinants rebuilt per call."""
+    r = model.rank
+    between = model.factors @ model.factors.T
+    total = between + model.sigma
+    same = np.block([[total, between], [between, total]])
+    diff = np.block([[total, np.zeros((r, r))], [np.zeros((r, r)), total]])
+    u = np.concatenate([np.asarray(w1) - model.mu, np.asarray(w2) - model.mu])
+
+    def _logpdf(cov):
+        _, logdet = np.linalg.slogdet(cov)
+        return -0.5 * (logdet + u @ np.linalg.solve(cov, u))
+
+    return float(_logpdf(same) - _logpdf(diff))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spoofbench import features, harness
+from spoofbench import features, gmm, harness, ivector
 from spoofbench.audio import read_wav
 from spoofbench.config import ExperimentConfig, GridCell
 from spoofbench.errors import HygieneError
@@ -214,3 +214,101 @@ class TestCacheVersion:
         monkeypatch.setattr(harness, "CACHE_VERSION", harness.CACHE_VERSION + 1)
         run_experiment(cfg, man, work, wav_root=root)
         assert len(calls) == 2 * cold
+
+
+class TestNonFiniteScores:
+    def test_error_names_utterance_feature_backend_and_condition(
+            self, corpus, tmp_path, monkeypatch):
+        root, man = corpus
+        llr_score = gmm.llr_score
+        calls = []
+
+        def nan_on_third(frames, nat, syn):
+            calls.append(None)
+            return np.nan if len(calls) == 3 else llr_score(frames, nat, syn)
+
+        monkeypatch.setattr(gmm, "llr_score", nan_on_third)
+        cfg = _config(grid=(GridCell("white", 0.0),))
+        with pytest.raises(ValueError) as err:
+            run_experiment(cfg, man, tmp_path / "w", wav_root=root)
+        message = str(err.value)
+        # the first scored subset is dev, so the third call is its third row
+        for part in (man.subset("dev").rows[2].utt_id, "feature mfcc",
+                     "back-end gmm", "condition white_0dB"):
+            assert part in message
+
+
+class TestTempFiles:
+    def test_leftover_fixed_temp_names_are_left_alone(self, corpus,
+                                                      tmp_path):
+        """Another run's temp files, under the fixed names a writer used to
+        share, are neither clobbered nor renamed into the cache."""
+        root, man = corpus
+        cfg = _config(grid=(GridCell(), GridCell("white", 0.0)))
+        ref = run_experiment(cfg, man, tmp_path / "ref", wav_root=root)
+        cached = {p.relative_to(ref.work_dir)
+                  for p in (ref.work_dir / "cache").rglob("*") if p.is_file()}
+        work = tmp_path / "work"
+        planted = []
+        for rel in sorted(cached):
+            if rel.suffix == ".wav":
+                leftover = work / rel.with_suffix(".tmp.wav")
+            elif rel.suffix == ".spbf":
+                leftover = work / rel.with_name(rel.name + ".tmp")
+            else:
+                continue
+            leftover.parent.mkdir(parents=True, exist_ok=True)
+            leftover.write_bytes(b"partial file of another run")
+            planted.append(leftover)
+        assert any(p.name.endswith(".tmp.wav") for p in planted)
+        assert any(p.name.endswith(".spbf.tmp") for p in planted)
+
+        result = run_experiment(cfg, man, work, wav_root=root)
+        for p in planted:
+            assert p.read_bytes() == b"partial file of another run"
+        left = {p.relative_to(work)
+                for p in (work / "cache").rglob("*") if p.is_file()}
+        assert left == cached | {p.relative_to(work) for p in planted}
+        for a, b in zip(ref.rows, result.rows):
+            assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+
+class TestModelReuse:
+    def test_warm_run_reads_each_model_once(self, corpus, tmp_path,
+                                            monkeypatch):
+        """A warm grid over two conditions and two subsets loads every
+        model file once and builds each i-vector stack's Gram blocks once."""
+        root, man = corpus
+        kinds = ("mfcc", "cosphase")
+        cfg = _config(features=kinds,
+                      backends=("gmm", "ivector-cosine", "ivector-plda"),
+                      grid=(GridCell(), GridCell("white", 10.0)))
+        work = tmp_path / "w"
+        cold = run_experiment(cfg, man, work, wav_root=root)
+
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.setdefault(name, []).append(args[0])
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        loaders = ((gmm, "load_gmm"), (ivector, "load_tv"),
+                   (ivector, "load_wccn"), (ivector, "load_plda"),
+                   (ivector, "load_class_means"))
+        for module, name in loaders + ((ivector, "gram_blocks"),):
+            count(module, name)
+
+        warm = run_experiment(cfg, man, work, wav_root=root)
+        assert len(calls["gram_blocks"]) == 2 * len(kinds)
+        reads = [str(path) for _, name in loaders
+                 for path in calls.get(name, [])]
+        assert len(reads) == len(set(reads))
+        # per feature: 2 class GMMs, then UBM, TV, WCCN and class means for
+        # each i-vector back-end, plus the PLDA model of ivector-plda
+        assert len(reads) == len(kinds) * (2 + 4 + 5)
+        for a, b in zip(cold.rows, warm.rows):
+            assert a.scores_path.read_bytes() == b.scores_path.read_bytes()

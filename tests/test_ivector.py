@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import ivector_from_stats_oracle, plda_llr_oracle
 from spoofbench.errors import DegenerateVectorError
 from spoofbench.gmm import GmmModel
 from spoofbench import ivector as iv
@@ -119,12 +121,13 @@ class TestTotalVariability:
         size = ubm.n_components * ubm.dim
         tv = iv.TvMatrix(0.5 * rng.standard_normal((size, 2)),
                          ubm.means.ravel())
+        gram = iv.gram_blocks(tv.matrix, ubm)
         planted, recovered = [], []
         for _ in range(10):
             w = rng.standard_normal(2)
             offsets = (tv.matrix @ w).reshape(ubm.n_components, ubm.dim)
             frames = _sample_utterance(rng, ubm, offsets, 3000)
-            w_hat = iv.extract_ivector(frames, ubm, tv)
+            w_hat = iv.extract_ivector(frames, ubm, tv, gram)
             planted.append(w)
             recovered.append(w_hat)
         planted = np.concatenate(planted)
@@ -138,7 +141,8 @@ class TestTotalVariability:
         tv = iv.TvMatrix(rng.standard_normal((ubm.n_components * ubm.dim, 3)),
                          ubm.means.ravel())
         w = iv.ivector_from_stats(np.zeros(ubm.n_components),
-                                  np.zeros_like(ubm.means), ubm, tv)
+                                  np.zeros_like(ubm.means), ubm, tv,
+                                  iv.gram_blocks(tv.matrix, ubm))
         assert np.allclose(w, 0.0, atol=1e-12)
 
     def test_extraction_linear_in_centered_stats(self):
@@ -150,10 +154,31 @@ class TestTotalVariability:
         base = n[:, None] * ubm.means
         d1 = rng.standard_normal((c, d))
         d2 = rng.standard_normal((c, d))
-        w1 = iv.ivector_from_stats(n, base + d1, ubm, tv)
-        w2 = iv.ivector_from_stats(n, base + d2, ubm, tv)
-        combo = iv.ivector_from_stats(n, base + 2.0 * d1 - 0.5 * d2, ubm, tv)
+        gram = iv.gram_blocks(tv.matrix, ubm)
+        w1 = iv.ivector_from_stats(n, base + d1, ubm, tv, gram)
+        w2 = iv.ivector_from_stats(n, base + d2, ubm, tv, gram)
+        combo = iv.ivector_from_stats(n, base + 2.0 * d1 - 0.5 * d2, ubm, tv,
+                                      gram)
         assert np.allclose(combo, 2.0 * w1 - 0.5 * w2, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 6),
+           d=st.integers(2, 5), rank=st.integers(1, 8),
+           n_utts=st.integers(1, 4))
+    def test_shared_gram_blocks_match_per_call_oracle(self, seed, c, d, rank,
+                                                      n_utts):
+        """One Gram computation per model gives exactly the i-vectors of
+        rebuilding it for every utterance."""
+        rng = np.random.default_rng(seed)
+        ubm = _toy_ubm(rng, c=c, d=d)
+        rank = min(rank, c * d - 1)
+        tv = iv.TvMatrix(rng.standard_normal((c * d, rank)),
+                         ubm.means.ravel())
+        stats = [(rng.random(c) * rng.choice([0.0, 1.0, 50.0]),
+                  rng.standard_normal((c, d)) * 10.0) for _ in range(n_utts)]
+        want = np.array([ivector_from_stats_oracle(n, f, ubm, tv)
+                         for n, f in stats])
+        assert np.array_equal(iv.ivectors_from_stats(stats, ubm, tv), want)
 
     def test_invalid_rank_raises(self):
         rng = np.random.default_rng(9)
@@ -321,6 +346,24 @@ class TestPlda:
         same, diff = np.array(same), np.array(diff)
         auc = np.mean(same[:, None] > diff[None, :])
         assert auc > 0.95
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 10),
+           q=st.integers(1, 10), n_pairs=st.integers(1, 4))
+    def test_cached_pair_covariances_match_per_call_oracle(self, seed, r, q,
+                                                           n_pairs):
+        """Every call on one model, the first (which builds the cached
+        covariances) and the later ones, equals the per-call rebuild."""
+        rng = np.random.default_rng(seed)
+        q = min(q, r)
+        root = rng.standard_normal((r, r))
+        model = iv.PldaModel(rng.standard_normal(r),
+                             rng.standard_normal((r, q)),
+                             root @ root.T + 0.1 * np.eye(r))
+        for _ in range(n_pairs):
+            w1, w2 = rng.standard_normal(r), rng.standard_normal(r)
+            assert iv.plda_llr(model, w1, w2) == plda_llr_oracle(model, w1,
+                                                                 w2)
 
     def test_recovers_planted_covariance_eigenspectra(self):
         rng = np.random.default_rng(32)
