@@ -280,14 +280,14 @@ def cmd_score_ivec(args):
     stack = harness.IvectorStack(gmm.load_gmm(args.ubm),
                                  ivector.load_tv(args.tv),
                                  ivector.load_wccn(args.wccn),
-                                 ivector.load_class_means(args.means),
-                                 plda)
+                                 ivector.load_class_means(args.means))
     cfg = _feature_config(args)
     scores = []
     for r in rows:
         signal, vad = _prepare_test_signal(r, root, args, cfg)
         frames = features.extract(signal, cfg, vad=vad)
-        scores.append(harness.ivector_score(stack, frames, args.scoring))
+        scores.append(harness.ivector_score(stack, frames, args.scoring,
+                                            plda))
     _emit_scores(args, rows, scores)
 
 

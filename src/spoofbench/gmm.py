@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -17,16 +18,16 @@ VAR_FLOOR_FRAC = 1e-4
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
     weights: np.ndarray     # (C,)
     means: np.ndarray       # (C, D)
     variances: np.ndarray   # (C, D)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
+        for name in ("weights", "means", "variances"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
         c, d = self.means.shape
         if self.weights.shape != (c,) or self.variances.shape != (c, d):
             raise ValueError("inconsistent GMM parameter shapes")
@@ -43,19 +44,26 @@ class GmmModel:
     def dim(self):
         return self.means.shape[1]
 
+    @cached_property
+    def _likelihood_terms(self):
+        """(1/v, m/v, per-component constant): they depend on the model
+        alone, so they are built on first use and kept."""
+        inv = 1.0 / self.variances                                   # (C, D)
+        const = (np.log(self.weights)
+                 - 0.5 * (self.dim * _LOG_2PI
+                          + np.log(self.variances).sum(axis=1)
+                          + (self.means ** 2 * inv).sum(axis=1)))    # (C,)
+        return inv, self.means * inv, const
+
     def component_log_likelihoods(self, frames) -> np.ndarray:
         """log(w_c N(x; m_c, diag v_c)) for every frame/component, (T, C)."""
         frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
         if frames.shape[1] != self.dim:
             raise ValueError(
                 f"feature dim {frames.shape[1]} != model dim {self.dim}")
-        inv = 1.0 / self.variances                                   # (C, D)
-        const = (np.log(self.weights)
-                 - 0.5 * (self.dim * _LOG_2PI
-                          + np.log(self.variances).sum(axis=1)
-                          + (self.means ** 2 * inv).sum(axis=1)))    # (C,)
+        inv, scaled_means, const = self._likelihood_terms
         quad = (frames ** 2) @ inv.T                                 # (T, C)
-        cross = frames @ (self.means * inv).T                        # (T, C)
+        cross = frames @ scaled_means.T                              # (T, C)
         return const[None, :] + cross - 0.5 * quad
 
     def frame_log_likelihoods(self, frames) -> np.ndarray:

@@ -90,13 +90,13 @@ def train_gmm_pair(feats_by_utt, rows, n_components, n_iterations, seed):
 
 @dataclass(frozen=True)
 class IvectorStack:
-    """Everything needed to embed and score an utterance."""
+    """Everything needed to embed an utterance and score it by cosine; the
+    PLDA scorer is a separate model trained on the stack's i-vectors."""
 
     ubm: gmm.GmmModel
     tv: ivector.TvMatrix
     wccn: np.ndarray
     class_means: dict
-    plda: ivector.PldaModel | None = None
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -105,8 +105,13 @@ class IvectorStack:
 
 
 def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
-                        tv_iterations, seed, with_plda=False,
-                        plda_latent=16, plda_iterations=5) -> IvectorStack:
+                        tv_iterations, seed):
+    """UBM, TV matrix, WCCN and class means from the training rows.
+
+    Returns (stack, normed): normed holds the length-normalised training
+    i-vectors, one row per training row, that the class means are taken
+    from and that a PLDA scorer is trained on.
+    """
     pooled = np.vstack([feats_by_utt[r.utt_id] for r in rows])
     ubm, _ = gmm.train_gmm(pooled, ubm_components, n_iterations=10, seed=seed)
     stats = [ivector.baum_welch_stats(feats_by_utt[r.utt_id], ubm)
@@ -118,12 +123,7 @@ def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
     b = ivector.train_wccn(raw, labels)
     normed = ivector.length_normalize(ivector.apply_wccn(b, raw))
     means = ivector.class_mean_ivectors(normed, labels)
-    plda = None
-    if with_plda:
-        plda = ivector.train_plda(normed, labels, latent_rank=plda_latent,
-                                  n_iterations=plda_iterations,
-                                  seed=derive_seed(seed, "plda"))
-    return IvectorStack(ubm, tv, b, means, plda)
+    return IvectorStack(ubm, tv, b, means), normed
 
 
 def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
@@ -132,16 +132,22 @@ def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
                                                        w[None, :]))[0]
 
 
-def ivector_score(stack: IvectorStack, frames, scoring: str) -> float:
-    w = embed_ivector(stack, frames)
+def embedding_score(stack: IvectorStack, w, scoring: str,
+                    plda: ivector.PldaModel | None = None) -> float:
+    """Detection score of an embedded utterance against the class means."""
     nat, syn = stack.class_means[HUMAN], stack.class_means["spoof"]
     if scoring == "cosine":
         return ivector.detection_score(w, nat, syn)
     if scoring == "plda":
-        if stack.plda is None:
-            raise ValueError("this model stack was trained without PLDA")
-        return ivector.plda_detection_score(stack.plda, w, nat, syn)
+        if plda is None:
+            raise ValueError("PLDA scoring needs a PLDA model")
+        return ivector.plda_detection_score(plda, w, nat, syn)
     raise ValueError(f"unknown i-vector scoring {scoring!r}")
+
+
+def ivector_score(stack: IvectorStack, frames, scoring: str,
+                  plda: ivector.PldaModel | None = None) -> float:
+    return embedding_score(stack, embed_ivector(stack, frames), scoring, plda)
 
 
 def _write_via_temp(write, path: Path, value):
@@ -203,20 +209,25 @@ class _Runner:
         self.work_dir = Path(work_dir)
         self.wav_root = Path(wav_root) if wav_root is not None else Path(".")
         self.cache = self.work_dir / "cache"
-        self.corpus_fp = _stage_hash(*(f"{r.utt_id},{r.wav_path},{r.label},"
-                                       f"{r.attack_id},{r.subset}"
-                                       for r in manifest))
+        # the wav bytes are part of the fingerprint, so an edited wav under
+        # an unchanged manifest re-extracts instead of reusing old features
+        # (raw bytes: decoding each wav would cost a read_wav per run)
+        self.corpus_fp = _stage_hash(*(
+            f"{r.utt_id},{r.wav_path},{r.label},{r.attack_id},{r.subset},"
+            f"{hashlib.sha256(self._wav_path(r).read_bytes()).hexdigest()}"
+            for r in manifest))
         self._signal_cache = {}
-        self._scorers = {}
+        self._models = {}
 
     # -- audio stages ------------------------------------------------------
 
+    def _wav_path(self, row) -> Path:
+        path = Path(row.wav_path)
+        return path if path.is_absolute() else self.wav_root / path
+
     def _source(self, row) -> AudioSignal:
         if row.utt_id not in self._signal_cache:
-            path = Path(row.wav_path)
-            if not path.is_absolute():
-                path = self.wav_root / path
-            self._signal_cache[row.utt_id] = read_wav(path)
+            self._signal_cache[row.utt_id] = read_wav(self._wav_path(row))
         return self._signal_cache[row.utt_id]
 
     def _prepared_wav(self, row, cell: GridCell, enhanced: bool) -> Path:
@@ -342,13 +353,16 @@ class _Runner:
         self._save_train_ids(model_dir, rows)
         return nat, syn, [r.utt_id for r in rows]
 
-    def _ivector_stack(self, kind: str, with_plda: bool):
+    def _ivector_dir(self, kind: str) -> Path:
         cfg = self.config
         key = _stage_hash("ivector", self.corpus_fp, cfg.seed,
                           _feature_text(self._feature_config(kind)),
-                          cfg.ubm_components, cfg.tv_rank, cfg.tv_iterations,
-                          with_plda, cfg.plda_latent, cfg.plda_iterations)
-        model_dir = self.cache / "models" / key
+                          cfg.ubm_components, cfg.tv_rank, cfg.tv_iterations)
+        return self.cache / "models" / key
+
+    def _ivector_stack(self, kind: str):
+        cfg = self.config
+        model_dir = self._ivector_dir(kind)
         rows = self.manifest.subset("train").rows
         done = model_dir / "class_means.txt"
         if done.is_file():
@@ -356,27 +370,44 @@ class _Runner:
             tv = ivector.load_tv(model_dir / "tv.stv")
             b = ivector.load_wccn(model_dir / "wccn.swc")
             means = ivector.load_class_means(done)
-            plda = (ivector.load_plda(model_dir / "plda.spl")
-                    if with_plda else None)
-            return (IvectorStack(ubm, tv, b, means, plda),
+            return (IvectorStack(ubm, tv, b, means),
                     self._load_train_ids(model_dir))
         model_dir.mkdir(parents=True, exist_ok=True)
         feats = self._train_features(kind)
-        stack = train_ivector_stack(
+        stack, normed = train_ivector_stack(
             feats, rows, ubm_components=cfg.ubm_components,
             tv_rank=cfg.tv_rank, tv_iterations=cfg.tv_iterations,
-            seed=derive_seed(cfg.seed, "ivector", kind),
-            with_plda=with_plda, plda_latent=cfg.plda_latent,
-            plda_iterations=cfg.plda_iterations)
+            seed=derive_seed(cfg.seed, "ivector", kind))
         gmm.save_gmm(model_dir / "ubm.gmm", stack.ubm)
         ivector.save_tv(model_dir / "tv.stv", stack.tv,
                         stack.ubm.means.shape[0])
         ivector.save_wccn(model_dir / "wccn.swc", stack.wccn)
-        if stack.plda is not None:
-            ivector.save_plda(model_dir / "plda.spl", stack.plda)
+        ivector.save_ivectors(model_dir / "train_ivectors.txt",
+                              [r.utt_id for r in rows], normed)
         self._save_train_ids(model_dir, rows)
         ivector.save_class_means(done, stack.class_means)
         return stack, [r.utt_id for r in rows]
+
+    def _plda(self, kind: str) -> ivector.PldaModel:
+        """PLDA scorer of a feature's i-vector stack: trained on first
+        request from the training i-vectors stored with the stack, and kept
+        in the stack's directory, one file per PLDA setting."""
+        cfg = self.config
+        self._model(kind, "ivector")   # a trained stack stores its i-vectors
+        model_dir = self._ivector_dir(kind)
+        path = (model_dir /
+                f"plda.q{cfg.plda_latent}.i{cfg.plda_iterations}.spl")
+        if path.is_file():
+            return ivector.load_plda(path)
+        utt_ids, normed = ivector.load_ivectors(model_dir /
+                                                "train_ivectors.txt")
+        label = {r.utt_id: r.label for r in self.manifest.subset("train")}
+        plda = ivector.train_plda(
+            normed, [label[u] for u in utt_ids], latent_rank=cfg.plda_latent,
+            n_iterations=cfg.plda_iterations,
+            seed=derive_seed(derive_seed(cfg.seed, "ivector", kind), "plda"))
+        _write_via_temp(ivector.save_plda, path, plda)
+        return plda
 
     @staticmethod
     def _save_train_ids(model_dir: Path, rows):
@@ -391,28 +422,45 @@ class _Runner:
 
     # -- scoring -----------------------------------------------------------
 
-    def _scorer(self, kind, backend):
-        """(per-utterance scorer, training ids) of one feature and back-end;
-        its models are loaded or trained once per run."""
-        key = (kind, backend)
-        if key not in self._scorers:
-            if backend == "gmm":
-                nat, syn, train_ids = self._gmm_models(kind)
-                scorer = lambda f: gmm.llr_score(f, nat, syn)
-            else:
-                scoring = backend.split("-", 1)[1]
-                stack, train_ids = self._ivector_stack(
-                    kind, with_plda=scoring == "plda")
-                scorer = lambda f: ivector_score(stack, f, scoring)
-            self._scorers[key] = scorer, train_ids
-        return self._scorers[key]
+    def _model(self, kind: str, name: str):
+        """A feature's GMM pair ("gmm"), i-vector stack ("ivector") or PLDA
+        scorer ("plda"), loaded or trained once per run."""
+        key = (kind, name)
+        if key not in self._models:
+            load = {"gmm": self._gmm_models, "ivector": self._ivector_stack,
+                    "plda": self._plda}[name]
+            self._models[key] = load(kind)
+        return self._models[key]
 
-    def _scoreset(self, rows, kind, backend, cell) -> ScoreSet:
-        feats = self._cell_features(rows, kind, cell)
-        scorer, train_ids = self._scorer(kind, backend)
-        check_hygiene(train_ids, [r.utt_id for r in rows])
+    def _subset_scores(self, rows, kind, cell) -> dict:
+        """{back-end: ScoreSet} of one (condition, subset, feature): the
+        features are read once, and each utterance is embedded once for
+        every i-vector back-end."""
+        frames = self._cell_features(rows, kind, cell)
+        utt_ids = [r.utt_id for r in rows]
+        backends = self.config.backends
+        scores = {}
+        if "gmm" in backends:
+            nat, syn, train_ids = self._model(kind, "gmm")
+            check_hygiene(train_ids, utt_ids)
+            scores["gmm"] = [gmm.llr_score(frames[u], nat, syn)
+                             for u in utt_ids]
+        ivector_backends = [b for b in backends if b != "gmm"]
+        if ivector_backends:
+            stack, train_ids = self._model(kind, "ivector")
+            check_hygiene(train_ids, utt_ids)
+            embedded = [embed_ivector(stack, frames[u]) for u in utt_ids]
+            for backend in ivector_backends:
+                scoring = backend.split("-", 1)[1]
+                plda = self._model(kind, "plda") if scoring == "plda" else None
+                scores[backend] = [embedding_score(stack, w, scoring, plda)
+                                   for w in embedded]
+        return {b: self._scoreset(rows, scores[b], kind, b, cell)
+                for b in backends}
+
+    def _scoreset(self, rows, scores, kind, backend, cell) -> ScoreSet:
         cond = condition_tag(cell, self.config.enhancement)
-        scores = np.array([scorer(feats[r.utt_id]) for r in rows])
+        scores = np.array(scores)
         finite = np.isfinite(scores)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -462,15 +510,21 @@ class _Runner:
         subsets = [(name, rows) for name, rows in subsets if rows]
 
         for cell in cfg.grid:
+            # every back-end is scored from one pass over each (subset,
+            # feature), which holds one subset's frames at a time
+            by_backend = {backend: {subset: {} for subset, _ in subsets}
+                          for backend in cfg.backends}
+            for subset, rows in subsets:
+                for kind in cfg.features:
+                    for backend, scores in self._subset_scores(
+                            rows, kind, cell).items():
+                        by_backend[backend][subset][kind] = scores
             for backend in cfg.backends:
-                per_subset_sets = {}
-                for subset, rows in subsets:
-                    sets = {}
+                per_subset_sets = by_backend[backend]
+                for subset, _ in subsets:
                     for kind in cfg.features:
-                        scores = self._scoreset(rows, kind, backend, cell)
-                        sets[kind] = scores
-                        emit(cell, backend, kind, subset, scores)
-                    per_subset_sets[subset] = sets
+                        emit(cell, backend, kind, subset,
+                             per_subset_sets[subset][kind])
 
                 for method in cfg.fusion:
                     ordered = list(cfg.features)

@@ -214,3 +214,17 @@ def plda_llr_oracle(model, w1, w2):
         return -0.5 * (logdet + u @ np.linalg.solve(cov, u))
 
     return float(_logpdf(same) - _logpdf(diff))
+
+
+def component_log_likelihoods_oracle(model, frames):
+    """log(w_c N(x; m_c, diag v_c)), (T, C), with 1/v, m/v and the
+    per-component constant rebuilt per call."""
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    inv = 1.0 / model.variances
+    const = (np.log(model.weights)
+             - 0.5 * (model.dim * np.log(2.0 * np.pi)
+                      + np.log(model.variances).sum(axis=1)
+                      + (model.means ** 2 * inv).sum(axis=1)))
+    quad = (frames ** 2) @ inv.T
+    cross = frames @ (model.means * inv).T
+    return const[None, :] + cross - 0.5 * quad

@@ -1,10 +1,13 @@
 """Tests for the diagonal-GMM back-end."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import component_log_likelihoods_oracle
 from spoofbench.gmm import (GmmModel, kmeans_pp_centers, llr_score, load_gmm,
                             save_gmm, train_gmm)
 
@@ -45,6 +48,25 @@ class TestLikelihood:
         x = np.array([[0.0, 0.0]])
         assert abs(model.avg_log_likelihood(x)
                    - (-math.log(2 * math.pi))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 12),
+           d=st.integers(1, 20), t=st.integers(1, 60))
+    def test_cached_terms_match_per_call_oracle(self, seed, c, d, t):
+        """Per-model terms built once give exactly the log-likelihoods of
+        rebuilding them on every call, on repeated calls too."""
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, c=c, d=d)
+        for _ in range(2):
+            frames = rng.standard_normal((t, d)) * 3.0
+            assert np.array_equal(model.component_log_likelihoods(frames),
+                                  component_log_likelihoods_oracle(model,
+                                                                   frames))
+
+    def test_model_is_frozen(self):
+        model = _random_model(np.random.default_rng(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.variances = model.variances * 2.0
 
     def test_dim_mismatch_raises(self):
         model = _random_model(np.random.default_rng(1))

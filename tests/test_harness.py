@@ -1,8 +1,10 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from spoofbench import features, gmm, harness, ivector
-from spoofbench.audio import read_wav
+from spoofbench.audio import AudioSignal, read_wav, write_wav
 from spoofbench.config import ExperimentConfig, GridCell
 from spoofbench.errors import HygieneError
 from spoofbench.harness import (check_hygiene, condition_tag, derive_seed,
@@ -28,6 +30,23 @@ def _config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's args."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _score_bytes(work):
+    return {p.relative_to(work): p.read_bytes()
+            for p in sorted((work / "scores").rglob("*.tsv"))}
 
 
 class TestSeeds:
@@ -178,17 +197,23 @@ class TestBuildingBlocks:
                                             cfg) for r in rows}
         nat, syn = harness.train_gmm_pair(feats, rows, 4, 3, seed=0)
         assert nat.means.shape == syn.means.shape
-        stack = harness.train_ivector_stack(
+        stack, normed = harness.train_ivector_stack(
             feats, rows, ubm_components=4, tv_rank=4, tv_iterations=2,
-            seed=0, with_plda=True, plda_latent=2, plda_iterations=2)
+            seed=0)
+        assert normed.shape == (len(rows), 4)
+        assert np.allclose(np.linalg.norm(normed, axis=1), 1.0)
+        plda = ivector.train_plda(normed, [r.label for r in rows],
+                                  latent_rank=2, n_iterations=2)
         w = harness.embed_ivector(stack, feats[rows[0].utt_id])
         assert w.shape == (4,)
         assert np.isclose(np.linalg.norm(w), 1.0)
         s_cos = harness.ivector_score(stack, feats[rows[0].utt_id],
                                       "cosine")
         s_plda = harness.ivector_score(stack, feats[rows[0].utt_id],
-                                       "plda")
+                                       "plda", plda)
         assert np.isfinite(s_cos) and np.isfinite(s_plda)
+        with pytest.raises(ValueError):
+            harness.ivector_score(stack, feats[rows[0].utt_id], "plda")
         with pytest.raises(ValueError):
             harness.ivector_score(stack, feats[rows[0].utt_id], "svm")
 
@@ -286,29 +311,119 @@ class TestModelReuse:
         work = tmp_path / "w"
         cold = run_experiment(cfg, man, work, wav_root=root)
 
-        calls = {}
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args):
-                calls.setdefault(name, []).append(args[0])
-                return original(*args)
-            monkeypatch.setattr(module, name, wrapper)
-
         loaders = ((gmm, "load_gmm"), (ivector, "load_tv"),
                    (ivector, "load_wccn"), (ivector, "load_plda"),
                    (ivector, "load_class_means"))
-        for module, name in loaders + ((ivector, "gram_blocks"),):
-            count(module, name)
+        calls = {name: _counting(monkeypatch, module, name)
+                 for module, name in loaders + ((ivector, "gram_blocks"),)}
 
         warm = run_experiment(cfg, man, work, wav_root=root)
-        assert len(calls["gram_blocks"]) == 2 * len(kinds)
-        reads = [str(path) for _, name in loaders
-                 for path in calls.get(name, [])]
+        # both i-vector back-ends of a feature share one stack
+        assert len(calls["gram_blocks"]) == len(kinds)
+        reads = [str(args[0]) for _, name in loaders
+                 for args in calls[name]]
         assert len(reads) == len(set(reads))
-        # per feature: 2 class GMMs, then UBM, TV, WCCN and class means for
-        # each i-vector back-end, plus the PLDA model of ivector-plda
-        assert len(reads) == len(kinds) * (2 + 4 + 5)
+        # per feature: 2 class GMMs, then the stack's UBM, TV, WCCN and
+        # class means, plus the PLDA model of ivector-plda
+        assert len(reads) == len(kinds) * (2 + 4 + 1)
         for a, b in zip(cold.rows, warm.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+
+class TestSharedStack:
+    ALL_BACKENDS = ("gmm", "ivector-cosine", "ivector-plda")
+
+    def test_warm_grid_reads_and_embeds_each_utterance_once(
+            self, corpus, tmp_path, monkeypatch):
+        root, man = corpus
+        kinds = ("mfcc", "cosphase")
+        cfg = _config(features=kinds, backends=self.ALL_BACKENDS,
+                      grid=(GridCell(), GridCell("white", 10.0)),
+                      fusion=("average",))
+        work = tmp_path / "w"
+        cold = run_experiment(cfg, man, work, wav_root=root)
+        reads = _counting(monkeypatch, harness, "read_features")
+        embeds = _counting(monkeypatch, harness, "embed_ivector")
+        warm = run_experiment(cfg, man, work, wav_root=root)
+        scored = len(man.subset("dev").rows) + len(man.subset("eval").rows)
+        per_pass = len(cfg.grid) * len(kinds) * scored
+        assert len(reads) == per_pass
+        assert len({str(a[0]) for a in reads}) == per_pass
+        assert len(embeds) == per_pass
+        for a, b in zip(cold.rows, warm.rows):
+            assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+    def test_cold_grid_trains_one_stack_per_feature(self, corpus, tmp_path,
+                                                    monkeypatch):
+        root, man = corpus
+        kinds = ("mfcc", "cosphase")
+        cfg = _config(features=kinds,
+                      backends=("ivector-cosine", "ivector-plda"))
+        tv = _counting(monkeypatch, ivector, "train_tv")
+        plda = _counting(monkeypatch, ivector, "train_plda")
+        run_experiment(cfg, man, tmp_path / "w", wav_root=root)
+        assert len(tv) == len(kinds)
+        assert len(plda) == len(kinds)
+
+    def test_cached_stack_gains_plda_later(self, corpus, tmp_path,
+                                           monkeypatch):
+        """A cosine-only run trains no PLDA; a later PLDA run on the same
+        work dir trains only the PLDA and leaves the cosine scores alone."""
+        root, man = corpus
+        work = tmp_path / "w"
+        gmm_calls = _counting(monkeypatch, gmm, "train_gmm")
+        tv = _counting(monkeypatch, ivector, "train_tv")
+        plda = _counting(monkeypatch, ivector, "train_plda")
+        run_experiment(_config(backends=("ivector-cosine",)), man, work,
+                       wav_root=root)
+        assert plda == [] and len(tv) == 1
+        cosine = _score_bytes(work)
+        del gmm_calls[:], tv[:]
+        run_experiment(_config(backends=("ivector-cosine", "ivector-plda")),
+                       man, work, wav_root=root)
+        assert len(plda) == 1
+        assert gmm_calls == [] and tv == []
+        after = _score_bytes(work)
+        assert {k: after[k] for k in cosine} == cosine
+        assert any("ivector-plda" in str(k) for k in after)
+
+    def test_plda_scores_match_a_fresh_work_dir(self, corpus, tmp_path):
+        """PLDA trained later from the stored training i-vectors scores
+        exactly like PLDA trained in the same run as its stack."""
+        root, man = corpus
+        both = _config(backends=("ivector-cosine", "ivector-plda"))
+        later = tmp_path / "later"
+        run_experiment(_config(backends=("ivector-cosine",)), man, later,
+                       wav_root=root)
+        run_experiment(both, man, later, wav_root=root)
+        fresh = tmp_path / "fresh"
+        run_experiment(both, man, fresh, wav_root=root)
+        assert _score_bytes(later) == _score_bytes(fresh)
+        assert (later / "summary.tsv").read_bytes() == \
+            (fresh / "summary.tsv").read_bytes()
+
+
+class TestCorpusFingerprint:
+    def test_edited_wav_re_extracts(self, corpus, tmp_path, monkeypatch):
+        """Rewriting a train wav under the same manifest invalidates the
+        features and models that depend on it."""
+        root, man = corpus
+        copy = tmp_path / "corpus"
+        shutil.copytree(root, copy)
+        cfg = _config(backends=("gmm", "ivector-cosine"))
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=copy)
+        before = _score_bytes(work)
+
+        row = man.subset("train").rows[0]
+        old = read_wav(copy / row.wav_path)
+        rng = np.random.default_rng(0)
+        noisy = old.samples + 0.05 * rng.standard_normal(len(old.samples))
+        write_wav(copy / row.wav_path,
+                  AudioSignal(np.clip(noisy, -1.0, 1.0), old.sample_rate))
+        extracted = _counting(monkeypatch, features, "extract")
+        run_experiment(cfg, man, work, wav_root=copy)
+        assert extracted
+        after = _score_bytes(work)
+        assert after.keys() == before.keys()
+        assert after != before
