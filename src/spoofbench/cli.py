@@ -1,8 +1,15 @@
 """Command-line front door.
 
-Every pipeline stage is exposed as a subcommand so experiments can be
-scripted piecemeal, and `run` executes a whole config grid.  On failure
-the tool prints a single machine-parseable line to stderr::
+Every pipeline stage is a subcommand, so experiments can be scripted
+piecemeal, and `run` executes a whole config grid.  The stage commands
+call the harness's own stage functions: `train-gmm` and `train-ivector`
+write the model directories a run caches, `train-plda` trains a stack's
+PLDA scorer, and `score-gmm`/`score-ivec` prepare test audio for a
+`--noise-kind`/`--snr`/`--enhance` condition exactly as a run does.  With
+the same settings, a stage-by-stage pipeline therefore writes the score
+files `run` writes.  `--seed` of these commands is the experiment root
+seed, as in a config.  On failure the tool prints a single
+machine-parseable line to stderr::
 
     error\t<ExceptionType>\t<message>
 
@@ -20,12 +27,13 @@ import numpy as np
 from . import config as configmod
 from . import features, fusion, gmm, harness, ivector
 from .audio import read_wav, write_features, write_wav
+from .config import GridCell
 from .enhancement import ENHANCEMENT_METHODS, enhance
 from .evaluation import compute_eer_rocch, compute_ltas, per_attack_eers, \
     save_ltas_csv
 from .manifest import read_manifest
 from .noiselab import NOISE_KINDS, make_noise, mix_at_snr
-from .scores import ScoreSet, read_scores, write_scores
+from .scores import read_scores, write_scores
 from .toycorpus import make_toy_corpus
 
 
@@ -41,21 +49,14 @@ def _parse_params(pairs):
 
 
 def _feature_config(args) -> features.FeatureConfig:
-    overrides = dict(harness.DESK_FEATURE_OVERRIDES.get(args.kind, ()))
-    overrides.update(_parse_params(getattr(args, "param", None)))
-    return features.default_config(args.kind, **overrides)
+    return configmod.feature_config(args.kind, _parse_params(args.param))
 
 
-def _manifest_rows(args, subset=None):
-    manifest = read_manifest(args.manifest)
-    root = getattr(args, "wav_root", None)
-    if root is None:
-        root = Path(args.manifest).parent
-    wanted = subset or getattr(args, "subset", None)
-    rows = manifest.subset(wanted).rows if wanted else manifest.rows
+def _manifest_rows(args, subset):
+    rows = read_manifest(args.manifest).subset(subset).rows
     if not rows:
-        raise ValueError(f"manifest has no rows in subset {wanted!r}")
-    return rows, Path(root)
+        raise ValueError(f"manifest has no rows in subset {subset!r}")
+    return rows, Path(args.wav_root or Path(args.manifest).parent)
 
 
 def _load_signal(row, root):
@@ -63,51 +64,41 @@ def _load_signal(row, root):
     return read_wav(path if path.is_absolute() else root / path)
 
 
-def _prepare_test_signal(row, root, args, cfg):
-    """Optionally mix noise and enhance; VAD always comes from clean."""
-    clean = _load_signal(row, root)
-    signal = clean
-    if getattr(args, "noise_kind", None):
-        if args.snr is None:
-            raise ValueError("--noise-kind requires --snr")
-        noise = make_noise(args.noise_kind, len(signal), signal.sample_rate,
-                           seed=harness.derive_seed(args.seed, "noise",
-                                                    args.noise_kind,
-                                                    row.utt_id))
-        signal = mix_at_snr(signal, noise, args.snr,
-                            seed=harness.derive_seed(args.seed, "mix",
-                                                     args.noise_kind,
-                                                     row.utt_id)).signal
-    if getattr(args, "enhance", None):
-        signal = enhance(signal, args.enhance)
-    vad = None
-    if signal is not clean:
-        vad = features.compute_vad_mask(clean, cfg)
-    return signal, vad
+def _train_features(args):
+    """(training rows, clean features by utterance) as a run trains on."""
+    rows, root = _manifest_rows(args, "train")
+    cfg = _feature_config(args)
+    return rows, {r.utt_id: features.extract(_load_signal(r, root), cfg)
+                  for r in rows}
 
 
-def _require(path, what, hint):
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"missing {what} {path}; create it with "
-                                f"`spoofbench {hint}`")
+def _load_models(load, model_dir, command):
+    try:
+        return load(model_dir)
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"{exc}; create it with "
+                                f"`spoofbench {command}`") from None
 
 
-def _train_features_by_utt(rows, root, cfg):
-    return {r.utt_id: features.extract(_load_signal(r, root), cfg)
-            for r in rows}
-
-
-def _write_train_ids(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(r.utt_id + "\n")
-
-
-def _read_train_ids(path):
-    if not Path(path).is_file():
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+def _score(args, backend, train_ids, score_frames):
+    """Score the chosen subset in the --noise-kind/--snr/--enhance
+    condition, prepared as a run prepares it, and write the score file."""
+    cell = GridCell(args.noise_kind, args.snr)
+    rows, root = _manifest_rows(args, args.subset)
+    harness.check_hygiene(train_ids, [r.utt_id for r in rows])
+    cfg = _feature_config(args)
+    processed = not cell.is_clean or args.enhance is not None
+    frames = []
+    for r in rows:
+        clean = _load_signal(r, root)
+        signal = harness.prepare_signal(clean, r.utt_id, cell, args.enhance,
+                                        args.seed)
+        frames.append(harness.extract_test_features(
+            signal, cfg, clean if processed else None))
+    cond = harness.condition_tag(cell, args.enhance)
+    write_scores(args.out, harness.score_set(rows, score_frames(frames),
+                                             args.kind, backend, cond))
+    print(f"{args.out}\t{len(rows)}")
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -144,151 +135,53 @@ def cmd_enhance(args):
 
 
 def cmd_train_gmm(args):
-    rows, root = _manifest_rows(args, subset="train")
-    cfg = _feature_config(args)
-    feats = _train_features_by_utt(rows, root, cfg)
+    rows, feats = _train_features(args)
     nat, syn = harness.train_gmm_pair(feats, rows, args.components,
-                                      args.iterations, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gmm.save_gmm(out_dir / "human.gmm", nat)
-    gmm.save_gmm(out_dir / "spoof.gmm", syn)
-    _write_train_ids(out_dir / "train_utts.txt", rows)
-    print(out_dir)
+                                      args.iterations, args.seed, args.kind)
+    harness.save_gmm_pair(args.out_dir, nat, syn, [r.utt_id for r in rows])
+    print(args.out_dir)
 
 
-def cmd_train_ubm(args):
-    rows, root = _manifest_rows(args, subset="train")
-    cfg = _feature_config(args)
-    pooled = np.vstack([features.extract(_load_signal(r, root), cfg)
-                        for r in rows])
-    model, _ = gmm.train_gmm(pooled, args.components, args.iterations,
-                             seed=args.seed)
-    gmm.save_gmm(args.out, model)
-    _write_train_ids(str(args.out) + ".train_utts.txt", rows)
-    print(args.out)
-
-
-def cmd_train_tv(args):
-    _require(args.ubm, "UBM", "train-ubm")
-    rows, root = _manifest_rows(args, subset="train")
-    cfg = _feature_config(args)
-    ubm = gmm.load_gmm(args.ubm)
-    stats = [ivector.baum_welch_stats(
-        features.extract(_load_signal(r, root), cfg), ubm) for r in rows]
-    tv, _ = ivector.train_tv(stats, ubm, args.rank, args.iterations,
-                             seed=args.seed)
-    ivector.save_tv(args.out, tv, ubm.means.shape[0])
-    _write_train_ids(str(args.out) + ".train_utts.txt", rows)
-    print(args.out)
-
-
-def cmd_extract_ivec(args):
-    _require(args.ubm, "UBM", "train-ubm")
-    _require(args.tv, "total-variability matrix", "train-tv")
-    rows, root = _manifest_rows(args)
-    cfg = _feature_config(args)
-    ubm = gmm.load_gmm(args.ubm)
-    tv = ivector.load_tv(args.tv)
-    ids = [r.utt_id for r in rows]
-    stats = [ivector.baum_welch_stats(
-        features.extract(_load_signal(r, root), cfg), ubm) for r in rows]
-    ivector.save_ivectors(args.out, ids,
-                          ivector.ivectors_from_stats(stats, ubm, tv))
-    print(f"{args.out}\t{len(ids)}")
-
-
-def _labels_for(ids, manifest_path):
-    manifest = read_manifest(manifest_path)
-    by_id = {r.utt_id: r.label for r in manifest}
-    missing = [u for u in ids if u not in by_id]
-    if missing:
-        raise ValueError(f"manifest lacks utterances: {missing[:3]}")
-    return [by_id[u] for u in ids]
-
-
-def cmd_train_wccn(args):
-    ids, vecs = ivector.load_ivectors(args.ivectors)
-    labels = _labels_for(ids, args.manifest)
-    b = ivector.train_wccn(vecs, labels)
-    ivector.save_wccn(args.out, b)
-    if args.means_out:
-        normed = ivector.length_normalize(ivector.apply_wccn(b, vecs))
-        means = ivector.class_mean_ivectors(normed, labels)
-        ivector.save_class_means(args.means_out, means)
-    print(args.out)
+def cmd_train_ivector(args):
+    rows, feats = _train_features(args)
+    stack, normed = harness.train_ivector_stack(
+        feats, rows, ubm_components=args.components, tv_rank=args.rank,
+        tv_iterations=args.iterations, root_seed=args.seed, kind=args.kind)
+    harness.save_ivector_stack(args.out_dir, stack, normed,
+                               [r.utt_id for r in rows])
+    print(args.out_dir)
 
 
 def cmd_train_plda(args):
-    ids, vecs = ivector.load_ivectors(args.ivectors)
-    labels = _labels_for(ids, args.manifest)
-    if args.wccn:
-        b = ivector.load_wccn(args.wccn)
-        vecs = ivector.length_normalize(ivector.apply_wccn(b, vecs))
-    model = ivector.train_plda(vecs, labels, latent_rank=args.latent,
-                               n_iterations=args.iterations, seed=args.seed)
+    labels = {r.utt_id: r.label for r in read_manifest(args.manifest)}
+    model = harness.train_stack_plda(
+        args.stack_dir, labels, latent_rank=args.latent,
+        n_iterations=args.iterations, root_seed=args.seed, kind=args.kind)
     ivector.save_plda(args.out, model)
     print(args.out)
 
 
-def _emit_scores(args, rows, scores):
-    out = ScoreSet(
-        utt_ids=[r.utt_id for r in rows],
-        scores=np.asarray(scores, dtype=np.float64),
-        labels=[r.label for r in rows],
-        attack_ids=[r.attack_id for r in rows],
-        conditions=[args.condition] * len(rows),
-    )
-    write_scores(args.out, out)
-    print(f"{args.out}\t{len(rows)}")
-
-
 def cmd_score_gmm(args):
-    model_dir = Path(args.models)
-    _require(model_dir / "human.gmm", "class model", "train-gmm")
-    _require(model_dir / "spoof.gmm", "class model", "train-gmm")
-    rows, root = _manifest_rows(args)
-    train_ids = _read_train_ids(model_dir / "train_utts.txt")
-    if train_ids:
-        harness.check_hygiene(train_ids, [r.utt_id for r in rows])
-    nat = gmm.load_gmm(model_dir / "human.gmm")
-    syn = gmm.load_gmm(model_dir / "spoof.gmm")
-    cfg = _feature_config(args)
-    scores = []
-    for r in rows:
-        signal, vad = _prepare_test_signal(r, root, args, cfg)
-        frames = features.extract(signal, cfg, vad=vad)
-        scores.append(gmm.llr_score(frames, nat, syn))
-    _emit_scores(args, rows, scores)
+    nat, syn, train_ids = _load_models(harness.load_gmm_pair, args.models,
+                                       "train-gmm")
+    _score(args, "gmm", train_ids,
+           lambda frames: [gmm.llr_score(f, nat, syn) for f in frames])
 
 
 def cmd_score_ivec(args):
-    _require(args.ubm, "UBM", "train-ubm")
-    _require(args.tv, "total-variability matrix", "train-tv")
-    _require(args.wccn, "WCCN transform", "train-wccn")
-    _require(args.means, "class means", "train-wccn --means-out")
+    stack, train_ids = _load_models(harness.load_ivector_stack,
+                                    args.stack_dir, "train-ivector")
     plda = None
     if args.scoring == "plda":
         if not args.plda:
             raise ValueError("--scoring plda requires --plda MODEL")
-        _require(args.plda, "PLDA model", "train-plda")
-        plda = ivector.load_plda(args.plda)
-    rows, root = _manifest_rows(args)
-    train_ids = _read_train_ids(str(args.tv) + ".train_utts.txt")
-    if train_ids:
-        harness.check_hygiene(train_ids, [r.utt_id for r in rows])
-    stack = harness.IvectorStack(gmm.load_gmm(args.ubm),
-                                 ivector.load_tv(args.tv),
-                                 ivector.load_wccn(args.wccn),
-                                 ivector.load_class_means(args.means))
-    cfg = _feature_config(args)
-    scores = []
-    for r in rows:
-        signal, vad = _prepare_test_signal(r, root, args, cfg)
-        frames = features.extract(signal, cfg, vad=vad)
-        scores.append(harness.ivector_score(stack, frames, args.scoring,
-                                            plda))
-    _emit_scores(args, rows, scores)
+        plda = _load_models(ivector.load_plda, args.plda, "train-plda")
+
+    def score_frames(frames):
+        return [harness.embedding_score(
+            stack, harness.embed_ivector(stack, f), args.scoring, plda)
+            for f in frames]
+    _score(args, f"ivector-{args.scoring}", train_ids, score_frames)
 
 
 def cmd_fuse(args):
@@ -366,30 +259,35 @@ def cmd_run(args):
 
 # -- argument wiring --------------------------------------------------------
 
-def _add_feature_args(p, with_params=True):
+def _add_feature_args(p):
     p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
-    if with_params:
-        p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                       help="feature config override, repeatable")
+    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+                   help="feature config override, repeatable")
 
 
-def _add_manifest_args(p, subset_default=None):
+def _add_corpus_args(p):
+    _add_feature_args(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--wav-root", default=None,
                    help="base for relative wav paths "
                         "(default: manifest directory)")
-    p.add_argument("--subset", default=subset_default,
-                   choices=("train", "dev", "eval"),
-                   help="restrict to one subset")
+    p.add_argument("--seed", type=int, default=0,
+                   help="experiment root seed")
 
 
-def _add_test_condition_args(p):
+def _add_training_args(p):
+    _add_corpus_args(p)
+    p.add_argument("--out-dir", required=True)
+
+
+def _add_scoring_args(p):
+    _add_corpus_args(p)
+    p.add_argument("--subset", default="eval",
+                   choices=("train", "dev", "eval"))
     p.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--enhance", choices=ENHANCEMENT_METHODS, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--condition", default="clean",
-                   help="condition tag recorded in the score file")
+    p.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,87 +324,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-gmm",
                        help="train the human/spoof GMM pair")
-    _add_feature_args(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--wav-root", default=None)
+    _add_training_args(p)
     p.add_argument("--components", type=int, default=32)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train_gmm)
 
-    p = sub.add_parser("train-ubm", help="train the background GMM")
-    _add_feature_args(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--wav-root", default=None)
-    p.add_argument("--components", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_ubm)
-
-    p = sub.add_parser("train-tv",
-                       help="train the total-variability matrix")
-    _add_feature_args(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--wav-root", default=None)
-    p.add_argument("--ubm", required=True)
+    p = sub.add_parser("train-ivector",
+                       help="train the i-vector stack (UBM, total "
+                            "variability, WCCN, class means)")
+    _add_training_args(p)
+    p.add_argument("--components", type=int, default=32,
+                   help="UBM components")
     p.add_argument("--rank", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_tv)
+    p.add_argument("--iterations", type=int, default=5,
+                   help="total-variability EM iterations")
+    p.set_defaults(func=cmd_train_ivector)
 
-    p = sub.add_parser("extract-ivec", help="embed utterances as i-vectors")
-    _add_feature_args(p)
-    _add_manifest_args(p)
-    p.add_argument("--ubm", required=True)
-    p.add_argument("--tv", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract_ivec)
-
-    p = sub.add_parser("train-wccn",
-                       help="train within-class whitening (and class means)")
-    p.add_argument("--ivectors", required=True)
+    p = sub.add_parser("train-plda",
+                       help="train the PLDA scorer of an i-vector stack")
+    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--means-out", default=None,
-                   help="also write normalized class-mean i-vectors")
-    p.set_defaults(func=cmd_train_wccn)
-
-    p = sub.add_parser("train-plda", help="train a two-class PLDA model")
-    p.add_argument("--ivectors", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--wccn", default=None,
-                   help="apply this WCCN + length norm before training")
+    p.add_argument("--stack-dir", required=True,
+                   help="directory written by train-ivector")
     p.add_argument("--latent", type=int, default=16)
     p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="experiment root seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_plda)
 
     p = sub.add_parser("score-gmm", help="score utterances with a GMM pair")
-    _add_feature_args(p)
-    _add_manifest_args(p, subset_default="eval")
-    _add_test_condition_args(p)
+    _add_scoring_args(p)
     p.add_argument("--models", required=True,
                    help="directory written by train-gmm")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score_gmm)
 
     p = sub.add_parser("score-ivec",
-                       help="score utterances with the i-vector stack")
-    _add_feature_args(p)
-    _add_manifest_args(p, subset_default="eval")
-    _add_test_condition_args(p)
-    p.add_argument("--ubm", required=True)
-    p.add_argument("--tv", required=True)
-    p.add_argument("--wccn", required=True)
-    p.add_argument("--means", required=True)
+                       help="score utterances with an i-vector stack")
+    _add_scoring_args(p)
+    p.add_argument("--stack-dir", required=True,
+                   help="directory written by train-ivector")
     p.add_argument("--scoring", choices=("cosine", "plda"),
                    default="cosine")
-    p.add_argument("--plda", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--plda", default=None,
+                   help="model written by train-plda")
     p.set_defaults(func=cmd_score_ivec)
 
     p = sub.add_parser("fuse", help="combine score files")

@@ -159,19 +159,6 @@ def compute_ltas(signal: AudioSignal, vad=None, frame_ms=20.0,
     return LtasProfile(power[vad].mean(axis=0), int(vad.sum()), dft_size)
 
 
-def combine_ltas(profiles) -> LtasProfile:
-    """Frame-count-weighted mean of several profiles."""
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("no profiles to combine")
-    dft = profiles[0].dft_size
-    if any(p.dft_size != dft for p in profiles):
-        raise ValueError("profiles use different DFT sizes")
-    total = sum(p.n_frames for p in profiles)
-    power = sum(p.power * (p.n_frames / total) for p in profiles)
-    return LtasProfile(power, total, dft)
-
-
 def save_ltas_csv(path, profile: LtasProfile, sample_rate):
     bins = np.arange(profile.power.shape[0])
     freqs = bins * sample_rate / profile.dft_size

@@ -98,17 +98,6 @@ class FeatureConfig:
         return self.n_coeffs * mult
 
 
-def coefficient_labels(config: FeatureConfig) -> str:
-    parts = [config.kind]
-    if config.want_delta:
-        parts.append("d")
-    if config.want_deltadelta:
-        parts.append("dd")
-    if config.want_cms:
-        parts.append("cms")
-    return "+".join(parts)
-
-
 @lru_cache(maxsize=32)
 def _mel_bank(n_filters, dft_size, rate):
     return filterbanks.mel_filterbank(n_filters, dft_size, rate)

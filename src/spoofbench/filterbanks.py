@@ -114,12 +114,6 @@ def linear_filterbank(n_filters: int, dft_size: int, sample_rate: int) -> Filter
     return FilterBank(weights, centers, sample_rate, dft_size)
 
 
-def save_filterbank_csv(path, bank: FilterBank):
-    """Debug dump: one row per filter, first column the center frequency."""
-    out = np.hstack([bank.center_freqs[:, None], bank.weights])
-    np.savetxt(path, out, delimiter=",")
-
-
 # ---------------------------------------------------------------------------
 # gammatone filterbank (4th order, auditory-toolbox IIR realization)
 # ---------------------------------------------------------------------------

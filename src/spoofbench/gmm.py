@@ -6,12 +6,13 @@ difference of per-frame average log-likelihoods under the two models.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
+
+from .audio import load_arrays, save_arrays
 
 _GMM_MAGIC = b"SPGM1"
 VAR_FLOOR_FRAC = 1e-4
@@ -146,24 +147,14 @@ def llr_score(frames, natural_model: GmmModel, synthetic_model: GmmModel) -> flo
 
 
 def save_gmm(path, model: GmmModel):
-    with open(path, "wb") as fh:
-        fh.write(_GMM_MAGIC)
-        fh.write(struct.pack("<II", model.n_components, model.dim))
-        fh.write(model.weights.astype("<f8").tobytes())
-        fh.write(model.means.astype("<f8").tobytes())
-        fh.write(model.variances.astype("<f8").tobytes())
+    """Magic "SPGM1", (C, D), then weights, means and variances."""
+    save_arrays(path, _GMM_MAGIC, (model.n_components, model.dim),
+                model.weights, model.means, model.variances)
 
 
 def load_gmm(path) -> GmmModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_GMM_MAGIC))
-        if magic != _GMM_MAGIC:
-            raise ValueError(f"{path}: not a GMM model file")
-        c, d = struct.unpack("<II", fh.read(8))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    expected = c + 2 * c * d
-    if payload.size != expected:
-        raise ValueError(f"{path}: truncated GMM model file")
+    (c, d), payload = load_arrays(path, _GMM_MAGIC, 2,
+                                  lambda c, d: c + 2 * c * d, "GMM model")
     weights = payload[:c]
     means = payload[c:c + c * d].reshape(c, d)
     variances = payload[c + c * d:].reshape(c, d)

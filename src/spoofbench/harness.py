@@ -6,6 +6,12 @@ content-addressed cache, scores dev and eval subsets with every
 feature x back-end pair, optionally fuses the per-feature systems, and
 writes score TSVs plus EER reports.
 
+The stages themselves are the public functions below (audio preparation,
+feature extraction, model training, model directories, scoring); the
+runner adds only the cache around them, and the CLI's stage commands call
+the same functions, so a stage-by-stage CLI pipeline writes the score
+files a run writes.
+
 Caching notes: every artifact lives under a directory named by a hash of
 exactly the settings that influence its bytes, so re-running a config
 reuses everything and changing one knob invalidates only what depends on
@@ -26,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import features, gmm, ivector
-from .audio import AudioSignal, read_features, read_wav, write_features, write_wav
+from .audio import (AudioSignal, read_features, read_wav, to_pcm16,
+                    write_features, write_wav)
 from .config import ExperimentConfig, GridCell
 from .enhancement import enhance
 from .errors import HygieneError
@@ -43,13 +50,10 @@ from .scores import HUMAN, ScoreSet, write_scores
 # transform, sosfilt gammatone bank)
 CACHE_VERSION = 2
 
-# desk-scale CQT geometry: full-resolution kernels dominate runtime while
-# adding nothing at toy-corpus scale.  CQCC per 1.5 s toy utterance, one
-# thread of a 2-vCPU Xeon VM: 32 ms at 24x6, 1.4 s at the paper's 96x9
-# (plus a one-off 2.6 s to build 316 MB of kernel rows), so the end-to-end
-# acceptance run (about 1,000 CQCC extractions) cannot afford 96x9.
-DESK_FEATURE_OVERRIDES = {"cqcc": (("cqt_bins_per_octave", 24),
-                                   ("cqt_octaves", 6))}
+# the file in which every model directory lists the utterances its models
+# were trained on; it is written last, so it also marks the directory
+# complete
+TRAIN_IDS = "train_utts.txt"
 
 
 def derive_seed(root_seed: int, *parts) -> int:
@@ -76,8 +80,49 @@ def condition_tag(cell: GridCell, enhancement: str | None) -> str:
     return cell.tag if enhancement is None else f"{cell.tag}+{enhancement}"
 
 
-def train_gmm_pair(feats_by_utt, rows, n_components, n_iterations, seed):
+# -- audio and features -----------------------------------------------------
+
+def mix_condition(speech: AudioSignal, cell: GridCell, root_seed: int,
+                  utt_id: str) -> AudioSignal:
+    """An utterance with the noise of a noisy grid cell added; noise and
+    mixing are seeded from the root seed, the cell's tag and the
+    utterance."""
+    noise = make_noise(cell.noise_kind, len(speech), speech.sample_rate,
+                       seed=derive_seed(root_seed, "noise", cell.tag, utt_id))
+    return mix_at_snr(speech, noise, cell.snr_db,
+                      seed=derive_seed(root_seed, "mix", cell.tag,
+                                       utt_id)).signal
+
+
+def prepare_signal(clean: AudioSignal, utt_id: str, cell: GridCell,
+                   enhancement: str | None, root_seed: int) -> AudioSignal:
+    """The test signal of one utterance in one condition, as a run
+    materializes it: mixed, stored as 16-bit PCM, then enhanced and stored
+    again.  Returns clean itself when there is nothing to do."""
+    signal = clean
+    if not cell.is_clean:
+        signal = to_pcm16(mix_condition(clean, cell, root_seed, utt_id))
+    if enhancement is not None:
+        signal = to_pcm16(enhance(signal, enhancement))
+    return signal
+
+
+def extract_test_features(signal: AudioSignal, cfg: features.FeatureConfig,
+                          clean: AudioSignal | None = None) -> np.ndarray:
+    """Features of a test signal.  A noisy or enhanced signal is framed
+    with the voiced/unvoiced decisions of its clean source, so degradation
+    affects the observations but not the frame selection; pass clean=None
+    for a signal that is itself clean."""
+    vad = None if clean is None else features.compute_vad_mask(clean, cfg)
+    return features.extract(signal, cfg, vad=vad)
+
+
+# -- models -----------------------------------------------------------------
+
+def train_gmm_pair(feats_by_utt, rows, n_components, n_iterations,
+                   root_seed, kind):
     """Class-conditional GMMs (human, spoof) from per-utterance features."""
+    seed = derive_seed(root_seed, "gmm", kind)
     nat = np.vstack([feats_by_utt[r.utt_id] for r in rows
                      if r.label == HUMAN])
     syn = np.vstack([feats_by_utt[r.utt_id] for r in rows
@@ -105,13 +150,14 @@ class IvectorStack:
 
 
 def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
-                        tv_iterations, seed):
+                        tv_iterations, root_seed, kind):
     """UBM, TV matrix, WCCN and class means from the training rows.
 
     Returns (stack, normed): normed holds the length-normalised training
     i-vectors, one row per training row, that the class means are taken
     from and that a PLDA scorer is trained on.
     """
+    seed = derive_seed(root_seed, "ivector", kind)
     pooled = np.vstack([feats_by_utt[r.utt_id] for r in rows])
     ubm, _ = gmm.train_gmm(pooled, ubm_components, n_iterations=10, seed=seed)
     stats = [ivector.baum_welch_stats(feats_by_utt[r.utt_id], ubm)
@@ -125,6 +171,81 @@ def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
     means = ivector.class_mean_ivectors(normed, labels)
     return IvectorStack(ubm, tv, b, means), normed
 
+
+def train_stack_plda(model_dir, labels, *, latent_rank, n_iterations,
+                     root_seed, kind) -> ivector.PldaModel:
+    """PLDA scorer of the i-vector stack saved in model_dir, trained on the
+    stack's stored training i-vectors; labels maps utterance id to class."""
+    path = Path(model_dir) / "train_ivectors.txt"
+    utt_ids, normed = ivector.load_ivectors(path)
+    missing = [u for u in utt_ids if u not in labels]
+    if missing:
+        raise ValueError(f"{path}: no label for training utterance "
+                         f"{missing[0]}")
+    return ivector.train_plda(
+        normed, [labels[u] for u in utt_ids], latent_rank=latent_rank,
+        n_iterations=n_iterations,
+        seed=derive_seed(derive_seed(root_seed, "ivector", kind), "plda"))
+
+
+def _save_train_ids(model_dir: Path, train_ids):
+    with open(model_dir / TRAIN_IDS, "w", encoding="utf-8") as fh:
+        for utt_id in train_ids:
+            fh.write(utt_id + "\n")
+
+
+def _load_train_ids(model_dir: Path):
+    path = model_dir / TRAIN_IDS
+    if not path.is_file():
+        raise FileNotFoundError(f"missing {path}: the model directory does "
+                                f"not list its training utterances")
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
+def save_gmm_pair(model_dir, nat, syn, train_ids):
+    model_dir = Path(model_dir)
+    model_dir.mkdir(parents=True, exist_ok=True)
+    gmm.save_gmm(model_dir / "human.gmm", nat)
+    gmm.save_gmm(model_dir / "spoof.gmm", syn)
+    _save_train_ids(model_dir, train_ids)
+
+
+def load_gmm_pair(model_dir):
+    """(human GMM, spoof GMM, training utterance ids) of a model dir."""
+    model_dir = Path(model_dir)
+    train_ids = _load_train_ids(model_dir)
+    return (gmm.load_gmm(model_dir / "human.gmm"),
+            gmm.load_gmm(model_dir / "spoof.gmm"), train_ids)
+
+
+def save_ivector_stack(model_dir, stack: IvectorStack, normed, train_ids):
+    """The stack's models plus its normalised training i-vectors, which a
+    later PLDA scorer is trained on."""
+    model_dir = Path(model_dir)
+    model_dir.mkdir(parents=True, exist_ok=True)
+    gmm.save_gmm(model_dir / "ubm.gmm", stack.ubm)
+    ivector.save_tv(model_dir / "tv.stv", stack.tv, stack.ubm.means.shape[0])
+    ivector.save_wccn(model_dir / "wccn.swc", stack.wccn)
+    ivector.save_ivectors(model_dir / "train_ivectors.txt", train_ids, normed)
+    ivector.save_class_means(model_dir / "class_means.txt",
+                             stack.class_means)
+    _save_train_ids(model_dir, train_ids)
+
+
+def load_ivector_stack(model_dir):
+    """(IvectorStack, training utterance ids) of a model dir."""
+    model_dir = Path(model_dir)
+    train_ids = _load_train_ids(model_dir)
+    stack = IvectorStack(gmm.load_gmm(model_dir / "ubm.gmm"),
+                         ivector.load_tv(model_dir / "tv.stv"),
+                         ivector.load_wccn(model_dir / "wccn.swc"),
+                         ivector.load_class_means(model_dir /
+                                                  "class_means.txt"))
+    return stack, train_ids
+
+
+# -- scoring ----------------------------------------------------------------
 
 def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
     w = ivector.extract_ivector(frames, stack.ubm, stack.tv, stack.gram)
@@ -145,9 +266,32 @@ def embedding_score(stack: IvectorStack, w, scoring: str,
     raise ValueError(f"unknown i-vector scoring {scoring!r}")
 
 
-def ivector_score(stack: IvectorStack, frames, scoring: str,
-                  plda: ivector.PldaModel | None = None) -> float:
-    return embedding_score(stack, embed_ivector(stack, frames), scoring, plda)
+def check_hygiene(train_utt_ids, scored_utt_ids):
+    """Refuse to score any utterance the model was trained on."""
+    overlap = set(train_utt_ids) & set(scored_utt_ids)
+    if overlap:
+        sample = ", ".join(sorted(overlap)[:3])
+        raise HygieneError(f"model training set intersects the scored set "
+                           f"({len(overlap)} utterances, e.g. {sample})")
+
+
+def score_set(rows, scores, kind, backend, condition) -> ScoreSet:
+    """The score file of one system; a non-finite score raises a
+    ValueError naming its utterance."""
+    scores = np.array(scores)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite score {float(scores[i])!r} for "
+                         f"utterance {rows[i].utt_id} (feature {kind}, "
+                         f"back-end {backend}, condition {condition})")
+    return ScoreSet(
+        utt_ids=[r.utt_id for r in rows],
+        scores=scores,
+        labels=[r.label for r in rows],
+        attack_ids=[r.attack_id for r in rows],
+        conditions=[condition] * len(rows),
+    )
 
 
 def _write_via_temp(write, path: Path, value):
@@ -163,15 +307,6 @@ def _write_via_temp(write, path: Path, value):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def check_hygiene(train_utt_ids, scored_utt_ids):
-    """Refuse to score any utterance the model was trained on."""
-    overlap = set(train_utt_ids) & set(scored_utt_ids)
-    if overlap:
-        sample = ", ".join(sorted(overlap)[:3])
-        raise HygieneError(f"model training set intersects the scored set "
-                           f"({len(overlap)} utterances, e.g. {sample})")
 
 
 @dataclass(frozen=True)
@@ -218,6 +353,7 @@ class _Runner:
             for r in manifest))
         self._signal_cache = {}
         self._models = {}
+        self._train_frames = (None, {})
 
     # -- audio stages ------------------------------------------------------
 
@@ -231,7 +367,8 @@ class _Runner:
         return self._signal_cache[row.utt_id]
 
     def _prepared_wav(self, row, cell: GridCell, enhanced: bool) -> Path:
-        """Materialize (mix, then optionally enhance) as a cached WAV."""
+        """Materialize (mix, then optionally enhance) as a cached WAV: the
+        steps of prepare_signal, each stored as a file."""
         seed = self.config.seed
         method = self.config.enhancement if enhanced else None
         key = _stage_hash("audio", self.corpus_fp, seed, cell.tag,
@@ -242,20 +379,10 @@ class _Runner:
         path.parent.mkdir(parents=True, exist_ok=True)
         if cell.is_clean:
             signal = self._source(row)
+        elif enhanced:
+            signal = read_wav(self._prepared_wav(row, cell, enhanced=False))
         else:
-            mixed_path = self._prepared_wav(row, cell, enhanced=False) \
-                if enhanced else None
-            if mixed_path is not None:
-                signal = read_wav(mixed_path)
-            else:
-                speech = self._source(row)
-                noise = make_noise(cell.noise_kind, len(speech),
-                                   speech.sample_rate,
-                                   seed=derive_seed(seed, "noise", cell.tag,
-                                                    row.utt_id))
-                signal = mix_at_snr(speech, noise, cell.snr_db,
-                                    seed=derive_seed(seed, "mix", cell.tag,
-                                                     row.utt_id)).signal
+            signal = mix_condition(self._source(row), cell, seed, row.utt_id)
         if method is not None:
             signal = enhance(signal, method)
         _write_via_temp(write_wav, path, signal)
@@ -269,26 +396,10 @@ class _Runner:
 
     # -- features ----------------------------------------------------------
 
-    def _feature_config(self, kind: str) -> features.FeatureConfig:
-        explicit = {name for k, name, _ in self.config.feature_overrides
-                    if k == kind}
-        merged = dict(DESK_FEATURE_OVERRIDES.get(kind, ()))
-        merged = {k: v for k, v in merged.items() if k not in explicit}
-        cfg = self.config.feature_config(kind)
-        if merged:
-            cfg = features.FeatureConfig(**{**asdict(cfg), **merged})
-        return cfg
-
     def _cell_features(self, rows, kind: str, cell: GridCell) -> dict:
-        """Per-utterance features for one condition, disk-cached.
-
-        Noisy or enhanced variants reuse the voiced/unvoiced decisions of
-        the clean signal, so degradation affects the observations but not
-        the frame selection.
-        """
-        cfg = self._feature_config(kind)
-        enhanced = self.config.enhancement is not None
-        processed = not cell.is_clean or enhanced
+        """Per-utterance features for one condition, disk-cached."""
+        cfg = self.config.feature_config(kind)
+        processed = not cell.is_clean or self.config.enhancement is not None
         key = _stage_hash("features", self.corpus_fp, self.config.seed,
                           cell.tag,
                           self.config.enhancement or "-",
@@ -301,25 +412,26 @@ class _Runner:
             if path.is_file():
                 out[row.utt_id] = read_features(path)
                 continue
-            signal = self._prepared_signal(row, cell)
-            vad = None
-            if processed:
-                vad = features.compute_vad_mask(self._source(row), cfg)
-            values = features.extract(signal, cfg, vad=vad)
+            values = extract_test_features(
+                self._prepared_signal(row, cell), cfg,
+                self._source(row) if processed else None)
             _write_via_temp(write_features, path, values)
             out[row.utt_id] = values
         return out
 
     def _train_features(self, kind: str) -> dict:
-        """Training observations: clean audio only, never enhanced."""
-        cfg = self._feature_config(kind)
-        rows = self.manifest.subset("train").rows
+        """Training observations: clean audio only, never enhanced.  The
+        GMM pair and the i-vector stack of a feature share one pass; only
+        the latest feature's frames are kept."""
+        if self._train_frames[0] == kind:
+            return self._train_frames[1]
+        cfg = self.config.feature_config(kind)
         key = _stage_hash("features", self.corpus_fp, self.config.seed,
                           "clean", "-", _feature_text(cfg))
         cache_dir = self.cache / "features" / key
         cache_dir.mkdir(parents=True, exist_ok=True)
         out = {}
-        for row in rows:
+        for row in self.manifest.subset("train"):
             path = cache_dir / f"{row.utt_id}.{kind}.spbf"
             if path.is_file():
                 out[row.utt_id] = read_features(path)
@@ -327,6 +439,7 @@ class _Runner:
                 values = features.extract(self._source(row), cfg)
                 _write_via_temp(write_features, path, values)
                 out[row.utt_id] = values
+        self._train_frames = (kind, out)
         return out
 
     # -- models ------------------------------------------------------------
@@ -334,59 +447,39 @@ class _Runner:
     def _gmm_models(self, kind: str):
         cfg = self.config
         key = _stage_hash("gmm", self.corpus_fp, cfg.seed,
-                          _feature_text(self._feature_config(kind)),
+                          _feature_text(cfg.feature_config(kind)),
                           cfg.gmm_components, cfg.gmm_iterations)
         model_dir = self.cache / "models" / key
+        if (model_dir / TRAIN_IDS).is_file():
+            return load_gmm_pair(model_dir)
         rows = self.manifest.subset("train").rows
-        nat_path = model_dir / "human.gmm"
-        syn_path = model_dir / "spoof.gmm"
-        if nat_path.is_file() and syn_path.is_file():
-            return (gmm.load_gmm(nat_path), gmm.load_gmm(syn_path),
-                    self._load_train_ids(model_dir))
-        model_dir.mkdir(parents=True, exist_ok=True)
-        feats = self._train_features(kind)
-        seed = derive_seed(cfg.seed, "gmm", kind)
-        nat, syn = train_gmm_pair(feats, rows, cfg.gmm_components,
-                                  cfg.gmm_iterations, seed)
-        gmm.save_gmm(nat_path, nat)
-        gmm.save_gmm(syn_path, syn)
-        self._save_train_ids(model_dir, rows)
-        return nat, syn, [r.utt_id for r in rows]
+        nat, syn = train_gmm_pair(self._train_features(kind), rows,
+                                  cfg.gmm_components, cfg.gmm_iterations,
+                                  cfg.seed, kind)
+        train_ids = [r.utt_id for r in rows]
+        save_gmm_pair(model_dir, nat, syn, train_ids)
+        return nat, syn, train_ids
 
     def _ivector_dir(self, kind: str) -> Path:
         cfg = self.config
         key = _stage_hash("ivector", self.corpus_fp, cfg.seed,
-                          _feature_text(self._feature_config(kind)),
+                          _feature_text(cfg.feature_config(kind)),
                           cfg.ubm_components, cfg.tv_rank, cfg.tv_iterations)
         return self.cache / "models" / key
 
     def _ivector_stack(self, kind: str):
         cfg = self.config
         model_dir = self._ivector_dir(kind)
+        if (model_dir / TRAIN_IDS).is_file():
+            return load_ivector_stack(model_dir)
         rows = self.manifest.subset("train").rows
-        done = model_dir / "class_means.txt"
-        if done.is_file():
-            ubm = gmm.load_gmm(model_dir / "ubm.gmm")
-            tv = ivector.load_tv(model_dir / "tv.stv")
-            b = ivector.load_wccn(model_dir / "wccn.swc")
-            means = ivector.load_class_means(done)
-            return (IvectorStack(ubm, tv, b, means),
-                    self._load_train_ids(model_dir))
-        model_dir.mkdir(parents=True, exist_ok=True)
-        feats = self._train_features(kind)
         stack, normed = train_ivector_stack(
-            feats, rows, ubm_components=cfg.ubm_components,
-            tv_rank=cfg.tv_rank, tv_iterations=cfg.tv_iterations,
-            seed=derive_seed(cfg.seed, "ivector", kind))
-        gmm.save_gmm(model_dir / "ubm.gmm", stack.ubm)
-        ivector.save_tv(model_dir / "tv.stv", stack.tv,
-                        stack.ubm.means.shape[0])
-        ivector.save_wccn(model_dir / "wccn.swc", stack.wccn)
-        ivector.save_ivectors(model_dir / "train_ivectors.txt",
-                              [r.utt_id for r in rows], normed)
-        self._save_train_ids(model_dir, rows)
-        ivector.save_class_means(done, stack.class_means)
-        return stack, [r.utt_id for r in rows]
+            self._train_features(kind), rows,
+            ubm_components=cfg.ubm_components, tv_rank=cfg.tv_rank,
+            tv_iterations=cfg.tv_iterations, root_seed=cfg.seed, kind=kind)
+        train_ids = [r.utt_id for r in rows]
+        save_ivector_stack(model_dir, stack, normed, train_ids)
+        return stack, train_ids
 
     def _plda(self, kind: str) -> ivector.PldaModel:
         """PLDA scorer of a feature's i-vector stack: trained on first
@@ -399,26 +492,12 @@ class _Runner:
                 f"plda.q{cfg.plda_latent}.i{cfg.plda_iterations}.spl")
         if path.is_file():
             return ivector.load_plda(path)
-        utt_ids, normed = ivector.load_ivectors(model_dir /
-                                                "train_ivectors.txt")
-        label = {r.utt_id: r.label for r in self.manifest.subset("train")}
-        plda = ivector.train_plda(
-            normed, [label[u] for u in utt_ids], latent_rank=cfg.plda_latent,
-            n_iterations=cfg.plda_iterations,
-            seed=derive_seed(derive_seed(cfg.seed, "ivector", kind), "plda"))
+        plda = train_stack_plda(
+            model_dir, {r.utt_id: r.label for r in self.manifest},
+            latent_rank=cfg.plda_latent, n_iterations=cfg.plda_iterations,
+            root_seed=cfg.seed, kind=kind)
         _write_via_temp(ivector.save_plda, path, plda)
         return plda
-
-    @staticmethod
-    def _save_train_ids(model_dir: Path, rows):
-        with open(model_dir / "train_utts.txt", "w", encoding="utf-8") as fh:
-            for r in rows:
-                fh.write(r.utt_id + "\n")
-
-    @staticmethod
-    def _load_train_ids(model_dir: Path):
-        with open(model_dir / "train_utts.txt", "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh if line.strip()]
 
     # -- scoring -----------------------------------------------------------
 
@@ -455,25 +534,9 @@ class _Runner:
                 plda = self._model(kind, "plda") if scoring == "plda" else None
                 scores[backend] = [embedding_score(stack, w, scoring, plda)
                                    for w in embedded]
-        return {b: self._scoreset(rows, scores[b], kind, b, cell)
-                for b in backends}
-
-    def _scoreset(self, rows, scores, kind, backend, cell) -> ScoreSet:
         cond = condition_tag(cell, self.config.enhancement)
-        scores = np.array(scores)
-        finite = np.isfinite(scores)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"non-finite score {float(scores[i])!r} for "
-                             f"utterance {rows[i].utt_id} (feature {kind}, "
-                             f"back-end {backend}, condition {cond})")
-        return ScoreSet(
-            utt_ids=[r.utt_id for r in rows],
-            scores=scores,
-            labels=[r.label for r in rows],
-            attack_ids=[r.attack_id for r in rows],
-            conditions=[cond] * len(rows),
-        )
+        return {b: score_set(rows, scores[b], kind, b, cond)
+                for b in backends}
 
     # -- the full grid -----------------------------------------------------
 

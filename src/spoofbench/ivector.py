@@ -10,13 +10,13 @@ ratio.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .audio import load_arrays, save_arrays
 from .errors import DegenerateVectorError
 from .gmm import GmmModel
 
@@ -348,68 +348,45 @@ def plda_detection_score(model: PldaModel, w, mean_natural, mean_synthetic):
 # serialization
 
 def save_tv(path, tv: TvMatrix, n_components: int):
-    """Header (M, D, R) then the mean supervector m and T, all <f8."""
+    """Magic "SPTV1", (M, D, R), then the mean supervector m and T."""
     rows = tv.matrix.shape[0]
     if rows % n_components:
         raise ValueError("supervector size not divisible by component count")
-    with open(path, "wb") as fh:
-        fh.write(_TV_MAGIC)
-        fh.write(struct.pack("<III", n_components, rows // n_components,
-                             tv.rank))
-        fh.write(tv.mean.astype("<f8").tobytes())
-        fh.write(tv.matrix.astype("<f8").tobytes())
+    save_arrays(path, _TV_MAGIC, (n_components, rows // n_components,
+                                  tv.rank), tv.mean, tv.matrix)
 
 
 def load_tv(path) -> TvMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(len(_TV_MAGIC)) != _TV_MAGIC:
-            raise ValueError(f"{path}: not a total-variability file")
-        m, d, rank = struct.unpack("<III", fh.read(12))
-        data = np.frombuffer(fh.read(), dtype="<f8")
+    (m, d, rank), data = load_arrays(path, _TV_MAGIC, 3,
+                                     lambda m, d, r: m * d * (1 + r),
+                                     "total-variability")
     size = m * d
-    if data.size != size + size * rank:
-        raise ValueError(f"{path}: truncated total-variability file")
     mean = data[:size].copy()
     matrix = data[size:].reshape(size, rank).copy()
     return TvMatrix(matrix, mean)
 
 
 def save_wccn(path, b):
+    """Magic "SPWC1", (R,), then the R x R transform."""
     b = np.asarray(b, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(_WCCN_MAGIC)
-        fh.write(struct.pack("<I", b.shape[0]))
-        fh.write(b.astype("<f8").tobytes())
+    save_arrays(path, _WCCN_MAGIC, (b.shape[0],), b)
 
 
 def load_wccn(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(len(_WCCN_MAGIC)) != _WCCN_MAGIC:
-            raise ValueError(f"{path}: not a WCCN file")
-        rank, = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rank * rank:
-        raise ValueError(f"{path}: truncated WCCN file")
+    (rank,), data = load_arrays(path, _WCCN_MAGIC, 1, lambda r: r * r,
+                                "WCCN")
     return data.reshape(rank, rank).copy()
 
 
 def save_plda(path, model: PldaModel):
-    with open(path, "wb") as fh:
-        fh.write(_PLDA_MAGIC)
-        fh.write(struct.pack("<II", model.rank, model.factors.shape[1]))
-        fh.write(model.mu.astype("<f8").tobytes())
-        fh.write(model.factors.astype("<f8").tobytes())
-        fh.write(model.sigma.astype("<f8").tobytes())
+    """Magic "SPPL1", (R, Q), then mu, the factor loadings and sigma."""
+    save_arrays(path, _PLDA_MAGIC, (model.rank, model.factors.shape[1]),
+                model.mu, model.factors, model.sigma)
 
 
 def load_plda(path) -> PldaModel:
-    with open(path, "rb") as fh:
-        if fh.read(len(_PLDA_MAGIC)) != _PLDA_MAGIC:
-            raise ValueError(f"{path}: not a PLDA file")
-        r, q = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != r + r * q + r * r:
-        raise ValueError(f"{path}: truncated PLDA file")
+    (r, q), data = load_arrays(path, _PLDA_MAGIC, 2,
+                               lambda r, q: r + r * q + r * r, "PLDA")
     mu = data[:r].copy()
     factors = data[r:r + r * q].reshape(r, q).copy()
     sigma = data[r + r * q:].reshape(r, r).copy()

@@ -71,12 +71,6 @@ class Manifest:
     def utt_ids(self):
         return [r.utt_id for r in self.rows]
 
-    def row_for(self, utt_id: str) -> ManifestRow:
-        for row in self.rows:
-            if row.utt_id == utt_id:
-                return row
-        raise KeyError(utt_id)
-
     def resolve_paths(self, root=None):
         """Check that every wav_path exists; returns resolved Path list.
 

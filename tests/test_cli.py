@@ -1,15 +1,25 @@
 """End-to-end command-line checks; most invoke main() in process."""
 
+import argparse
+import re
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spoofbench.audio import read_features
-from spoofbench.cli import main
+from spoofbench.cli import build_parser, main
+from spoofbench.config import ExperimentConfig, GridCell
+from spoofbench.harness import run_experiment
+from spoofbench.manifest import read_manifest
 from spoofbench.scores import read_scores
 from spoofbench.toycorpus import make_toy_corpus
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +35,16 @@ def gmm_models(corpus, tmp_path_factory):
     rc = main(["train-gmm", "--manifest", str(corpus / "manifest.tsv"),
                "--kind", "mfcc", "--components", "4", "--iterations", "3",
                "--out-dir", str(out)])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def ivector_stack(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("models") / "stack-mfcc"
+    rc = main(["train-ivector", "--manifest", str(corpus / "manifest.tsv"),
+               "--kind", "mfcc", "--components", "4", "--rank", "4",
+               "--iterations", "2", "--out-dir", str(out)])
     assert rc == 0
     return out
 
@@ -98,40 +118,26 @@ class TestScoringFlow:
                 "--subset", "eval"]
         assert main(base + ["--out", str(clean)]) == 0
         assert main(base + ["--noise-kind", "white", "--snr", "0",
-                            "--seed", "4", "--condition", "white_0dB",
-                            "--out", str(noisy)]) == 0
+                            "--seed", "4", "--out", str(noisy)]) == 0
         a, b = read_scores(clean), read_scores(noisy)
         assert not np.array_equal(a.scores, b.scores)
         assert set(b.conditions) == {"white_0dB"}
 
     def test_ivector_flow(self, corpus, tmp_path):
         man = str(corpus / "manifest.tsv")
-        ubm, tv = tmp_path / "ubm.gmm", tmp_path / "tv.stv"
-        ivecs = tmp_path / "iv.tsv"
-        wccn, means = tmp_path / "w.swc", tmp_path / "m.txt"
+        stack = tmp_path / "stack"
         plda = tmp_path / "p.spl"
         scores = tmp_path / "s.tsv"
-        assert main(["train-ubm", "--manifest", man, "--kind", "cosphase",
-                     "--components", "4", "--iterations", "3",
-                     "--out", str(ubm)]) == 0
-        assert main(["train-tv", "--manifest", man, "--kind", "cosphase",
-                     "--ubm", str(ubm), "--rank", "4", "--iterations", "2",
-                     "--out", str(tv)]) == 0
-        assert main(["extract-ivec", "--manifest", man, "--subset", "train",
-                     "--kind", "cosphase", "--ubm", str(ubm),
-                     "--tv", str(tv), "--out", str(ivecs)]) == 0
-        assert main(["train-wccn", "--ivectors", str(ivecs),
-                     "--manifest", man, "--out", str(wccn),
-                     "--means-out", str(means)]) == 0
-        assert main(["train-plda", "--ivectors", str(ivecs),
-                     "--manifest", man, "--wccn", str(wccn),
-                     "--latent", "2", "--iterations", "2",
-                     "--out", str(plda)]) == 0
+        assert main(["train-ivector", "--manifest", man, "--kind",
+                     "cosphase", "--components", "4", "--rank", "4",
+                     "--iterations", "2", "--out-dir", str(stack)]) == 0
+        assert main(["train-plda", "--manifest", man, "--kind", "cosphase",
+                     "--stack-dir", str(stack), "--latent", "2",
+                     "--iterations", "2", "--out", str(plda)]) == 0
         assert main(["score-ivec", "--manifest", man, "--kind", "cosphase",
-                     "--ubm", str(ubm), "--tv", str(tv),
-                     "--wccn", str(wccn), "--means", str(means),
-                     "--scoring", "plda", "--plda", str(plda),
-                     "--subset", "eval", "--out", str(scores)]) == 0
+                     "--stack-dir", str(stack), "--scoring", "plda",
+                     "--plda", str(plda), "--subset", "eval",
+                     "--out", str(scores)]) == 0
         assert len(read_scores(scores)) == 6
 
     def test_fuse_average_identity(self, corpus, gmm_models, tmp_path):
@@ -144,6 +150,67 @@ class TestScoringFlow:
                      str(s), "--out", str(fused)]) == 0
         assert np.array_equal(read_scores(fused).scores,
                               read_scores(s).scores)
+
+
+class TestRunParity:
+    """A stage-by-stage CLI pipeline reproduces `run` byte for byte."""
+
+    KIND = "cqcc"    # also checks that both sides use the desk CQT geometry
+    SEED = 7
+
+    def test_cli_pipeline_writes_the_run_score_files(self, corpus,
+                                                     tmp_path):
+        man = str(corpus / "manifest.tsv")
+        config = ExperimentConfig(
+            seed=self.SEED, features=(self.KIND,),
+            backends=("gmm", "ivector-cosine", "ivector-plda"),
+            grid=(GridCell(), GridCell("white", 0.0)),
+            gmm_components=4, gmm_iterations=3, ubm_components=4,
+            tv_rank=4, tv_iterations=2, plda_latent=2, plda_iterations=2)
+        work = tmp_path / "work"
+        manifest = read_manifest(man)
+        run_experiment(config, manifest, work, wav_root=corpus)
+        run_experiment(replace(config, grid=(GridCell("white", 0.0),),
+                               enhancement="wiener"),
+                       manifest, work, wav_root=corpus)
+
+        common = ["--manifest", man, "--kind", self.KIND,
+                  "--seed", str(self.SEED)]
+        models, stack = tmp_path / "gmm", tmp_path / "stack"
+        plda = tmp_path / "plda.spl"
+        assert main(["train-gmm", *common, "--components", "4",
+                     "--iterations", "3", "--out-dir", str(models)]) == 0
+        assert main(["train-ivector", *common, "--components", "4",
+                     "--rank", "4", "--iterations", "2",
+                     "--out-dir", str(stack)]) == 0
+        assert main(["train-plda", *common, "--stack-dir", str(stack),
+                     "--latent", "2", "--iterations", "2",
+                     "--out", str(plda)]) == 0
+        # the CLI's model directories are the runner's cached ones
+        for cli_dir, marker in ((models, "human.gmm"), (stack, "tv.stv")):
+            cached, = (work / "cache" / "models").glob(f"*/{marker}")
+            for f in cli_dir.iterdir():
+                assert f.read_bytes() == (cached.parent / f.name).read_bytes()
+
+        noisy = ["--noise-kind", "white", "--snr", "0"]
+        conditions = {"clean": [], "white_0dB": noisy,
+                      "white_0dB+wiener": noisy + ["--enhance", "wiener"]}
+        backends = {
+            "gmm": ["score-gmm", "--models", str(models)],
+            "ivector-cosine": ["score-ivec", "--stack-dir", str(stack)],
+            "ivector-plda": ["score-ivec", "--stack-dir", str(stack),
+                             "--scoring", "plda", "--plda", str(plda)],
+        }
+        for cond, flags in conditions.items():
+            for backend, command in backends.items():
+                for subset in ("dev", "eval"):
+                    out = tmp_path / f"{cond}.{backend}.{subset}.tsv"
+                    assert main([*command, *common, *flags, "--subset",
+                                 subset, "--out", str(out)]) == 0
+                    expected = (work / "scores" / cond / backend /
+                                f"{self.KIND}.{subset}.tsv")
+                    assert out.read_bytes() == expected.read_bytes(), \
+                        (cond, backend, subset)
 
 
 class TestRunCommand:
@@ -183,6 +250,26 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error\tHygieneError\t")
 
+    @pytest.mark.parametrize("command", ["score-gmm", "score-ivec"])
+    def test_model_dir_without_training_list_is_refused(
+            self, command, corpus, gmm_models, ivector_stack, tmp_path,
+            capsys):
+        """Hygiene cannot be checked without the training list, so scoring
+        stops with one error line instead of skipping the check."""
+        flag, models = {"score-gmm": ("--models", gmm_models),
+                        "score-ivec": ("--stack-dir", ivector_stack)}[command]
+        copy = shutil.copytree(models, tmp_path / "models")
+        (copy / "train_utts.txt").unlink()
+        rc = main([command, "--manifest", str(corpus / "manifest.tsv"),
+                   "--kind", "mfcc", flag, str(copy), "--subset", "eval",
+                   "--out", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFileNotFoundError\t")
+        assert "train_utts.txt" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_snr_required_with_noise(self, corpus, gmm_models, tmp_path,
                                      capsys):
         rc = main(["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
@@ -219,3 +306,10 @@ class TestErrorContract:
         assert bad.returncode == 1
         assert bad.stderr.startswith("error\tFileNotFoundError\t")
         assert bad.stderr.count("\n") == 1
+
+
+def test_readme_table_lists_the_subcommands():
+    table = re.findall(r"^\| `([a-z-]+)` \|", README.read_text(), re.M)
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert table == list(sub.choices)

@@ -1,8 +1,9 @@
 import pytest
 
 from spoofbench import config as cfgmod
-from spoofbench.config import (ExperimentConfig, GridCell, config_hash,
-                               load_config, parse_grid_cell, save_config)
+from spoofbench import features
+from spoofbench.config import (ExperimentConfig, GridCell, canonical_text,
+                               load_config, parse_grid_cell)
 
 
 class TestGridCell:
@@ -63,6 +64,18 @@ class TestFeatureOverrides:
         assert cfg.feature_config("mfcc").n_coeffs == 20
         assert cfg.feature_config("imfcc").n_coeffs == 32
 
+    def test_desk_geometry_sits_under_explicit_overrides(self):
+        desk = dict(cfgmod.DESK_FEATURE_OVERRIDES["cqcc"])
+        assert cfgmod.feature_config("cqcc") == \
+            features.default_config("cqcc", **desk)
+        cfg = ExperimentConfig(
+            feature_overrides=(("cqcc", "cqt_bins_per_octave", 48),))
+        got = cfg.feature_config("cqcc")
+        assert got.cqt_bins_per_octave == 48
+        assert got.cqt_octaves == desk["cqt_octaves"]
+        assert got == cfgmod.feature_config("cqcc",
+                                            {"cqt_bins_per_octave": 48})
+
     def test_parse_scalar(self):
         parse = cfgmod._parse_scalar
         assert parse("none") is None
@@ -87,7 +100,7 @@ class TestIniFile:
                                ("rps", "f0_max", 400.0)),
             gmm_components=16, tv_rank=24)
         path = tmp_path / "exp.ini"
-        save_config(path, cfg)
+        path.write_text(canonical_text(cfg), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_missing_experiment_section(self, tmp_path):
@@ -107,13 +120,3 @@ class TestIniFile:
         path = tmp_path / "x.ini"
         path.write_text("[experiment]\nenhancement = none\n")
         assert load_config(path).enhancement is None
-
-
-class TestHash:
-    def test_stable_and_sensitive(self):
-        a = ExperimentConfig(seed=1)
-        b = ExperimentConfig(seed=1)
-        c = ExperimentConfig(seed=2)
-        assert config_hash(a) == config_hash(b)
-        assert config_hash(a) != config_hash(c)
-        assert config_hash(a) != config_hash(a, "salted")

@@ -238,16 +238,6 @@ class TestLtas:
         assert double.n_frames == 2 * single.n_frames
         assert np.allclose(double.power, single.power, atol=1e-9)
 
-    def test_combine_is_frame_weighted_mean(self):
-        rng = np.random.default_rng(8)
-        a = ev.compute_ltas(AudioSignal(rng.standard_normal(320 * 30), RATE))
-        b = ev.compute_ltas(AudioSignal(rng.standard_normal(320 * 70) * 2, RATE))
-        both = ev.combine_ltas([a, b])
-        expected = (a.power * a.n_frames + b.power * b.n_frames) \
-            / (a.n_frames + b.n_frames)
-        assert np.allclose(both.power, expected, atol=1e-12)
-        assert both.n_frames == a.n_frames + b.n_frames
-
     def test_silence_raises(self):
         with pytest.raises(NoActiveSpeechError):
             ev.compute_ltas(AudioSignal(np.zeros(RATE), RATE))

@@ -53,11 +53,6 @@ def test_config_validation():
     assert cfg.dimension == 64
 
 
-def test_coefficient_labels():
-    assert features.coefficient_labels(features.FeatureConfig("mfcc")) == "mfcc+d+dd+cms"
-    assert features.coefficient_labels(features.FeatureConfig("rps")) == "rps"
-
-
 # --- MFCC against a straight-line oracle ---------------------------------------
 
 def _triangle_bank_reference(n_filters, dft_size, rate):

@@ -87,16 +87,6 @@ def test_bank_invalid_args():
         fb.linear_filterbank(300, 512, RATE)
 
 
-def test_filterbank_csv_roundtrip(tmp_path):
-    bank = fb.linear_filterbank(8, 256, RATE)
-    path = tmp_path / "bank.csv"
-    fb.save_filterbank_csv(path, bank)
-    data = np.loadtxt(path, delimiter=",")
-    assert data.shape == (8, 1 + 129)
-    assert np.allclose(data[:, 0], bank.center_freqs)
-    assert np.allclose(data[:, 1:], bank.weights)
-
-
 # --- gammatone ---------------------------------------------------------------
 
 def test_gammatone_center_spacing():

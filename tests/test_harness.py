@@ -176,7 +176,7 @@ class TestCleanVad:
         row = man.subset("eval").rows[0]
         noisy_cell = cfg.grid[1]
         got = runner._cell_features([row], "mfcc", noisy_cell)[row.utt_id]
-        fcfg = runner._feature_config("mfcc")
+        fcfg = cfg.feature_config("mfcc")
         clean = read_wav(root / row.wav_path)
         noisy = read_wav(runner._prepared_wav(row, noisy_cell, False))
         vad = features.compute_vad_mask(clean, fcfg)
@@ -195,11 +195,11 @@ class TestBuildingBlocks:
         cfg = features.default_config("mfcc")
         feats = {r.utt_id: features.extract(read_wav(root / r.wav_path),
                                             cfg) for r in rows}
-        nat, syn = harness.train_gmm_pair(feats, rows, 4, 3, seed=0)
+        nat, syn = harness.train_gmm_pair(feats, rows, 4, 3, 0, "mfcc")
         assert nat.means.shape == syn.means.shape
         stack, normed = harness.train_ivector_stack(
             feats, rows, ubm_components=4, tv_rank=4, tv_iterations=2,
-            seed=0)
+            root_seed=0, kind="mfcc")
         assert normed.shape == (len(rows), 4)
         assert np.allclose(np.linalg.norm(normed, axis=1), 1.0)
         plda = ivector.train_plda(normed, [r.label for r in rows],
@@ -207,15 +207,13 @@ class TestBuildingBlocks:
         w = harness.embed_ivector(stack, feats[rows[0].utt_id])
         assert w.shape == (4,)
         assert np.isclose(np.linalg.norm(w), 1.0)
-        s_cos = harness.ivector_score(stack, feats[rows[0].utt_id],
-                                      "cosine")
-        s_plda = harness.ivector_score(stack, feats[rows[0].utt_id],
-                                       "plda", plda)
+        s_cos = harness.embedding_score(stack, w, "cosine")
+        s_plda = harness.embedding_score(stack, w, "plda", plda)
         assert np.isfinite(s_cos) and np.isfinite(s_plda)
         with pytest.raises(ValueError):
-            harness.ivector_score(stack, feats[rows[0].utt_id], "plda")
+            harness.embedding_score(stack, w, "plda")
         with pytest.raises(ValueError):
-            harness.ivector_score(stack, feats[rows[0].utt_id], "svm")
+            harness.embedding_score(stack, w, "svm")
 
 
 class TestCacheVersion:
@@ -352,6 +350,23 @@ class TestSharedStack:
         assert len(embeds) == per_pass
         for a, b in zip(cold.rows, warm.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+    def test_cold_grid_reads_no_feature_file(self, corpus, tmp_path,
+                                             monkeypatch):
+        """The GMM pair and the i-vector stack of a feature train on one
+        extraction pass, so a cold grid never reads back what it wrote."""
+        root, man = corpus
+        kinds = ("mfcc", "cosphase")
+        cfg = _config(features=kinds, backends=self.ALL_BACKENDS,
+                      grid=(GridCell(), GridCell("white", 10.0)))
+        reads = _counting(monkeypatch, harness, "read_features")
+        extracted = _counting(monkeypatch, features, "extract")
+        run_experiment(cfg, man, tmp_path / "w", wav_root=root)
+        assert reads == []
+        scored = len(man.subset("dev").rows) + len(man.subset("eval").rows)
+        trained = len(man.subset("train").rows)
+        assert len(extracted) == len(kinds) * (trained
+                                               + len(cfg.grid) * scored)
 
     def test_cold_grid_trains_one_stack_per_feature(self, corpus, tmp_path,
                                                     monkeypatch):

@@ -52,12 +52,6 @@ class TestManifest:
         with pytest.raises(ValueError):
             m.subset("evaluation")
 
-    def test_row_lookup(self):
-        m = Manifest(_rows())
-        assert m.row_for("u2").attack_id == "vc16"
-        with pytest.raises(KeyError):
-            m.row_for("nope")
-
     def test_resolve_paths(self, tmp_path):
         (tmp_path / "wav").mkdir()
         for r in _rows():
