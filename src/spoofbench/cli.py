@@ -53,23 +53,21 @@ def _feature_config(args) -> features.FeatureConfig:
 
 
 def _manifest_rows(args, subset):
-    rows = read_manifest(args.manifest).subset(subset).rows
-    if not rows:
+    """(rows, wav paths) of a manifest subset; a missing wav fails here,
+    before any extraction, naming its utterance."""
+    manifest = read_manifest(args.manifest).subset(subset)
+    if not manifest:
         raise ValueError(f"manifest has no rows in subset {subset!r}")
-    return rows, Path(args.wav_root or Path(args.manifest).parent)
-
-
-def _load_signal(row, root):
-    path = Path(row.wav_path)
-    return read_wav(path if path.is_absolute() else root / path)
+    return manifest.rows, manifest.resolve_paths(args.wav_root or
+                                                 Path(args.manifest).parent)
 
 
 def _train_features(args):
     """(training rows, clean features by utterance) as a run trains on."""
-    rows, root = _manifest_rows(args, "train")
+    rows, paths = _manifest_rows(args, "train")
     cfg = _feature_config(args)
-    return rows, {r.utt_id: features.extract(_load_signal(r, root), cfg)
-                  for r in rows}
+    return rows, {r.utt_id: features.extract(read_wav(p), cfg)
+                  for r, p in zip(rows, paths)}
 
 
 def _load_models(load, model_dir, command):
@@ -84,17 +82,15 @@ def _score(args, backend, train_ids, score_frames):
     """Score the chosen subset in the --noise-kind/--snr/--enhance
     condition, prepared as a run prepares it, and write the score file."""
     cell = GridCell(args.noise_kind, args.snr)
-    rows, root = _manifest_rows(args, args.subset)
+    rows, paths = _manifest_rows(args, args.subset)
     harness.check_hygiene(train_ids, [r.utt_id for r in rows])
     cfg = _feature_config(args)
-    processed = not cell.is_clean or args.enhance is not None
     frames = []
-    for r in rows:
-        clean = _load_signal(r, root)
+    for r, path in zip(rows, paths):
+        clean = read_wav(path)
         signal = harness.prepare_signal(clean, r.utt_id, cell, args.enhance,
                                         args.seed)
-        frames.append(harness.extract_test_features(
-            signal, cfg, clean if processed else None))
+        frames.append(harness.extract_test_features(signal, cfg, clean))
     cond = harness.condition_tag(cell, args.enhance)
     write_scores(args.out, harness.score_set(rows, score_frames(frames),
                                              args.kind, backend, cond))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import features
 from .enhancement import ENHANCEMENT_METHODS
@@ -237,7 +237,3 @@ def canonical_text(config: ExperimentConfig) -> str:
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(config, **kwargs)

@@ -1,7 +1,7 @@
 """Experiment orchestration: the train-clean / test-noisy protocol.
 
-The runner walks the config's noise grid, materializes each processing
-stage (mixing, enhancement, feature extraction, model training) into a
+The runner walks the config's noise grid, prepares the test audio of each
+cell (mixing, enhancement), caches features and trained models in a
 content-addressed cache, scores dev and eval subsets with every
 feature x back-end pair, optionally fuses the per-feature systems, and
 writes score TSVs plus EER reports.
@@ -15,9 +15,10 @@ files a run writes.
 Caching notes: every artifact lives under a directory named by a hash of
 exactly the settings that influence its bytes, so re-running a config
 reuses everything and changing one knob invalidates only what depends on
-it.  Prepared audio is materialized as 16-bit WAV and features are
-always extracted from the materialized file, which keeps warm and cold
-runs bit-identical.
+it.  Test audio is not cached: it is prepared in memory, once per cell
+and utterance, and only when a feature file is missing.  Each preparation
+step rounds its output to the 16-bit PCM grid, as a WAV file would store
+it, so warm and cold runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import features, gmm, ivector
 from .audio import (AudioSignal, read_features, read_wav, to_pcm16,
-                    write_features, write_wav)
+                    write_features)
 from .config import ExperimentConfig, GridCell
 from .enhancement import enhance
 from .errors import HygieneError
@@ -96,9 +97,9 @@ def mix_condition(speech: AudioSignal, cell: GridCell, root_seed: int,
 
 def prepare_signal(clean: AudioSignal, utt_id: str, cell: GridCell,
                    enhancement: str | None, root_seed: int) -> AudioSignal:
-    """The test signal of one utterance in one condition, as a run
-    materializes it: mixed, stored as 16-bit PCM, then enhanced and stored
-    again.  Returns clean itself when there is nothing to do."""
+    """The test signal of one utterance in one condition: mixed, rounded
+    to 16-bit PCM, then enhanced and rounded again.  Returns clean itself
+    when there is nothing to do."""
     signal = clean
     if not cell.is_clean:
         signal = to_pcm16(mix_condition(clean, cell, root_seed, utt_id))
@@ -108,12 +109,12 @@ def prepare_signal(clean: AudioSignal, utt_id: str, cell: GridCell,
 
 
 def extract_test_features(signal: AudioSignal, cfg: features.FeatureConfig,
-                          clean: AudioSignal | None = None) -> np.ndarray:
-    """Features of a test signal.  A noisy or enhanced signal is framed
-    with the voiced/unvoiced decisions of its clean source, so degradation
-    affects the observations but not the frame selection; pass clean=None
-    for a signal that is itself clean."""
-    vad = None if clean is None else features.compute_vad_mask(clean, cfg)
+                          clean: AudioSignal) -> np.ndarray:
+    """Features of signal, as prepare_signal made it from clean.  A noisy
+    or enhanced signal is framed with the voiced/unvoiced decisions of its
+    clean source, so degradation affects the observations but not the frame
+    selection; clean itself selects its own frames."""
+    vad = None if signal is clean else features.compute_vad_mask(clean, cfg)
     return features.extract(signal, cfg, vad=vad)
 
 
@@ -342,68 +343,46 @@ class _Runner:
         self.config = config
         self.manifest = manifest
         self.work_dir = Path(work_dir)
-        self.wav_root = Path(wav_root) if wav_root is not None else Path(".")
         self.cache = self.work_dir / "cache"
+        # fails before any compute, naming the utterance of a missing wav
+        self._paths = dict(zip((r.utt_id for r in manifest),
+                               manifest.resolve_paths(wav_root)))
         # the wav bytes are part of the fingerprint, so an edited wav under
         # an unchanged manifest re-extracts instead of reusing old features
         # (raw bytes: decoding each wav would cost a read_wav per run)
         self.corpus_fp = _stage_hash(*(
             f"{r.utt_id},{r.wav_path},{r.label},{r.attack_id},{r.subset},"
-            f"{hashlib.sha256(self._wav_path(r).read_bytes()).hexdigest()}"
+            f"{hashlib.sha256(self._paths[r.utt_id].read_bytes()).hexdigest()}"
             for r in manifest))
         self._signal_cache = {}
+        self._prepared = {}
         self._models = {}
         self._train_frames = (None, {})
 
-    # -- audio stages ------------------------------------------------------
-
-    def _wav_path(self, row) -> Path:
-        path = Path(row.wav_path)
-        return path if path.is_absolute() else self.wav_root / path
+    # -- audio and features ------------------------------------------------
 
     def _source(self, row) -> AudioSignal:
         if row.utt_id not in self._signal_cache:
-            self._signal_cache[row.utt_id] = read_wav(self._wav_path(row))
+            self._signal_cache[row.utt_id] = read_wav(self._paths[row.utt_id])
         return self._signal_cache[row.utt_id]
 
-    def _prepared_wav(self, row, cell: GridCell, enhanced: bool) -> Path:
-        """Materialize (mix, then optionally enhance) as a cached WAV: the
-        steps of prepare_signal, each stored as a file."""
-        seed = self.config.seed
-        method = self.config.enhancement if enhanced else None
-        key = _stage_hash("audio", self.corpus_fp, seed, cell.tag,
-                          method or "-")
-        path = self.cache / "audio" / key / f"{row.utt_id}.wav"
-        if path.is_file():
-            return path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if cell.is_clean:
-            signal = self._source(row)
-        elif enhanced:
-            signal = read_wav(self._prepared_wav(row, cell, enhanced=False))
-        else:
-            signal = mix_condition(self._source(row), cell, seed, row.utt_id)
-        if method is not None:
-            signal = enhance(signal, method)
-        _write_via_temp(write_wav, path, signal)
-        return path
+    def _signal(self, row, cell: GridCell, enhancement) -> AudioSignal:
+        """prepare_signal of one utterance, kept in memory until the grid
+        moves on to the next cell, so each (cell, utterance) is mixed and
+        enhanced at most once per run."""
+        key = (condition_tag(cell, enhancement), row.utt_id)
+        if key not in self._prepared:
+            self._prepared[key] = prepare_signal(
+                self._source(row), row.utt_id, cell, enhancement,
+                self.config.seed)
+        return self._prepared[key]
 
-    def _prepared_signal(self, row, cell: GridCell) -> AudioSignal:
-        enhanced = self.config.enhancement is not None
-        if cell.is_clean and not enhanced:
-            return self._source(row)
-        return read_wav(self._prepared_wav(row, cell, enhanced))
-
-    # -- features ----------------------------------------------------------
-
-    def _cell_features(self, rows, kind: str, cell: GridCell) -> dict:
-        """Per-utterance features for one condition, disk-cached."""
+    def _features(self, rows, kind: str, cell: GridCell, enhancement) -> dict:
+        """Per-utterance features of rows in one condition, disk-cached;
+        the audio is prepared only for a missing feature file."""
         cfg = self.config.feature_config(kind)
-        processed = not cell.is_clean or self.config.enhancement is not None
         key = _stage_hash("features", self.corpus_fp, self.config.seed,
-                          cell.tag,
-                          self.config.enhancement or "-",
-                          _feature_text(cfg))
+                          cell.tag, enhancement or "-", _feature_text(cfg))
         cache_dir = self.cache / "features" / key
         cache_dir.mkdir(parents=True, exist_ok=True)
         out = {}
@@ -413,34 +392,19 @@ class _Runner:
                 out[row.utt_id] = read_features(path)
                 continue
             values = extract_test_features(
-                self._prepared_signal(row, cell), cfg,
-                self._source(row) if processed else None)
+                self._signal(row, cell, enhancement), cfg, self._source(row))
             _write_via_temp(write_features, path, values)
             out[row.utt_id] = values
         return out
 
     def _train_features(self, kind: str) -> dict:
-        """Training observations: clean audio only, never enhanced.  The
+        """Training observations: the clean condition, never enhanced.  The
         GMM pair and the i-vector stack of a feature share one pass; only
         the latest feature's frames are kept."""
-        if self._train_frames[0] == kind:
-            return self._train_frames[1]
-        cfg = self.config.feature_config(kind)
-        key = _stage_hash("features", self.corpus_fp, self.config.seed,
-                          "clean", "-", _feature_text(cfg))
-        cache_dir = self.cache / "features" / key
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        out = {}
-        for row in self.manifest.subset("train"):
-            path = cache_dir / f"{row.utt_id}.{kind}.spbf"
-            if path.is_file():
-                out[row.utt_id] = read_features(path)
-            else:
-                values = features.extract(self._source(row), cfg)
-                _write_via_temp(write_features, path, values)
-                out[row.utt_id] = values
-        self._train_frames = (kind, out)
-        return out
+        if self._train_frames[0] != kind:
+            self._train_frames = (kind, self._features(
+                self.manifest.subset("train").rows, kind, GridCell(), None))
+        return self._train_frames[1]
 
     # -- models ------------------------------------------------------------
 
@@ -515,7 +479,7 @@ class _Runner:
         """{back-end: ScoreSet} of one (condition, subset, feature): the
         features are read once, and each utterance is embedded once for
         every i-vector back-end."""
-        frames = self._cell_features(rows, kind, cell)
+        frames = self._features(rows, kind, cell, self.config.enhancement)
         utt_ids = [r.utt_id for r in rows]
         backends = self.config.backends
         scores = {}
@@ -542,8 +506,10 @@ class _Runner:
 
     def run(self) -> ExperimentResult:
         cfg = self.config
+        if "logistic" in cfg.fusion and not self.manifest.subset("dev").rows:
+            raise ValueError("logistic fusion needs a dev subset in the "
+                             "manifest")
         results = []
-        summary_rows = []
         per_attack_rows = []
 
         def emit(cell, backend, system, subset, scores: ScoreSet):
@@ -555,9 +521,6 @@ class _Runner:
             report = compute_eer_rocch(scores)
             results.append(SystemResult(cond, backend, system, subset,
                                         path, report))
-            summary_rows.append((cond, backend, system, subset,
-                                 report.eer_percent, report.n_target,
-                                 report.n_nontarget))
             attacks = {a for a in scores.attack_ids if a != "-"}
             if subset == "eval" and len(attacks) > 1:
                 per_attack, macro = per_attack_eers(scores)
@@ -573,6 +536,7 @@ class _Runner:
         subsets = [(name, rows) for name, rows in subsets if rows]
 
         for cell in cfg.grid:
+            self._prepared = {}
             # every back-end is scored from one pass over each (subset,
             # feature), which holds one subset's frames at a time
             by_backend = {backend: {subset: {} for subset, _ in subsets}
@@ -598,9 +562,6 @@ class _Runner:
                             emit(cell, backend, "fusion-average", subset,
                                  fused)
                     elif method == "logistic":
-                        if "dev" not in per_subset_sets:
-                            raise ValueError("logistic fusion needs a dev "
-                                             "subset in the manifest")
                         dev_sets = [per_subset_sets["dev"][k]
                                     for k in ordered]
                         model = train_logistic_fusion(dev_sets,
@@ -622,9 +583,10 @@ class _Runner:
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("condition\tbackend\tsystem\tsubset\teer_percent\t"
                      "n_target\tn_nontarget\n")
-            for cond, backend, system, subset, eer, nt, nn in summary_rows:
-                fh.write(f"{cond}\t{backend}\t{system}\t{subset}\t"
-                         f"{eer:.4f}\t{nt}\t{nn}\n")
+            for r in results:
+                fh.write(f"{r.cell_tag}\t{r.backend}\t{r.system}\t"
+                         f"{r.subset}\t{r.report.eer_percent:.4f}\t"
+                         f"{r.report.n_target}\t{r.report.n_nontarget}\n")
         if per_attack_rows:
             with open(self.work_dir / "per_attack.tsv", "w",
                       encoding="utf-8") as fh:
@@ -640,5 +602,4 @@ class _Runner:
 def run_experiment(config: ExperimentConfig, manifest: Manifest, work_dir,
                    wav_root=None) -> ExperimentResult:
     """Execute the full grid; see the module docstring for the layout."""
-    manifest.resolve_paths(wav_root)
     return _Runner(config, manifest, work_dir, wav_root).run()

@@ -68,9 +68,6 @@ class Manifest:
             raise ValueError(f"unknown subset {name!r}")
         return Manifest(tuple(r for r in self.rows if r.subset == name))
 
-    def utt_ids(self):
-        return [r.utt_id for r in self.rows]
-
     def resolve_paths(self, root=None):
         """Check that every wav_path exists; returns resolved Path list.
 

@@ -9,6 +9,7 @@ criterion 11 checks byte-level determinism of the full experiment harness.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from spoofbench import dsp, features, filterbanks, noiselab
 from spoofbench import fusion as fu
 from spoofbench import ivector as iv
 from spoofbench.audio import AudioSignal
-from spoofbench.config import ExperimentConfig, GridCell, with_overrides
+from spoofbench.config import ExperimentConfig, GridCell
 from spoofbench.evaluation import rocch_eer
 from spoofbench.gmm import train_gmm
 from spoofbench.harness import run_experiment
@@ -376,8 +377,8 @@ def test_criterion_10_end_to_end_trends(toy_corpus, tmp_path):
     # (e) spectral-subtraction preprocessing of the test audio: report the
     # clean-condition change next to the 0 dB gain, no hard threshold --
     # whether enhancement helps is corpus-dependent
-    enh_config = with_overrides(config, enhancement="specsub-mag",
-                                backends=("gmm",))
+    enh_config = replace(config, enhancement="specsub-mag",
+                         backends=("gmm",))
     enh = run_experiment(enh_config, manifest, work, wav_root=root)
     enh_clean = {k: enh.eer("clean+specsub-mag", "gmm", k, "eval")
                  for k in kinds}

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spoofbench import features
 from spoofbench.audio import read_features
 from spoofbench.cli import build_parser, main
 from spoofbench.config import ExperimentConfig, GridCell
@@ -269,6 +270,32 @@ class TestErrorContract:
         assert "train_utts.txt" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("command,subset", [
+        ("train-gmm", "train"), ("train-ivector", "train"),
+        ("score-gmm", "eval")])
+    def test_missing_wav_fails_before_extraction(
+            self, command, subset, corpus, gmm_models, tmp_path, capsys,
+            monkeypatch):
+        copy = shutil.copytree(corpus, tmp_path / "corpus")
+        manifest = read_manifest(copy / "manifest.tsv")
+        row = manifest.subset(subset).rows[-1]
+        (copy / row.wav_path).unlink()
+        extracted = []
+        monkeypatch.setattr(features, "extract",
+                            lambda *a, **k: extracted.append(a))
+        args = {"train-gmm": ["--out-dir", str(tmp_path / "m")],
+                "train-ivector": ["--out-dir", str(tmp_path / "m")],
+                "score-gmm": ["--models", str(gmm_models),
+                              "--out", str(tmp_path / "s.tsv")]}[command]
+        rc = main([command, "--manifest", str(copy / "manifest.tsv"),
+                   "--kind", "mfcc"] + args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFileNotFoundError\t")
+        assert row.utt_id in err
+        assert err.count("\n") == 1
+        assert extracted == []
 
     def test_snr_required_with_noise(self, corpus, gmm_models, tmp_path,
                                      capsys):

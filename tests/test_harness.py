@@ -139,12 +139,14 @@ class TestRun:
         assert "vc16" in table and "vc24" in table
         assert "macro-average" in table
 
-    def test_logistic_fusion_needs_dev(self, corpus, tmp_path):
+    def test_logistic_fusion_needs_dev(self, corpus, tmp_path, monkeypatch):
         root, man = corpus
         eval_only = Manifest(tuple(r for r in man if r.subset != "dev"))
         cfg = _config(features=("mfcc", "cosphase"), fusion=("logistic",))
-        with pytest.raises(ValueError):
+        extracted = _counting(monkeypatch, features, "extract")
+        with pytest.raises(ValueError, match="needs a dev subset"):
             run_experiment(cfg, eval_only, tmp_path / "w", wav_root=root)
+        assert extracted == []
 
     def test_missing_wav_fails_before_compute(self, corpus, tmp_path):
         root, man = corpus
@@ -168,24 +170,36 @@ class TestRun:
 
 
 class TestCleanVad:
-    def test_noisy_features_use_clean_frame_selection(self, corpus,
-                                                      tmp_path):
+    def test_noisy_features_use_clean_frame_selection(self, corpus):
         root, man = corpus
-        cfg = _config(grid=(GridCell(), GridCell("white", 0.0)))
-        runner = harness._Runner(cfg, man, tmp_path / "w", wav_root=root)
         row = man.subset("eval").rows[0]
-        noisy_cell = cfg.grid[1]
-        got = runner._cell_features([row], "mfcc", noisy_cell)[row.utt_id]
-        fcfg = cfg.feature_config("mfcc")
+        fcfg = features.default_config("mfcc")
         clean = read_wav(root / row.wav_path)
-        noisy = read_wav(runner._prepared_wav(row, noisy_cell, False))
+        noisy = harness.prepare_signal(clean, row.utt_id,
+                                       GridCell("white", 0.0), None, 11)
+        got = harness.extract_test_features(noisy, fcfg, clean)
         vad = features.compute_vad_mask(clean, fcfg)
         expected = features.extract(noisy, fcfg, vad=vad)
-        assert np.allclose(got, expected, atol=1e-12)
+        assert np.array_equal(got, expected)
         # and that differs from letting the degraded signal pick frames
         own_vad = features.extract(noisy, fcfg)
         assert (own_vad.shape != expected.shape
                 or not np.allclose(own_vad, expected))
+
+    def test_clean_signal_selects_its_own_frames(self, corpus, monkeypatch):
+        """prepare_signal hands back the clean source when there is nothing
+        to do, and that source is framed by its own voicing decisions."""
+        root, man = corpus
+        row = man.subset("eval").rows[0]
+        fcfg = features.default_config("mfcc")
+        clean = read_wav(root / row.wav_path)
+        signal = harness.prepare_signal(clean, row.utt_id, GridCell(), None,
+                                        11)
+        assert signal is clean
+        vads = _counting(monkeypatch, features, "compute_vad_mask")
+        got = harness.extract_test_features(signal, fcfg, clean)
+        assert np.array_equal(got, features.extract(clean, fcfg))
+        assert vads == []
 
 
 class TestBuildingBlocks:
@@ -274,16 +288,12 @@ class TestTempFiles:
         work = tmp_path / "work"
         planted = []
         for rel in sorted(cached):
-            if rel.suffix == ".wav":
-                leftover = work / rel.with_suffix(".tmp.wav")
-            elif rel.suffix == ".spbf":
-                leftover = work / rel.with_name(rel.name + ".tmp")
-            else:
+            if rel.suffix != ".spbf":
                 continue
+            leftover = work / rel.with_name(rel.name + ".tmp")
             leftover.parent.mkdir(parents=True, exist_ok=True)
             leftover.write_bytes(b"partial file of another run")
             planted.append(leftover)
-        assert any(p.name.endswith(".tmp.wav") for p in planted)
         assert any(p.name.endswith(".spbf.tmp") for p in planted)
 
         result = run_experiment(cfg, man, work, wav_root=root)
@@ -294,6 +304,25 @@ class TestTempFiles:
         assert left == cached | {p.relative_to(work) for p in planted}
         for a, b in zip(ref.rows, result.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+
+class TestTestAudio:
+    def test_cold_run_prepares_each_utterance_once_in_memory(
+            self, corpus, tmp_path, monkeypatch):
+        """Noisy and enhanced test audio is mixed and enhanced once per
+        (cell, utterance) for all features together, and never stored."""
+        root, man = corpus
+        cfg = _config(features=("mfcc", "cosphase"), enhancement="wiener",
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        mixed = _counting(monkeypatch, harness, "mix_condition")
+        enhanced = _counting(monkeypatch, harness, "enhance")
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        scored = [r.utt_id for r in man if r.subset != "train"]
+        assert sorted(args[3] for args in mixed) == sorted(scored)
+        assert len(enhanced) == len(cfg.grid) * len(scored)
+        assert list(work.rglob("*.wav")) == []
+        assert not (work / "cache" / "audio").exists()
 
 
 class TestModelReuse:

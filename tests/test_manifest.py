@@ -48,7 +48,7 @@ class TestManifest:
 
     def test_subset_filter(self):
         m = Manifest(_rows())
-        assert m.subset("eval").utt_ids() == ["u3", "u4"]
+        assert [r.utt_id for r in m.subset("eval")] == ["u3", "u4"]
         with pytest.raises(ValueError):
             m.subset("evaluation")
 
