@@ -10,13 +10,37 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .audio import load_arrays, save_arrays
 
 _GMM_MAGIC = b"SPGM1"
 VAR_FLOOR_FRAC = 1e-4
 _LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _logsumexp_rows(a) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) for a real 2-D float64 array, (T,).
+
+    The result has exactly the bits of ``scipy.special.logsumexp(a, axis=1)``
+    because it performs scipy's float operations in scipy's order: the row
+    maxima are split out of the sum and counted (m), the remaining terms are
+    summed as s, and the row is log1p(s / m) + log(m) + max. Rows where that
+    is not finite take scipy's fallback, log(sum(exp(a))). Only scipy's
+    generic dispatch and its full-array fallback pass are left out.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        mask = a == a_max
+        e = np.exp(a - a_max)
+        np.putmask(e, mask, 0.0)
+        s = e.sum(axis=1)
+        m = mask.sum(axis=1, dtype=np.float64)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,10 +92,13 @@ class GmmModel:
         return const[None, :] + cross - 0.5 * quad
 
     def frame_log_likelihoods(self, frames) -> np.ndarray:
-        return logsumexp(self.component_log_likelihoods(frames), axis=1)
+        return _logsumexp_rows(self.component_log_likelihoods(frames))
 
     def avg_log_likelihood(self, frames) -> float:
-        return float(np.mean(self.frame_log_likelihoods(frames)))
+        frame_ll = self.frame_log_likelihoods(frames)
+        if frame_ll.size == 0:
+            raise ValueError("no frames to score")
+        return float(np.mean(frame_ll))
 
 
 def kmeans_pp_centers(frames, k, rng) -> np.ndarray:
@@ -125,7 +152,7 @@ def train_gmm(frames, n_components, n_iterations=10, seed=0,
         for start in range(0, t, chunk_size):
             block = frames[start:start + chunk_size]
             comp_ll = model.component_log_likelihoods(block)
-            frame_ll = logsumexp(comp_ll, axis=1)
+            frame_ll = _logsumexp_rows(comp_ll)
             total_ll += float(frame_ll.sum())
             resp = np.exp(comp_ll - frame_ll[:, None])
             nk += resp.sum(axis=0)

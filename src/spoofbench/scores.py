@@ -75,12 +75,13 @@ def check_aligned(score_sets):
 
 
 def write_scores(path, scores: ScoreSet):
+    body = "".join([
+        f"{u}\t{s!r}\t{lab}\t{att}\t{cond}\n"
+        for u, s, lab, att, cond in zip(scores.utt_ids, scores.scores.tolist(),
+                                        scores.labels, scores.attack_ids,
+                                        scores.conditions)])
     with open(path, "w") as fh:
-        fh.write("\t".join(HEADER) + "\n")
-        for i in range(len(scores)):
-            fh.write(f"{scores.utt_ids[i]}\t{float(scores.scores[i])!r}\t"
-                     f"{scores.labels[i]}\t{scores.attack_ids[i]}\t"
-                     f"{scores.conditions[i]}\n")
+        fh.write("\t".join(HEADER) + "\n" + body)
 
 
 def read_scores(path) -> ScoreSet:

@@ -14,6 +14,7 @@ import scipy.signal
 
 from spoofbench.dsp import (frame_length_samples, frame_shift_samples, n_frames_for,
                             window_function)
+from spoofbench.scores import HEADER
 
 
 def naive_dft(frame, dft_size):
@@ -228,3 +229,14 @@ def component_log_likelihoods_oracle(model, frames):
     quad = (frames ** 2) @ inv.T
     cross = frames @ (model.means * inv).T
     return const[None, :] + cross - 0.5 * quad
+
+
+def write_scores_rowwise(path, scores):
+    """A score TSV written one row at a time, each score formatted as
+    float(scores.scores[i])!r."""
+    with open(path, "w") as fh:
+        fh.write("\t".join(HEADER) + "\n")
+        for i in range(len(scores)):
+            fh.write(f"{scores.utt_ids[i]}\t{float(scores.scores[i])!r}\t"
+                     f"{scores.labels[i]}\t{scores.attack_ids[i]}\t"
+                     f"{scores.conditions[i]}\n")

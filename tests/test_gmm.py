@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from reference import component_log_likelihoods_oracle
-from spoofbench.gmm import (GmmModel, kmeans_pp_centers, llr_score, load_gmm,
-                            save_gmm, train_gmm)
+from spoofbench.gmm import (GmmModel, _logsumexp_rows, kmeans_pp_centers,
+                            llr_score, load_gmm, save_gmm, train_gmm)
 
 
 def naive_avg_loglik(frames, weights, means, variances):
@@ -63,6 +64,13 @@ class TestLikelihood:
                                   component_log_likelihoods_oracle(model,
                                                                    frames))
 
+    def test_no_frames_raises(self):
+        model = _random_model(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="no frames to score"):
+            model.avg_log_likelihood(np.empty((0, 4)))
+        with pytest.raises(ValueError, match="no frames to score"):
+            llr_score(np.empty((0, 4)), model, model)
+
     def test_model_is_frozen(self):
         model = _random_model(np.random.default_rng(2))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -79,6 +87,34 @@ class TestLikelihood:
         with pytest.raises(ValueError):
             GmmModel(np.array([0.5, 0.5]), np.zeros((2, 2)),
                      np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+
+class TestLogSumExp:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(0, 300),
+           c=st.integers(1, 64), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+           n_ties=st.integers(0, 5), n_neg_inf=st.integers(0, 5),
+           n_neg_inf_rows=st.integers(0, 3), n_pos_inf=st.integers(0, 2))
+    def test_same_bits_as_scipy(self, seed, t, c, scale, n_ties, n_neg_inf,
+                                n_neg_inf_rows, n_pos_inf):
+        """The row-wise log-sum-exp is bit-identical to scipy's, ties at the
+        row maximum and infinite entries included."""
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-scale, scale, (t, c))
+        if t:
+            for _ in range(n_ties):
+                row = rng.integers(t)
+                a[row, rng.integers(c)] = a[row].max()
+            for _ in range(n_neg_inf):
+                a[rng.integers(t), rng.integers(c)] = -np.inf
+            for _ in range(n_neg_inf_rows):
+                a[rng.integers(t)] = -np.inf
+            for _ in range(n_pos_inf):
+                a[rng.integers(t), rng.integers(c)] = np.inf
+        got = _logsumexp_rows(a)
+        want = scipy.special.logsumexp(a, axis=1)
+        assert got.shape == want.shape == (t,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:

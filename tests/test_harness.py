@@ -2,6 +2,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.special
 
 from spoofbench import features, gmm, harness, ivector
 from spoofbench.audio import AudioSignal, read_wav, write_wav
@@ -110,6 +111,28 @@ class TestRun:
         r2 = run_experiment(cfg, man, tmp_path / "w2", wav_root=root)
         for a, b in zip(r1.rows, r2.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+    def test_scores_match_scipy_logsumexp(self, corpus, tmp_path,
+                                          monkeypatch):
+        """GMM training and scoring write the same bytes whether frame
+        log-likelihoods go through the row-wise helper or through scipy."""
+        root, man = corpus
+        cfg = _config(features=("mfcc", "cosphase"),
+                      backends=("gmm", "ivector-cosine"),
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        own = run_experiment(cfg, man, tmp_path / "own", wav_root=root)
+        calls = []
+
+        def scipy_rows(a):
+            calls.append(a.shape)
+            return scipy.special.logsumexp(a, axis=1)
+        monkeypatch.setattr(gmm, "_logsumexp_rows", scipy_rows)
+        ref = run_experiment(cfg, man, tmp_path / "scipy", wav_root=root)
+        assert calls
+        own_bytes = _score_bytes(tmp_path / "own")
+        assert len(own_bytes) == 16
+        assert own_bytes == _score_bytes(tmp_path / "scipy")
+        assert own.summary_path.read_bytes() == ref.summary_path.read_bytes()
 
     def test_warm_rerun_reuses_cache(self, corpus, tmp_path):
         root, man = corpus

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference import write_scores_rowwise
 from spoofbench.errors import AlignmentError
 from spoofbench.scores import ScoreSet, check_aligned, read_scores, write_scores
 
@@ -73,6 +75,25 @@ class TestTsv:
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_scores(p1, s)
         write_scores(p2, read_scores(p1))
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16,
+                                   -3.0e17, 2.0 ** 53 + 2.0, 12.0, -7.0])),
+        max_size=40))
+    def test_batched_writer_matches_row_by_row(self, tmp_path, values):
+        """One joined write gives the bytes of formatting each score with
+        float(x)!r row by row: -0.0, subnormals, integral floats and values
+        above 1e16 included."""
+        labels = ["human" if i % 3 else "spoof" for i in range(len(values))]
+        s = make_scores(values, labels,
+                        conditions=["white@0"] * len(values))
+        p1, p2 = tmp_path / "batched.tsv", tmp_path / "rows.tsv"
+        write_scores(p1, s)
+        write_scores_rowwise(p2, s)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
