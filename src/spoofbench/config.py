@@ -81,7 +81,7 @@ class ExperimentConfig:
         object.__setattr__(self, "fusion", tuple(self.fusion))
         object.__setattr__(self, "feature_overrides",
                            tuple(tuple(o) for o in self.feature_overrides))
-        for kind in self.features:
+        for kind in self.features + tuple(k for k, _, _ in self.feature_overrides):
             if kind not in features.FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
         if not self.features:
@@ -121,7 +121,7 @@ def feature_config(kind: str, overrides=()) -> features.FeatureConfig:
     then DESK_FEATURE_OVERRIDES, then the explicit (name, value) pairs."""
     merged = dict(DESK_FEATURE_OVERRIDES.get(kind, ()))
     merged.update(overrides)
-    return features.default_config(kind, **merged)
+    return features.FeatureConfig(kind, **merged)
 
 
 def _parse_scalar(raw: str):
@@ -180,6 +180,9 @@ def load_config(path) -> ExperimentConfig:
         if not section.startswith("feature."):
             continue
         kind = section.split(".", 1)[1]
+        if kind not in features.FEATURE_KINDS:
+            raise ValueError(f"{path}: unknown feature kind {kind!r} "
+                             f"in [{section}]")
         for key, raw in parser[section].items():
             if key not in _FEATURE_FIELDS:
                 raise ValueError(f"{path}: unknown feature field {key!r} "

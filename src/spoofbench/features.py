@@ -14,8 +14,8 @@ magnitude-style features and leaving RPS / CosPhase raw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.interpolate
@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp, filterbanks
 from .audio import AudioSignal
-from .errors import EmptyFeaturesError
+from .errors import AlignmentError, EmptyFeaturesError
 
 FEATURE_KINDS = ("mfcc", "imfcc", "scmc", "cqcc", "mhec", "rps", "mgd", "cosphase")
 
@@ -99,18 +99,9 @@ class FeatureConfig:
 
 
 @lru_cache(maxsize=32)
-def _mel_bank(n_filters, dft_size, rate):
-    return filterbanks.mel_filterbank(n_filters, dft_size, rate)
-
-
-@lru_cache(maxsize=32)
-def _imel_bank(n_filters, dft_size, rate):
-    return filterbanks.inverted_mel_filterbank(n_filters, dft_size, rate)
-
-
-@lru_cache(maxsize=32)
-def _linear_bank(n_filters, dft_size, rate):
-    return filterbanks.linear_filterbank(n_filters, dft_size, rate)
+def _bank(design, n_filters, dft_size, rate):
+    """design(n_filters, dft_size, rate) is a filterbanks bank builder."""
+    return design(n_filters, dft_size, rate)
 
 
 @lru_cache(maxsize=8)
@@ -135,8 +126,26 @@ def compute_vad_mask(signal: AudioSignal, config: FeatureConfig) -> np.ndarray:
     return dsp.energy_vad(fm, config.vad_threshold_db)
 
 
-def _finalize(raw: np.ndarray, config: FeatureConfig, vad: np.ndarray) -> np.ndarray:
-    feats = raw
+def extract(signal: AudioSignal, config: FeatureConfig, vad=None) -> np.ndarray:
+    """Frame the signal, run the front-end of config.kind, then deltas ->
+    CMS -> VAD frame dropping.  Returns a (frames x dimension) matrix.
+
+    vad is a boolean mask on the analysis grid (see compute_vad_mask); by
+    default the signal's own energy VAD is used.
+    """
+    fm = dsp.frame_signal(signal.samples, signal.sample_rate,
+                          config.frame_ms, config.shift_ms, config.window)
+    if fm.n_frames == 0:
+        raise EmptyFeaturesError("signal shorter than one analysis frame")
+    if vad is None:
+        vad = dsp.energy_vad(fm, config.vad_threshold_db)
+    vad = np.asarray(vad, dtype=bool)
+    if vad.shape != (fm.n_frames,):
+        raise AlignmentError(
+            f"VAD mask has {vad.size} frames, features have {fm.n_frames}")
+    feats, rows = _FRONT_ENDS[config.kind](signal, fm, config)
+    if rows is not None:
+        vad = vad[rows]
     if config.want_delta:
         feats = dsp.append_deltas(feats, order=2 if config.want_deltadelta else 1)
     if config.want_cms:
@@ -144,44 +153,13 @@ def _finalize(raw: np.ndarray, config: FeatureConfig, vad: np.ndarray) -> np.nda
     return dsp.apply_vad(feats, vad)
 
 
-def _frames_and_vad(signal, config, vad):
-    fm = dsp.frame_signal(signal.samples, signal.sample_rate,
-                          config.frame_ms, config.shift_ms, config.window)
-    if fm.n_frames == 0:
-        raise EmptyFeaturesError("signal shorter than one analysis frame")
-    if vad is None:
-        vad = dsp.energy_vad(fm, config.vad_threshold_db)
-    return fm, np.asarray(vad, dtype=bool)
-
-
-def extract(signal: AudioSignal, config: FeatureConfig, vad=None) -> np.ndarray:
-    """Dispatch to the configured extractor. Returns a (frames x dim) matrix."""
-    fn = {
-        "mfcc": extract_mfcc, "imfcc": extract_imfcc, "scmc": extract_scmc,
-        "cqcc": extract_cqcc, "mhec": extract_mhec, "rps": extract_rps,
-        "mgd": extract_mgd, "cosphase": extract_cosphase,
-    }[config.kind]
-    return fn(signal, config, vad)
-
-
 # --- magnitude-domain cepstra -------------------------------------------------
 
-def extract_mfcc(signal, config=None, vad=None):
-    config = config or FeatureConfig("mfcc")
-    fm, vad = _frames_and_vad(signal, config, vad)
+def _filterbank_cepstra(design, signal, fm, config):
+    """MFCC (mel bank) and IMFCC (inverted mel bank): log band powers -> DCT."""
     power = dsp.power_spectrum(fm, config.dft_size)
-    bank = _mel_bank(config.n_filters, config.dft_size, signal.sample_rate)
-    raw = dsp.dct_features(dsp.safe_log(bank.apply(power)), config.n_coeffs)
-    return _finalize(raw, config, vad)
-
-
-def extract_imfcc(signal, config=None, vad=None):
-    config = config or FeatureConfig("imfcc")
-    fm, vad = _frames_and_vad(signal, config, vad)
-    power = dsp.power_spectrum(fm, config.dft_size)
-    bank = _imel_bank(config.n_filters, config.dft_size, signal.sample_rate)
-    raw = dsp.dct_features(dsp.safe_log(bank.apply(power)), config.n_coeffs)
-    return _finalize(raw, config, vad)
+    bank = _bank(design, config.n_filters, config.dft_size, signal.sample_rate)
+    return dsp.dct_features(dsp.safe_log(bank.apply(power)), config.n_coeffs), None
 
 
 def subband_centroid_magnitudes(magnitude, bank) -> np.ndarray:
@@ -199,14 +177,12 @@ def subband_centroid_magnitudes(magnitude, bank) -> np.ndarray:
     return out
 
 
-def extract_scmc(signal, config=None, vad=None):
-    config = config or FeatureConfig("scmc")
-    fm, vad = _frames_and_vad(signal, config, vad)
+def _scmc(signal, fm, config):
     mag = dsp.magnitude_spectrum(fm, config.dft_size)
-    bank = _linear_bank(config.n_filters, config.dft_size, signal.sample_rate)
+    bank = _bank(filterbanks.linear_filterbank, config.n_filters,
+                 config.dft_size, signal.sample_rate)
     scm = subband_centroid_magnitudes(mag, bank)
-    raw = dsp.dct_features(dsp.safe_log(scm), config.n_coeffs)
-    return _finalize(raw, config, vad)
+    return dsp.dct_features(dsp.safe_log(scm), config.n_coeffs), None
 
 
 def resample_log_spectrum(rows, geo_freqs, n_points=None) -> np.ndarray:
@@ -223,15 +199,11 @@ def resample_log_spectrum(rows, geo_freqs, n_points=None) -> np.ndarray:
     return spline(uniform)
 
 
-def extract_cqcc(signal, config=None, vad=None):
-    config = config or FeatureConfig("cqcc")
-    fm, vad = _frames_and_vad(signal, config, vad)
+def _cqcc(signal, fm, config):
     kern = _cqt_kern(signal.sample_rate, config.cqt_bins_per_octave, config.cqt_octaves)
     power = filterbanks.cqt(signal, kern, config.frame_ms, config.shift_ms)
-    logp = dsp.safe_log(power)
-    linear = resample_log_spectrum(logp, kern.center_freqs)
-    raw = dsp.dct_features(linear, config.n_coeffs)
-    return _finalize(raw, config, vad)
+    linear = resample_log_spectrum(dsp.safe_log(power), kern.center_freqs)
+    return dsp.dct_features(linear, config.n_coeffs), None
 
 
 # gammatone channels per streamed MHEC block: the FFTs behind the Hilbert
@@ -261,14 +233,11 @@ def mhec_band_energies(signal, config, n_frames) -> np.ndarray:
     return energies
 
 
-def extract_mhec(signal, config=None, vad=None):
+def _mhec(signal, fm, config):
     """Gammatone channels -> squared Hilbert envelope -> 20 Hz smoothing ->
     frame-averaged energies -> log -> DCT."""
-    config = config or FeatureConfig("mhec")
-    fm, vad = _frames_and_vad(signal, config, vad)
     energies = mhec_band_energies(signal, config, fm.n_frames)
-    raw = dsp.dct_features(dsp.safe_log(energies.T), config.n_coeffs)
-    return _finalize(raw, config, vad)
+    return dsp.dct_features(dsp.safe_log(energies.T), config.n_coeffs), None
 
 
 # --- pitch tracking and relative phase shifts ---------------------------------
@@ -390,27 +359,19 @@ def rps_band_row(theta, f0, bank) -> np.ndarray:
     return bank.weights @ values
 
 
-def extract_rps(signal, config=None, vad=None):
-    """Relative-phase-shift features; unvoiced frames are dropped."""
-    config = config or FeatureConfig("rps")
-    fm, vad = _frames_and_vad(signal, config, vad)
+def _rps(signal, fm, config):
+    """Relative-phase-shift features of the voiced frames only."""
     spec = np.fft.rfft(fm.frames, n=config.dft_size, axis=1)
     track = estimate_f0(signal, config)
     f0s, voiced = _f0_on_analysis_grid(track, config, fm.n_frames, signal.sample_rate)
-    bank = _mel_bank(config.n_filters, config.dft_size, signal.sample_rate)
-
-    rows = []
-    kept_vad = []
-    for t in range(fm.n_frames):
-        if not voiced[t]:
-            continue
-        theta = relative_phase_row(spec[t], f0s[t], signal.sample_rate, config.dft_size)
-        rows.append(rps_band_row(theta, f0s[t], bank))
-        kept_vad.append(vad[t])
-    if not rows:
+    if not voiced.any():
         raise EmptyFeaturesError("no voiced frames for RPS")
-    raw = dsp.dct_features(np.vstack(rows), config.n_coeffs)
-    return _finalize(raw, config, np.asarray(kept_vad, dtype=bool))
+    bank = _bank(filterbanks.mel_filterbank, config.n_filters,
+                 config.dft_size, signal.sample_rate)
+    bands = [rps_band_row(relative_phase_row(spec[t], f0s[t], signal.sample_rate,
+                                             config.dft_size), f0s[t], bank)
+             for t in np.flatnonzero(voiced)]
+    return dsp.dct_features(np.vstack(bands), config.n_coeffs), voiced
 
 
 # --- group delay and phase cepstra ---------------------------------------------
@@ -453,23 +414,24 @@ def mgd_spectrum(frames: dsp.FrameMatrix, dft_size: int = 512,
     return np.sign(num) * np.abs(num / denom) ** alpha
 
 
-def extract_mgd(signal, config=None, vad=None):
-    config = config or FeatureConfig("mgd")
-    fm, vad = _frames_and_vad(signal, config, vad)
+def _mgd(signal, fm, config):
     tau = mgd_spectrum(fm, config.dft_size, config.mgd_alpha,
                        config.mgd_gamma, config.mgd_cep_lifter)
-    raw = dsp.dct_features(tau, config.n_coeffs)
-    return _finalize(raw, config, vad)
+    return dsp.dct_features(tau, config.n_coeffs), None
 
 
-def extract_cosphase(signal, config=None, vad=None):
+def _cosphase(signal, fm, config):
     """Cosine of the frequency-unwrapped phase spectrum, decorrelated by DCT."""
-    config = config or FeatureConfig("cosphase")
-    fm, vad = _frames_and_vad(signal, config, vad)
     phase = dsp.phase_spectrum(fm, config.dft_size)
-    raw = dsp.dct_features(np.cos(np.unwrap(phase, axis=1)), config.n_coeffs)
-    return _finalize(raw, config, vad)
+    return dsp.dct_features(np.cos(np.unwrap(phase, axis=1)), config.n_coeffs), None
 
 
-def default_config(kind: str, **overrides) -> FeatureConfig:
-    return replace(FeatureConfig(kind), **overrides) if overrides else FeatureConfig(kind)
+# front-end of each kind: (signal, frames, config) -> (cepstra, rows), one
+# cepstral row per analysis frame, or per frame that the boolean mask rows
+# selects
+_FRONT_ENDS = {
+    "mfcc": partial(_filterbank_cepstra, filterbanks.mel_filterbank),
+    "imfcc": partial(_filterbank_cepstra, filterbanks.inverted_mel_filterbank),
+    "scmc": _scmc, "cqcc": _cqcc, "mhec": _mhec, "rps": _rps, "mgd": _mgd,
+    "cosphase": _cosphase,
+}

@@ -189,8 +189,8 @@ def train_stack_plda(model_dir, labels, *, latent_rank, n_iterations,
         seed=derive_seed(derive_seed(root_seed, "ivector", kind), "plda"))
 
 
-def _save_train_ids(model_dir: Path, train_ids):
-    with open(model_dir / TRAIN_IDS, "w", encoding="utf-8") as fh:
+def _save_train_ids(path, train_ids):
+    with open(path, "w", encoding="utf-8") as fh:
         for utt_id in train_ids:
             fh.write(utt_id + "\n")
 
@@ -201,15 +201,18 @@ def _load_train_ids(model_dir: Path):
         raise FileNotFoundError(f"missing {path}: the model directory does "
                                 f"not list its training utterances")
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        train_ids = [line.strip() for line in fh if line.strip()]
+    if not train_ids:
+        raise ValueError(f"{path} lists no training utterances")
+    return train_ids
 
 
 def save_gmm_pair(model_dir, nat, syn, train_ids):
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-    gmm.save_gmm(model_dir / "human.gmm", nat)
-    gmm.save_gmm(model_dir / "spoof.gmm", syn)
-    _save_train_ids(model_dir, train_ids)
+    _write_via_temp(gmm.save_gmm, model_dir / "human.gmm", nat)
+    _write_via_temp(gmm.save_gmm, model_dir / "spoof.gmm", syn)
+    _write_via_temp(_save_train_ids, model_dir / TRAIN_IDS, train_ids)
 
 
 def load_gmm_pair(model_dir):
@@ -225,13 +228,15 @@ def save_ivector_stack(model_dir, stack: IvectorStack, normed, train_ids):
     later PLDA scorer is trained on."""
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-    gmm.save_gmm(model_dir / "ubm.gmm", stack.ubm)
-    ivector.save_tv(model_dir / "tv.stv", stack.tv, stack.ubm.means.shape[0])
-    ivector.save_wccn(model_dir / "wccn.swc", stack.wccn)
-    ivector.save_ivectors(model_dir / "train_ivectors.txt", train_ids, normed)
-    ivector.save_class_means(model_dir / "class_means.txt",
-                             stack.class_means)
-    _save_train_ids(model_dir, train_ids)
+    _write_via_temp(gmm.save_gmm, model_dir / "ubm.gmm", stack.ubm)
+    _write_via_temp(ivector.save_tv, model_dir / "tv.stv", stack.tv,
+                    stack.ubm.means.shape[0])
+    _write_via_temp(ivector.save_wccn, model_dir / "wccn.swc", stack.wccn)
+    _write_via_temp(ivector.save_ivectors, model_dir / "train_ivectors.txt",
+                    train_ids, normed)
+    _write_via_temp(ivector.save_class_means, model_dir / "class_means.txt",
+                    stack.class_means)
+    _write_via_temp(_save_train_ids, model_dir / TRAIN_IDS, train_ids)
 
 
 def load_ivector_stack(model_dir):
@@ -295,15 +300,15 @@ def score_set(rows, scores, kind, backend, condition) -> ScoreSet:
     )
 
 
-def _write_via_temp(write, path: Path, value):
-    """write(tmp, value) to a fresh temp file next to path, then rename it
+def _write_via_temp(write, path: Path, *values):
+    """write(tmp, *values) to a fresh temp file next to path, then rename it
     onto path, so concurrent runs sharing a work dir never share a temp
     file and a reader never sees a partial artifact."""
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
                                dir=path.parent)
     os.close(fd)
     try:
-        write(tmp, value)
+        write(tmp, *values)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

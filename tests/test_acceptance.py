@@ -69,7 +69,7 @@ def test_criterion_02_mfcc_oracle_and_imfcc_flip_consistency():
     machinery with the frequency axis flipped."""
     for i in range(10):
         sig = _voiced_test_signal(0.3, 140.0 + 17.0 * i, i)
-        got = features.extract_mfcc(sig)
+        got = features.extract(sig, features.FeatureConfig("mfcc"))
         ref = mfcc_oracle(sig)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-8
@@ -87,7 +87,7 @@ def test_criterion_02_mfcc_oracle_and_imfcc_flip_consistency():
     flipped_bank = mel.weights[::-1, ::-1].copy()
     for i in (0, 1):
         sig = _voiced_test_signal(0.4, 200.0 + 30.0 * i, 20 + i)
-        got = features.extract_imfcc(sig, cfg)
+        got = features.extract(sig, cfg)
         fm = dsp.frame_signal(sig.samples, RATE)
         power = dsp.power_spectrum(fm, 512)
         keep = dsp.energy_vad(fm)

@@ -67,7 +67,7 @@ class TestFeatureOverrides:
     def test_desk_geometry_sits_under_explicit_overrides(self):
         desk = dict(cfgmod.DESK_FEATURE_OVERRIDES["cqcc"])
         assert cfgmod.feature_config("cqcc") == \
-            features.default_config("cqcc", **desk)
+            features.FeatureConfig("cqcc", **desk)
         cfg = ExperimentConfig(
             feature_overrides=(("cqcc", "cqt_bins_per_octave", 48),))
         got = cfg.feature_config("cqcc")
@@ -75,6 +75,10 @@ class TestFeatureOverrides:
         assert got.cqt_octaves == desk["cqt_octaves"]
         assert got == cfgmod.feature_config("cqcc",
                                             {"cqt_bins_per_octave": 48})
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'mfc'"):
+            ExperimentConfig(feature_overrides=(("mfc", "n_coeffs", 12),))
 
     def test_parse_scalar(self):
         parse = cfgmod._parse_scalar
@@ -114,6 +118,13 @@ class TestIniFile:
         path.write_text("[experiment]\nseed = 1\n"
                         "[feature.mfcc]\nlifter = 22\n")
         with pytest.raises(ValueError):
+            load_config(path)
+
+    def test_misspelled_feature_section_rejected(self, tmp_path):
+        path = tmp_path / "x.ini"
+        path.write_text("[experiment]\nseed = 1\n"
+                        "[feature.mfc]\nn_coeffs = 12\n")
+        with pytest.raises(ValueError, match=r"\[feature\.mfc\]"):
             load_config(path)
 
     def test_none_enhancement_forms(self, tmp_path):

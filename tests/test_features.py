@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoofbench import dsp, features
 from spoofbench.audio import AudioSignal
-from spoofbench.errors import EmptyFeaturesError
+from spoofbench.config import feature_config
+from spoofbench.errors import AlignmentError, EmptyFeaturesError
 
 from reference import (mhec_energies_whole_matrix, naive_dct, naive_dft_matrix,
                        synth_harmonic)
@@ -115,7 +118,7 @@ def mfcc_oracle(signal: AudioSignal, n_coeffs=32, n_filters=32, dft_size=512):
 def test_mfcc_matches_oracle():
     for seed in (0, 1):
         sig = _voiced_test_signal(0.3, 180.0 + 40 * seed, seed)
-        got = features.extract_mfcc(sig)
+        got = features.extract(sig, features.FeatureConfig("mfcc"))
         ref = mfcc_oracle(sig)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-8
@@ -123,8 +126,9 @@ def test_mfcc_matches_oracle():
 
 def test_mfcc_gain_invariant_with_cms():
     sig = _voiced_test_signal()
-    a = features.extract_mfcc(sig)
-    b = features.extract_mfcc(AudioSignal(sig.samples * 4.0, RATE))
+    a = features.extract(sig, features.FeatureConfig("mfcc"))
+    b = features.extract(AudioSignal(sig.samples * 4.0, RATE),
+                         features.FeatureConfig("mfcc"))
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -132,8 +136,8 @@ def test_mfcc_gain_shifts_only_c0_without_cms():
     cfg = features.FeatureConfig("mfcc", add_delta=False, add_deltadelta=False,
                                  apply_cms=False)
     sig = _voiced_test_signal()
-    a = features.extract_mfcc(sig, cfg)
-    b = features.extract_mfcc(AudioSignal(sig.samples * 2.0, RATE), cfg)
+    a = features.extract(sig, cfg)
+    b = features.extract(AudioSignal(sig.samples * 2.0, RATE), cfg)
     shift = b[:, 0] - a[:, 0]
     expected = math.sqrt(32.0) * math.log(4.0)   # sqrt(M) * log(g^2)
     assert np.max(np.abs(shift - expected)) < 1e-8
@@ -144,7 +148,7 @@ def test_imfcc_is_mfcc_of_flipped_spectrum():
     sig = _voiced_test_signal()
     cfg = features.FeatureConfig("imfcc", add_delta=False, add_deltadelta=False,
                                  apply_cms=False)
-    got = features.extract_imfcc(sig, cfg)
+    got = features.extract(sig, cfg)
 
     from spoofbench import filterbanks
     fm = dsp.frame_signal(sig.samples, RATE)
@@ -184,7 +188,7 @@ def test_scmc_flat_spectrum_gives_constant_bands():
 
 def test_scmc_extractor_shape():
     sig = _voiced_test_signal()
-    out = features.extract_scmc(sig)
+    out = features.extract(sig, features.FeatureConfig("scmc"))
     assert out.shape[1] == 96
     assert np.all(np.isfinite(out))
 
@@ -209,7 +213,7 @@ def test_resample_log_spectrum_against_closed_form():
 def test_cqcc_extractor_desk_config():
     cfg = features.FeatureConfig("cqcc", cqt_bins_per_octave=24, cqt_octaves=6)
     sig = _voiced_test_signal()
-    out = features.extract_cqcc(sig, cfg)
+    out = features.extract(sig, cfg)
     assert out.shape[1] == 96
     assert np.all(np.isfinite(out))
 
@@ -217,8 +221,8 @@ def test_cqcc_extractor_desk_config():
 def test_cqcc_deterministic():
     cfg = features.FeatureConfig("cqcc", cqt_bins_per_octave=24, cqt_octaves=6)
     sig = _voiced_test_signal()
-    a = features.extract_cqcc(sig, cfg)
-    b = features.extract_cqcc(sig, cfg)
+    a = features.extract(sig, cfg)
+    b = features.extract(sig, cfg)
     assert np.array_equal(a, b)
 
 
@@ -226,7 +230,7 @@ def test_cqcc_deterministic():
 
 def test_mhec_shape_and_finite():
     sig = _voiced_test_signal()
-    out = features.extract_mhec(sig)
+    out = features.extract(sig, features.FeatureConfig("mhec"))
     assert out.shape[1] == 96
     assert np.all(np.isfinite(out))
 
@@ -254,7 +258,7 @@ def test_mhec_band_energy_tracks_slow_amplitude_modulation():
     am = AudioSignal(0.3 * mod * np.sin(2 * np.pi * 1000 * t), RATE)
     cfg = features.FeatureConfig("mhec", add_delta=False, add_deltadelta=False,
                                  apply_cms=False)
-    feats = features.extract_mhec(am, cfg)
+    feats = features.extract(am, cfg)
     # the orthonormal DCT is invertible: recover the log band energies
     band_log = scipy.fft.idct(feats, type=2, norm="ortho", axis=1)
     from spoofbench import filterbanks
@@ -339,7 +343,7 @@ def test_relative_phase_round_trip():
 
 def test_rps_extractor_drops_unvoiced_and_keeps_dim():
     sig = _voiced_test_signal(0.6)
-    out = features.extract_rps(sig)
+    out = features.extract(sig, features.FeatureConfig("rps"))
     assert out.shape[1] == 32
     assert np.all(np.isfinite(out))
 
@@ -347,7 +351,8 @@ def test_rps_extractor_drops_unvoiced_and_keeps_dim():
 def test_rps_unvoiced_only_signal_raises():
     # too short for a single pitch window -> nothing is voiced
     with pytest.raises(EmptyFeaturesError):
-        features.extract_rps(AudioSignal(0.1 * np.ones(800), RATE))
+        features.extract(AudioSignal(0.1 * np.ones(800), RATE),
+                         features.FeatureConfig("rps"))
 
 
 def test_relative_phase_row_rejects_bad_f0():
@@ -392,7 +397,7 @@ def test_mgd_cepstral_smoothing_smooths():
 
 def test_mgd_extractor_shape():
     sig = _voiced_test_signal()
-    out = features.extract_mgd(sig)
+    out = features.extract(sig, features.FeatureConfig("mgd"))
     assert out.shape[1] == 96
     assert np.all(np.isfinite(out))
 
@@ -409,18 +414,18 @@ def test_cosphase_is_phase_sensitive_where_mfcc_is_not():
     t = np.arange(8000)
     cos_sig = AudioSignal(0.5 * np.cos(2 * np.pi * 1000 * t / RATE), RATE)
     sin_sig = AudioSignal(0.5 * np.sin(2 * np.pi * 1000 * t / RATE), RATE)
-    mf_a = features.extract_mfcc(cos_sig)
-    mf_b = features.extract_mfcc(sin_sig)
-    cp_a = features.extract_cosphase(cos_sig)
-    cp_b = features.extract_cosphase(sin_sig)
+    mf_a = features.extract(cos_sig, features.FeatureConfig("mfcc"))
+    mf_b = features.extract(sin_sig, features.FeatureConfig("mfcc"))
+    cp_a = features.extract(cos_sig, features.FeatureConfig("cosphase"))
+    cp_b = features.extract(sin_sig, features.FeatureConfig("cosphase"))
     assert np.max(np.abs(mf_a - mf_b)) < 1e-6
     assert np.max(np.abs(cp_a - cp_b)) > 0.01
 
 
 def test_cosphase_shape_and_determinism():
     sig = _voiced_test_signal()
-    a = features.extract_cosphase(sig)
-    b = features.extract_cosphase(sig)
+    a = features.extract(sig, features.FeatureConfig("cosphase"))
+    b = features.extract(sig, features.FeatureConfig("cosphase"))
     assert a.shape[1] == 32
     assert np.array_equal(a, b)
 
@@ -445,17 +450,17 @@ def test_external_vad_mask_is_honored():
     full = features.compute_vad_mask(sig, cfg)
     half = full.copy()
     half[::2] = False
-    out = features.extract_mfcc(sig, cfg, vad=half)
+    out = features.extract(sig, cfg, vad=half)
     assert out.shape[0] == int(half.sum())
     with pytest.raises(EmptyFeaturesError):
-        features.extract_mfcc(sig, cfg, vad=np.zeros_like(full))
+        features.extract(sig, cfg, vad=np.zeros_like(full))
 
 
 def test_postprocess_order_deltas_cms_vad():
     sig = _voiced_test_signal()
     cfg = features.FeatureConfig("mfcc")
     vad = features.compute_vad_mask(sig, cfg)
-    got = features.extract_mfcc(sig, cfg, vad=vad)
+    got = features.extract(sig, cfg, vad=vad)
     # manual pipeline in the contractual order
     fm = dsp.frame_signal(sig.samples, RATE)
     from spoofbench import filterbanks
@@ -467,4 +472,53 @@ def test_postprocess_order_deltas_cms_vad():
 
 def test_signal_too_short_raises():
     with pytest.raises(EmptyFeaturesError):
-        features.extract_mfcc(AudioSignal(np.ones(100), RATE))
+        features.extract(AudioSignal(np.ones(100), RATE),
+                         features.FeatureConfig("mfcc"))
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("extra", [7, -7])
+def test_vad_mask_of_wrong_length_raises(kind, extra):
+    sig = _voiced_test_signal()
+    cfg = features.FeatureConfig(kind)
+    n_frames = len(features.compute_vad_mask(sig, cfg))
+    wrong = np.ones(n_frames + extra, dtype=bool)
+    with pytest.raises(AlignmentError, match=f"VAD mask has {n_frames + extra} "
+                                             f"frames, features have {n_frames}"):
+        features.extract(sig, cfg, vad=wrong)
+
+
+def _edge_signal(case, n, rate):
+    t = np.arange(n) / rate
+    if case == "sub-frame":
+        n = min(n, dsp.frame_length_samples(20.0, rate) - 1)
+        return _edge_signal("clipped", n, rate)
+    if case == "silent":
+        return AudioSignal(np.zeros(n), rate)
+    if case == "dc":
+        return AudioSignal(np.full(n, 0.5), rate)
+    if case == "clipped":
+        return AudioSignal(np.clip(3.0 * np.sin(2 * np.pi * 220.0 * t), -1.0, 1.0),
+                           rate)
+    x = np.zeros(n)
+    x[n // 2:n // 2 + 1] = 1.0
+    return AudioSignal(x, rate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(["sub-frame", "silent", "dc", "clipped", "impulse"]),
+       kind=st.sampled_from(features.FEATURE_KINDS),
+       rate=st.sampled_from([8000, 16000]), n=st.integers(0, 6400))
+def test_edge_inputs_raise_value_errors_or_give_finite_features(case, kind,
+                                                                rate, n):
+    """Degenerate audio ends in a ValueError-family error or in finite
+    features of the configured width, never in a numpy RuntimeWarning."""
+    cfg = feature_config(kind)   # desk CQT geometry keeps the kernel small
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = features.extract(_edge_signal(case, n, rate), cfg)
+        except ValueError:
+            return
+    assert out.shape[1] == cfg.dimension
+    assert np.all(np.isfinite(out))

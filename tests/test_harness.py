@@ -196,7 +196,7 @@ class TestCleanVad:
     def test_noisy_features_use_clean_frame_selection(self, corpus):
         root, man = corpus
         row = man.subset("eval").rows[0]
-        fcfg = features.default_config("mfcc")
+        fcfg = features.FeatureConfig("mfcc")
         clean = read_wav(root / row.wav_path)
         noisy = harness.prepare_signal(clean, row.utt_id,
                                        GridCell("white", 0.0), None, 11)
@@ -214,7 +214,7 @@ class TestCleanVad:
         to do, and that source is framed by its own voicing decisions."""
         root, man = corpus
         row = man.subset("eval").rows[0]
-        fcfg = features.default_config("mfcc")
+        fcfg = features.FeatureConfig("mfcc")
         clean = read_wav(root / row.wav_path)
         signal = harness.prepare_signal(clean, row.utt_id, GridCell(), None,
                                         11)
@@ -229,7 +229,7 @@ class TestBuildingBlocks:
     def test_train_gmm_pair_and_stack(self, corpus):
         root, man = corpus
         rows = man.subset("train").rows
-        cfg = features.default_config("mfcc")
+        cfg = features.FeatureConfig("mfcc")
         feats = {r.utt_id: features.extract(read_wav(root / r.wav_path),
                                             cfg) for r in rows}
         nat, syn = harness.train_gmm_pair(feats, rows, 4, 3, 0, "mfcc")
@@ -327,6 +327,42 @@ class TestTempFiles:
         assert left == cached | {p.relative_to(work) for p in planted}
         for a, b in zip(ref.rows, result.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
+
+
+class TestModelDirs:
+    def test_every_file_is_renamed_into_place_marker_last(
+            self, corpus, tmp_path, monkeypatch):
+        """Each model file arrives by rename from a temp file, and the
+        training list, which marks a directory complete, arrives last."""
+        root, man = corpus
+        renamed = []
+        replace = harness.os.replace
+
+        def recording(src, dst):
+            dst = harness.Path(dst)
+            renamed.append((dst, (dst.parent / harness.TRAIN_IDS).exists()))
+            return replace(src, dst)
+
+        monkeypatch.setattr(harness.os, "replace", recording)
+        work = tmp_path / "w"
+        run_experiment(_config(backends=("gmm", "ivector-cosine")), man, work,
+                       wav_root=root)
+        model_dirs = sorted((work / "cache" / "models").iterdir())
+        assert len(model_dirs) == 2
+        listing = "".join(r.utt_id + "\n" for r in man.subset("train").rows)
+        for model_dir in model_dirs:
+            mine = [(dst, seen) for dst, seen in renamed
+                    if dst.parent == model_dir]
+            assert {dst for dst, _ in mine} == set(model_dir.iterdir())
+            assert mine[-1][0].name == harness.TRAIN_IDS
+            assert not any(seen for _, seen in mine)
+            assert (model_dir / harness.TRAIN_IDS).read_text() == listing
+
+    def test_empty_training_list_is_refused(self, tmp_path):
+        model = gmm.GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
+        harness.save_gmm_pair(tmp_path / "m", model, model, [])
+        with pytest.raises(ValueError, match="no training utterances"):
+            harness.load_gmm_pair(tmp_path / "m")
 
 
 class TestTestAudio:

@@ -85,7 +85,7 @@ class TestSignals:
     def test_vowel_f0_in_band(self, corpus):
         root, man = corpus
         humans = [r for r in man if r.label == "human"][:3]
-        cfg = features.default_config("rps")
+        cfg = features.FeatureConfig("rps")
         for row in humans:
             track = features.estimate_f0(read_wav(root / row.wav_path), cfg)
             voiced = track.f0[track.voiced]
