@@ -9,8 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-REFERENCE_RATE = 16000
-
 _FEATURE_MAGIC = b"SPBF1"
 
 

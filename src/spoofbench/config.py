@@ -147,6 +147,16 @@ def _parse_scalar(raw: str):
 _FEATURE_FIELDS = {f.name for f in fields(features.FeatureConfig)
                    if f.name != "kind"}
 
+# the keys load_config reads from each fixed section
+_SECTION_KEYS = {
+    "experiment": {"name", "seed", "features", "backends", "enhancement",
+                   "fusion"},
+    "grid": {"cells"},
+    "gmm": {"components", "iterations"},
+    "ivector": {"ubm_components", "rank", "tv_iterations", "plda_latent",
+                "plda_iterations"},
+}
+
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
@@ -154,11 +164,31 @@ def load_config(path) -> ExperimentConfig:
         parser.read_file(fh)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
+    overrides = []
+    for section in parser.sections():
+        kind = None
+        if section.startswith("feature."):
+            kind = section.split(".", 1)[1]
+            if kind not in features.FEATURE_KINDS:
+                raise ValueError(f"{path}: unknown feature kind {kind!r} "
+                                 f"in [{section}]")
+            known = _FEATURE_FIELDS
+        elif section in _SECTION_KEYS:
+            known = _SECTION_KEYS[section]
+        else:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key, raw in parser[section].items():
+            if key not in known:
+                raise ValueError(f"{path}: unknown key {key!r} in "
+                                 f"[{section}]")
+            if kind is not None:
+                overrides.append((kind, key, _parse_scalar(raw)))
     exp = parser["experiment"]
 
     kwargs = {
         "name": exp.get("name", "experiment"),
         "seed": exp.getint("seed", 0),
+        "feature_overrides": tuple(overrides),
     }
     if "features" in exp:
         kwargs["features"] = tuple(exp["features"].split())
@@ -174,21 +204,6 @@ def load_config(path) -> ExperimentConfig:
     if "grid" in parser and "cells" in parser["grid"]:
         cells = parser["grid"]["cells"].split()
         kwargs["grid"] = tuple(parse_grid_cell(c) for c in cells)
-
-    overrides = []
-    for section in parser.sections():
-        if not section.startswith("feature."):
-            continue
-        kind = section.split(".", 1)[1]
-        if kind not in features.FEATURE_KINDS:
-            raise ValueError(f"{path}: unknown feature kind {kind!r} "
-                             f"in [{section}]")
-        for key, raw in parser[section].items():
-            if key not in _FEATURE_FIELDS:
-                raise ValueError(f"{path}: unknown feature field {key!r} "
-                                 f"in [{section}]")
-            overrides.append((kind, key, _parse_scalar(raw)))
-    kwargs["feature_overrides"] = tuple(overrides)
 
     if "gmm" in parser:
         g = parser["gmm"]

@@ -1,9 +1,9 @@
 """Detection metrics: EER on the ROC convex hull, DET curve points,
 per-attack aggregation, and long-term average spectrum diagnostics.
 
-A report builds its EER and its DET points from one vectorised sweep of
-the step ROC (a sort and a `searchsorted` per class), costing O(n log n)
-in the trial count.
+A report's EER comes from one vectorised sweep of the step ROC (a sort
+and a `searchsorted` per class), costing O(n log n) in the trial count;
+DET points are computed on demand by `det_points`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .scores import HUMAN, SPOOF, ScoreSet
 @dataclass(frozen=True)
 class EvalReport:
     eer_percent: float
-    det_points: tuple        # ((p_miss, p_fa), ...) ordered by threshold
     n_target: int
     n_nontarget: int
     grouping: str = "pooled"
@@ -77,10 +76,6 @@ def _hull_eer(vertices) -> float:
     return hull[-1][0] if hull[-1][1] == hull[-1][0] else 0.0
 
 
-def _det(vertices):
-    return [(p_miss, p_fa) for p_fa, p_miss in vertices]
-
-
 def rocch_eer(target_scores, nontarget_scores) -> float:
     """EER as the intersection of the ROC convex hull with p_miss = p_fa.
 
@@ -91,14 +86,14 @@ def rocch_eer(target_scores, nontarget_scores) -> float:
 
 def det_points(target_scores, nontarget_scores):
     """(p_miss, p_fa) operating points ordered by rising threshold."""
-    return _det(_roc_vertices(target_scores, nontarget_scores))
+    return [(p_miss, p_fa) for p_fa, p_miss
+            in _roc_vertices(target_scores, nontarget_scores)]
 
 
 def _report(tar, non, grouping) -> EvalReport:
-    """EER and DET points of one (targets, non-targets) pair, one sweep."""
-    vertices = _roc_vertices(tar, non)
-    return EvalReport(100.0 * _hull_eer(vertices), tuple(_det(vertices)),
-                      tar.size, non.size, grouping)
+    """EER of one (targets, non-targets) pair, from one ROC sweep."""
+    return EvalReport(100.0 * rocch_eer(tar, non), tar.size, non.size,
+                      grouping)
 
 
 def compute_eer_rocch(scores: ScoreSet, grouping="pooled") -> EvalReport:

@@ -149,24 +149,6 @@ class GammatoneBank:
                 out[i] = scipy.signal.sosfilt(sections, x)
         return out
 
-    def impulse_responses(self, n_samples: int) -> np.ndarray:
-        impulse = np.zeros(n_samples)
-        impulse[0] = 1.0
-        return self.filter(impulse)
-
-    def frequency_response(self, n_points: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-        """Magnitude response per channel on a linear grid up to Nyquist."""
-        freqs = np.linspace(0.0, self.sample_rate / 2.0, n_points)
-        w = 2.0 * np.pi * freqs / self.sample_rate
-        resp = np.ones((self.n_filters, n_points), dtype=complex)
-        z = np.exp(-1j * w)
-        for i in range(self.n_filters):
-            den = self.feedback[i, 0] + self.feedback[i, 1] * z + self.feedback[i, 2] * z ** 2
-            for s in range(4):
-                num = self.forward[i, s, 0] + self.forward[i, s, 1] * z + self.forward[i, s, 2] * z ** 2
-                resp[i] *= num / den
-        return freqs, np.abs(resp)
-
 
 def gammatone_bank(sample_rate: int, n_filters: int = 32,
                    f_lo: float = 100.0, f_hi: float = 8000.0) -> GammatoneBank:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +43,7 @@ from .fusion import (apply_fusion, fuse_average, save_fusion,
                      train_logistic_fusion)
 from .manifest import Manifest
 from .noiselab import make_noise, mix_at_snr
-from .scores import HUMAN, ScoreSet, write_scores
+from .scores import HUMAN, NO_ATTACK, ScoreSet, write_scores
 
 # salt of every feature and model cache key: bump it whenever a change
 # alters the bytes an extractor writes, so an old work dir re-extracts
@@ -234,8 +234,10 @@ def save_ivector_stack(model_dir, stack: IvectorStack, normed, train_ids):
     _write_via_temp(ivector.save_wccn, model_dir / "wccn.swc", stack.wccn)
     _write_via_temp(ivector.save_ivectors, model_dir / "train_ivectors.txt",
                     train_ids, normed)
-    _write_via_temp(ivector.save_class_means, model_dir / "class_means.txt",
-                    stack.class_means)
+    labels = sorted(stack.class_means)
+    _write_via_temp(ivector.save_ivectors, model_dir / "class_means.txt",
+                    labels, [stack.class_means[c] for c in labels],
+                    "# i-vector class means")
     _write_via_temp(_save_train_ids, model_dir / TRAIN_IDS, train_ids)
 
 
@@ -246,8 +248,8 @@ def load_ivector_stack(model_dir):
     stack = IvectorStack(gmm.load_gmm(model_dir / "ubm.gmm"),
                          ivector.load_tv(model_dir / "tv.stv"),
                          ivector.load_wccn(model_dir / "wccn.swc"),
-                         ivector.load_class_means(model_dir /
-                                                  "class_means.txt"))
+                         dict(zip(*ivector.load_ivectors(
+                             model_dir / "class_means.txt"))))
     return stack, train_ids
 
 
@@ -303,10 +305,11 @@ def score_set(rows, scores, kind, backend, condition) -> ScoreSet:
 def _write_via_temp(write, path: Path, *values):
     """write(tmp, *values) to a fresh temp file next to path, then rename it
     onto path, so concurrent runs sharing a work dir never share a temp
-    file and a reader never sees a partial artifact."""
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                               dir=path.parent)
-    os.close(fd)
+    file and a reader never sees a partial artifact.  The temp file is
+    created as open(path, "w") would create it, so the artifact gets the
+    mode of the process umask."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write(tmp, *values)
         os.replace(tmp, path)
@@ -323,6 +326,9 @@ class SystemResult:
     subset: str
     scores_path: Path
     report: EvalReport
+    # for an eval subset with several attacks, ((attack, eer_percent), ...)
+    # sorted by attack, then ("macro-average", eer_percent); else ()
+    per_attack: tuple
 
 
 @dataclass(frozen=True)
@@ -507,101 +513,102 @@ class _Runner:
         return {b: score_set(rows, scores[b], kind, b, cond)
                 for b in backends}
 
+    # -- fusion and results ------------------------------------------------
+
+    def _fuse(self, method, cond, backend, sets, subsets) -> dict:
+        """{subset: fused ScoreSet} of one back-end's per-feature systems,
+        read from sets[backend, subset, kind].  Logistic fusion is trained
+        on dev, and its model is saved under models/fusion/."""
+        kinds = list(self.config.features)
+        inputs = {subset: [sets[backend, subset, k] for k in kinds]
+                  for subset in subsets}
+        if method == "average":
+            return {subset: fuse_average(x) for subset, x in inputs.items()}
+        model = train_logistic_fusion(inputs["dev"], system_ids=kinds)
+        fus_dir = self.work_dir / "models" / "fusion"
+        fus_dir.mkdir(parents=True, exist_ok=True)
+        save_fusion(fus_dir / f"{cond}.{backend}.logistic.txt", model)
+        return {subset: apply_fusion(model, x) for subset, x in inputs.items()}
+
+    def _result(self, cond, backend, system, subset,
+                scores: ScoreSet) -> SystemResult:
+        """Write one system's score file and evaluate it; an eval subset
+        with more than one attack also gets its per-attack EERs."""
+        out_dir = self.work_dir / "scores" / cond / backend
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / f"{system}.{subset}.tsv"
+        write_scores(path, scores)
+        report = compute_eer_rocch(scores)
+        per_attack = ()
+        if subset == "eval" and len(set(scores.attack_ids) - {NO_ATTACK}) > 1:
+            reports, macro = per_attack_eers(scores)
+            eers = [(a, reports[a].eer_percent) for a in sorted(reports)]
+            per_attack = tuple(eers + [("macro-average", macro)])
+        return SystemResult(cond, backend, system, subset, path, report,
+                            per_attack)
+
     # -- the full grid -----------------------------------------------------
 
     def run(self) -> ExperimentResult:
         cfg = self.config
-        if "logistic" in cfg.fusion and not self.manifest.subset("dev").rows:
+        subsets = {name: rows for name in ("dev", "eval")
+                   if (rows := self.manifest.subset(name).rows)}
+        if "logistic" in cfg.fusion and "dev" not in subsets:
             raise ValueError("logistic fusion needs a dev subset in the "
                              "manifest")
+        # per back-end: each feature's systems subset by subset, then each
+        # fusion method's
+        systems = ([(subset, kind) for subset in subsets
+                    for kind in cfg.features]
+                   + [(subset, f"fusion-{method}") for method in cfg.fusion
+                      for subset in subsets])
         results = []
-        per_attack_rows = []
-
-        def emit(cell, backend, system, subset, scores: ScoreSet):
-            cond = condition_tag(cell, cfg.enhancement)
-            out_dir = self.work_dir / "scores" / cond / backend
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / f"{system}.{subset}.tsv"
-            write_scores(path, scores)
-            report = compute_eer_rocch(scores)
-            results.append(SystemResult(cond, backend, system, subset,
-                                        path, report))
-            attacks = {a for a in scores.attack_ids if a != "-"}
-            if subset == "eval" and len(attacks) > 1:
-                per_attack, macro = per_attack_eers(scores)
-                for attack in sorted(per_attack):
-                    per_attack_rows.append((cond, backend, system, subset,
-                                            attack,
-                                            per_attack[attack].eer_percent))
-                per_attack_rows.append((cond, backend, system, subset,
-                                        "macro-average", macro))
-
-        subsets = [(name, self.manifest.subset(name).rows)
-                   for name in ("dev", "eval")]
-        subsets = [(name, rows) for name, rows in subsets if rows]
-
         for cell in cfg.grid:
             self._prepared = {}
+            cond = condition_tag(cell, cfg.enhancement)
             # every back-end is scored from one pass over each (subset,
             # feature), which holds one subset's frames at a time
-            by_backend = {backend: {subset: {} for subset, _ in subsets}
-                          for backend in cfg.backends}
-            for subset, rows in subsets:
+            sets = {}
+            for subset, rows in subsets.items():
                 for kind in cfg.features:
                     for backend, scores in self._subset_scores(
                             rows, kind, cell).items():
-                        by_backend[backend][subset][kind] = scores
+                        sets[backend, subset, kind] = scores
             for backend in cfg.backends:
-                per_subset_sets = by_backend[backend]
-                for subset, _ in subsets:
-                    for kind in cfg.features:
-                        emit(cell, backend, kind, subset,
-                             per_subset_sets[subset][kind])
-
                 for method in cfg.fusion:
-                    ordered = list(cfg.features)
-                    if method == "average":
-                        for subset, _ in subsets:
-                            sets = per_subset_sets[subset]
-                            fused = fuse_average([sets[k] for k in ordered])
-                            emit(cell, backend, "fusion-average", subset,
-                                 fused)
-                    elif method == "logistic":
-                        dev_sets = [per_subset_sets["dev"][k]
-                                    for k in ordered]
-                        model = train_logistic_fusion(dev_sets,
-                                                      system_ids=ordered)
-                        cond = condition_tag(cell, cfg.enhancement)
-                        fus_dir = self.work_dir / "models" / "fusion"
-                        fus_dir.mkdir(parents=True, exist_ok=True)
-                        save_fusion(fus_dir / f"{cond}.{backend}.logistic.txt",
-                                    model)
-                        for subset, _ in subsets:
-                            sets = [per_subset_sets[subset][k]
-                                    for k in ordered]
-                            fused = apply_fusion(model, sets)
-                            emit(cell, backend, "fusion-logistic", subset,
-                                 fused)
-
+                    for subset, fused in self._fuse(method, cond, backend,
+                                                    sets, subsets).items():
+                        sets[backend, subset, f"fusion-{method}"] = fused
+                results += [self._result(cond, backend, system, subset,
+                                         sets[backend, subset, system])
+                            for subset, system in systems]
         self.work_dir.mkdir(parents=True, exist_ok=True)
-        summary_path = self.work_dir / "summary.tsv"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("condition\tbackend\tsystem\tsubset\teer_percent\t"
-                     "n_target\tn_nontarget\n")
+        return ExperimentResult(self.work_dir, tuple(results),
+                                _write_tables(self.work_dir, results))
+
+
+def _write_tables(work_dir: Path, results) -> Path:
+    """summary.tsv, one row per result, and per_attack.tsv, one row per
+    attack EER of each result that has them (written only if one has);
+    returns the summary's path."""
+    def key(r):
+        return f"{r.cell_tag}\t{r.backend}\t{r.system}\t{r.subset}"
+
+    summary_path = work_dir / "summary.tsv"
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write("condition\tbackend\tsystem\tsubset\teer_percent\t"
+                 "n_target\tn_nontarget\n")
+        for r in results:
+            fh.write(f"{key(r)}\t{r.report.eer_percent:.4f}\t"
+                     f"{r.report.n_target}\t{r.report.n_nontarget}\n")
+    if any(r.per_attack for r in results):
+        with open(work_dir / "per_attack.tsv", "w", encoding="utf-8") as fh:
+            fh.write("condition\tbackend\tsystem\tsubset\tattack\t"
+                     "eer_percent\n")
             for r in results:
-                fh.write(f"{r.cell_tag}\t{r.backend}\t{r.system}\t"
-                         f"{r.subset}\t{r.report.eer_percent:.4f}\t"
-                         f"{r.report.n_target}\t{r.report.n_nontarget}\n")
-        if per_attack_rows:
-            with open(self.work_dir / "per_attack.tsv", "w",
-                      encoding="utf-8") as fh:
-                fh.write("condition\tbackend\tsystem\tsubset\tattack\t"
-                         "eer_percent\n")
-                for cond, backend, system, subset, attack, eer \
-                        in per_attack_rows:
-                    fh.write(f"{cond}\t{backend}\t{system}\t{subset}\t"
-                             f"{attack}\t{eer:.4f}\n")
-        return ExperimentResult(self.work_dir, tuple(results), summary_path)
+                for attack, eer in r.per_attack:
+                    fh.write(f"{key(r)}\t{attack}\t{eer:.4f}\n")
+    return summary_path
 
 
 def run_experiment(config: ExperimentConfig, manifest: Manifest, work_dir,

@@ -393,51 +393,37 @@ def load_plda(path) -> PldaModel:
     return PldaModel(mu, factors, sigma)
 
 
-def save_class_means(path, means: dict):
-    """Plain-text class representatives: one `label v1 v2 ...` per line."""
-    with open(path, "w") as fh:
-        fh.write("# i-vector class means\n")
-        for label in sorted(means):
-            vec = " ".join(f"{v:.17g}" for v in np.asarray(means[label]))
-            fh.write(f"{label} {vec}\n")
-
-
-def save_ivectors(path, utt_ids, ivectors):
-    """Per-utterance embeddings in the same text layout as class means."""
+def save_ivectors(path, labels, ivectors, header="# i-vectors"):
+    """Labelled vectors as plain text: the header line, then one
+    `label v1 v2 ...` line per vector, 17 significant digits each, so the
+    values read back exactly."""
     ivectors = np.atleast_2d(np.asarray(ivectors, dtype=np.float64))
-    if len(utt_ids) != ivectors.shape[0]:
-        raise ValueError("one utterance id per i-vector required")
+    if len(labels) != ivectors.shape[0]:
+        raise ValueError("one label per i-vector required")
     with open(path, "w") as fh:
-        fh.write("# i-vectors\n")
-        for utt_id, vec in zip(utt_ids, ivectors):
+        fh.write(header + "\n")
+        for label, vec in zip(labels, ivectors):
             joined = " ".join(f"{v:.17g}" for v in vec)
-            fh.write(f"{utt_id} {joined}\n")
+            fh.write(f"{label} {joined}\n")
 
 
 def load_ivectors(path):
-    utt_ids, rows = [], []
+    """(labels, (N, D) array) of a save_ivectors file."""
+    labels, rows = [], []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for ln, line in enumerate(fh, start=1):
             parts = line.split()
-            utt_ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            if not parts or parts[0].startswith("#"):
+                continue
+            try:
+                row = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{ln}: {len(row)} values, earlier "
+                                 f"rows have {len(rows[0])}")
+            labels.append(parts[0])
+            rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: no i-vectors found")
-    return utt_ids, np.array(rows)
-
-
-def load_class_means(path) -> dict:
-    means = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            means[parts[0]] = np.array([float(v) for v in parts[1:]])
-    if not means:
-        raise ValueError(f"{path}: no class means found")
-    return means
+        raise ValueError(f"{path}: no vectors found")
+    return labels, np.array(rows)

@@ -21,6 +21,17 @@ class ManifestRow:
     subset: str = "train"
 
     def __post_init__(self):
+        # ids name cache files and fill space-separated text files
+        for name in ("utt_id", "attack_id"):
+            value = getattr(self, name)
+            if not value or any(c.isspace() for c in value):
+                raise ValueError(f"row {self.utt_id!r} ({self.wav_path}): "
+                                 f"{name} must be non-empty with no "
+                                 f"whitespace, got {value!r}")
+        if ("/" in self.utt_id or "\\" in self.utt_id
+                or self.utt_id in (".", "..")):
+            raise ValueError(f"row {self.utt_id!r} ({self.wav_path}): "
+                             f"utt_id must not be a path")
         if self.label not in (HUMAN, SPOOF):
             raise ValueError(f"{self.utt_id}: label must be human or spoof, "
                              f"got {self.label!r}")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from spoofbench import config as cfgmod
@@ -126,6 +128,30 @@ class TestIniFile:
                         "[feature.mfc]\nn_coeffs = 12\n")
         with pytest.raises(ValueError, match=r"\[feature\.mfc\]"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("[gmm]\ncomponent = 4\n", r"'component' in \[gmm\]"),
+        ("[gmms]\ncomponents = 4\n", r"\[gmms\]"),
+        ("[grid]\ncell = clean\n", r"'cell' in \[grid\]"),
+        ("[ivector]\ntv_rank = 4\n", r"'tv_rank' in \[ivector\]"),
+        ("feature = mfcc\n", r"'feature' in \[experiment\]"),
+    ], ids=["gmm-key", "section", "grid-key", "ivector-key", "experiment-key"])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, where):
+        path = tmp_path / "x.ini"
+        path.write_text("[experiment]\nseed = 1\n" + text)
+        with pytest.raises(ValueError, match=where):
+            load_config(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "experiment.ini"
+        path.write_text(example, encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.features == ("mfcc", "cqcc", "cosphase")
+        assert cfg.fusion == ("average",)
+        assert cfg.gmm_components == 32
 
     def test_none_enhancement_forms(self, tmp_path):
         path = tmp_path / "x.ini"

@@ -202,8 +202,8 @@ class TestSingleSweep:
                         ["human", "human", "spoof", "spoof"])
         report = ev.compute_eer_rocch(s)
         assert sweeps == [2]
-        assert report.det_points == tuple(ev.det_points([2.0, 0.0],
-                                                        [1.0, -1.0]))
+        assert report.eer_percent == 100.0 * ev.rocch_eer([2.0, 0.0],
+                                                          [1.0, -1.0])
 
     def test_per_attack_sweeps_once_per_attack(self, sweeps):
         s = make_scores([4.0, 3.5, 0.0, -1.0, 3.9, 3.6, 2.0],

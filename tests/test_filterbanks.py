@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
 from spoofbench import filterbanks as fb
@@ -101,7 +102,9 @@ def test_gammatone_center_spacing():
 
 def test_gammatone_unit_peak_response():
     bank = fb.gammatone_bank(RATE)
-    freqs, mag = bank.frequency_response(8192)
+    freqs = np.linspace(0.0, RATE / 2.0, 8192)
+    mag = np.abs([scipy.signal.sosfreqz(sos, worN=freqs, fs=RATE)[1]
+                  for sos in bank.sos])
     peaks = mag.max(axis=1)
     # unity gain at the center within 1 dB
     assert np.all(peaks > 10 ** (-1.0 / 20.0))
@@ -125,7 +128,9 @@ def test_gammatone_routes_tone_to_matching_channel():
 
 def test_gammatone_impulse_responses_decay():
     bank = fb.gammatone_bank(RATE)
-    ir = bank.impulse_responses(4096)
+    impulse = np.zeros(4096)
+    impulse[0] = 1.0
+    ir = bank.filter(impulse)
     head = np.sum(ir[:, :2048] ** 2, axis=1)
     tail = np.sum(ir[:, 2048:] ** 2, axis=1)
     assert np.all(tail < 0.01 * head)

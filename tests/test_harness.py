@@ -1,4 +1,6 @@
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -329,6 +331,26 @@ class TestTempFiles:
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
 
 
+class TestFileModes:
+    def test_cache_files_get_the_umask_default_mode(self, corpus, tmp_path):
+        """Cached features, models and PLDA scorers are created as open()
+        creates a file, so under umask 022 any user can read them."""
+        root, man = corpus
+        old = os.umask(0o022)
+        try:
+            run_experiment(_config(backends=("gmm", "ivector-plda")), man,
+                           tmp_path / "w", wav_root=root)
+        finally:
+            os.umask(old)
+        cache = tmp_path / "w" / "cache"
+        for pattern in ("features/*/*.spbf", "models/*/human.gmm",
+                        "models/*/plda.*.spl"):
+            paths = list(cache.glob(pattern))
+            assert paths, pattern
+            for path in paths:
+                assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+
+
 class TestModelDirs:
     def test_every_file_is_renamed_into_place_marker_last(
             self, corpus, tmp_path, monkeypatch):
@@ -399,7 +421,7 @@ class TestModelReuse:
 
         loaders = ((gmm, "load_gmm"), (ivector, "load_tv"),
                    (ivector, "load_wccn"), (ivector, "load_plda"),
-                   (ivector, "load_class_means"))
+                   (ivector, "load_ivectors"))
         calls = {name: _counting(monkeypatch, module, name)
                  for module, name in loaders + ((ivector, "gram_blocks"),)}
 

@@ -463,14 +463,22 @@ class TestSerialization:
         means = {"human": np.array([0.25, -1.5]),
                  "spoof": np.array([1e-17, 3.0])}
         path = tmp_path / "means.txt"
-        iv.save_class_means(path, means)
-        back = iv.load_class_means(path)
+        iv.save_ivectors(path, sorted(means),
+                         [means[k] for k in sorted(means)],
+                         "# i-vector class means")
+        back = dict(zip(*iv.load_ivectors(path)))
         assert set(back) == set(means)
         for k in means:
             assert np.allclose(back[k], means[k], rtol=0, atol=0)
+
+    def test_ragged_vectors_rejected_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "train_ivectors.txt"
+        path.write_text("# i-vectors\na 1 0.5 2\nb 0.25 3\n")
+        with pytest.raises(ValueError, match=r"train_ivectors\.txt:3"):
+            iv.load_ivectors(path)
 
     def test_empty_class_means_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
-            iv.load_class_means(path)
+            iv.load_ivectors(path)

@@ -30,6 +30,19 @@ class TestRow:
         with pytest.raises(ValueError):
             ManifestRow("u", "u.wav", "spoof", "-", "train")
 
+    @pytest.mark.parametrize("utt_id, attack_id", [
+        ("", "vc16"), ("a 1", "vc16"), ("a\t1", "vc16"), ("a/1", "vc16"),
+        ("a\\1", "vc16"), (".", "vc16"), ("..", "vc16"), ("../u", "vc16"),
+        ("u", ""), ("u", "vc 16"),
+    ])
+    def test_ids_that_break_files_are_rejected(self, utt_id, attack_id):
+        with pytest.raises(ValueError, match="u.wav"):
+            ManifestRow(utt_id, "u.wav", "spoof", attack_id, "train")
+
+    @pytest.mark.parametrize("utt_id", ["train-0001", "u.1", "a..b"])
+    def test_plain_ids_pass(self, utt_id):
+        assert ManifestRow(utt_id, "u.wav", "spoof", "vc16").utt_id == utt_id
+
 
 class TestManifest:
     def test_duplicate_ids_rejected(self):
