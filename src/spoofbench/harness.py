@@ -15,10 +15,10 @@ files a run writes.
 Caching notes: every artifact lives under a directory named by a hash of
 exactly the settings that influence its bytes, so re-running a config
 reuses everything and changing one knob invalidates only what depends on
-it.  Test audio is not cached: it is prepared in memory, once per cell
-and utterance, and only when a feature file is missing.  Each preparation
-step rounds its output to the 16-bit PCM grid, as a WAV file would store
-it, so warm and cold runs stay bit-identical.
+it.  One stage extracts every missing feature file before any training or
+scoring, one job per (condition, utterance) across min(jobs, usable CPUs)
+forked workers; a job prepares its test audio in memory, rounded to 16-bit
+PCM at each step, so neither a worker count nor a warm cache changes a byte.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from __future__ import annotations
 import hashlib
 import os
 import secrets
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,44 @@ def extract_test_features(signal: AudioSignal, cfg: features.FeatureConfig,
     selection; clean itself selects its own frames."""
     vad = None if signal is clean else features.compute_vad_mask(clean, cfg)
     return features.extract(signal, cfg, vad=vad)
+
+
+def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
+                 todo):
+    """One (condition, utterance) of the extraction stage: prepare its test
+    audio once, then extract and write each (kind, config, path) of todo;
+    an error is re-raised naming the utterance, feature and condition."""
+    kind = ",".join(k for k, _, _ in todo)
+    try:
+        clean = read_wav(wav_path)
+        signal = prepare_signal(clean, utt_id, cell, enhancement, root_seed)
+        for kind, cfg, path in todo:
+            _write_via_temp(write_features, path,
+                            extract_test_features(signal, cfg, clean))
+    except Exception as exc:
+        raise type(exc)(f"{exc} (utterance {utt_id}, feature {kind}, condition"
+                        f" {condition_tag(cell, enhancement)})") from exc
+
+
+def _worker_count(n_jobs: int) -> int:
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return min(n_jobs, len(cpus) or 1)
+
+
+def _run_jobs(jobs):
+    """Run extraction jobs; the first failure in job order cancels the jobs
+    not yet started and is re-raised once the pool has shut down."""
+    n = _worker_count(len(jobs))
+    if n <= 1 or "fork" not in get_all_start_methods():
+        for job in jobs:
+            _extract_job(*job)
+        return
+    pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
+    try:
+        for future in [pool.submit(_extract_job, *job) for job in jobs]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # -- models -----------------------------------------------------------------
@@ -365,48 +405,49 @@ class _Runner:
             f"{r.utt_id},{r.wav_path},{r.label},{r.attack_id},{r.subset},"
             f"{hashlib.sha256(self._paths[r.utt_id].read_bytes()).hexdigest()}"
             for r in manifest))
-        self._signal_cache = {}
-        self._prepared = {}
         self._models = {}
         self._train_frames = (None, {})
 
     # -- audio and features ------------------------------------------------
 
-    def _source(self, row) -> AudioSignal:
-        if row.utt_id not in self._signal_cache:
-            self._signal_cache[row.utt_id] = read_wav(self._paths[row.utt_id])
-        return self._signal_cache[row.utt_id]
+    def _feature_dir(self, kind: str, cell: GridCell, enhancement) -> Path:
+        key = _stage_hash("features", self.corpus_fp, self.config.seed,
+                          cell.tag, enhancement or "-",
+                          _feature_text(self.config.feature_config(kind)))
+        return self.cache / "features" / key
 
-    def _signal(self, row, cell: GridCell, enhancement) -> AudioSignal:
-        """prepare_signal of one utterance, kept in memory until the grid
-        moves on to the next cell, so each (cell, utterance) is mixed and
-        enhanced at most once per run."""
-        key = (condition_tag(cell, enhancement), row.utt_id)
-        if key not in self._prepared:
-            self._prepared[key] = prepare_signal(
-                self._source(row), row.utt_id, cell, enhancement,
-                self.config.seed)
-        return self._prepared[key]
+    def _extraction_jobs(self, scored) -> list:
+        """_extract_job arguments of each (condition, utterance) lacking a
+        feature file; training features count only for a feature whose GMM
+        pair or i-vector stack is missing.  Lists each directory once."""
+        cfg = self.config
+        stacks = {"gmm" if b == "gmm" else "ivector" for b in cfg.backends}
+        wanted = {   # (cell, enhancement, kind) -> rows
+            (GridCell(), None, kind): list(self.manifest.subset("train").rows)
+            for kind in cfg.features if not all(
+                (self._model_dir(kind, s) / TRAIN_IDS).is_file()
+                for s in stacks)}
+        for cell in cfg.grid:
+            for kind in cfg.features:
+                wanted.setdefault((cell, cfg.enhancement, kind),
+                                  []).extend(scored)
+        todo = {}   # (wav, utt_id, cell, enhancement, seed) -> todo list
+        for (cell, enhancement, kind), rows in wanted.items():
+            cache_dir = self._feature_dir(kind, cell, enhancement)
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            have = set(os.listdir(cache_dir))
+            for row in rows:
+                if (name := f"{row.utt_id}.{kind}.spbf") not in have:
+                    todo.setdefault((self._paths[row.utt_id], row.utt_id, cell,
+                                     enhancement, cfg.seed), []).append(
+                        (kind, cfg.feature_config(kind), cache_dir / name))
+        return [(*job, kinds) for job, kinds in todo.items()]
 
     def _features(self, rows, kind: str, cell: GridCell, enhancement) -> dict:
-        """Per-utterance features of rows in one condition, disk-cached;
-        the audio is prepared only for a missing feature file."""
-        cfg = self.config.feature_config(kind)
-        key = _stage_hash("features", self.corpus_fp, self.config.seed,
-                          cell.tag, enhancement or "-", _feature_text(cfg))
-        cache_dir = self.cache / "features" / key
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        out = {}
-        for row in rows:
-            path = cache_dir / f"{row.utt_id}.{kind}.spbf"
-            if path.is_file():
-                out[row.utt_id] = read_features(path)
-                continue
-            values = extract_test_features(
-                self._signal(row, cell, enhancement), cfg, self._source(row))
-            _write_via_temp(write_features, path, values)
-            out[row.utt_id] = values
-        return out
+        """Per-utterance features of rows in one condition, from the cache."""
+        cache_dir = self._feature_dir(kind, cell, enhancement)
+        return {r.utt_id: read_features(cache_dir / f"{r.utt_id}.{kind}.spbf")
+                for r in rows}
 
     def _train_features(self, kind: str) -> dict:
         """Training observations: the clean condition, never enhanced.  The
@@ -419,12 +460,18 @@ class _Runner:
 
     # -- models ------------------------------------------------------------
 
+    def _model_dir(self, kind: str, name: str) -> Path:
+        """Directory of a feature's GMM pair or i-vector stack."""
+        cfg = self.config
+        sizes = ((cfg.gmm_components, cfg.gmm_iterations) if name == "gmm"
+                 else (cfg.ubm_components, cfg.tv_rank, cfg.tv_iterations))
+        return self.cache / "models" / _stage_hash(
+            name, self.corpus_fp, cfg.seed,
+            _feature_text(cfg.feature_config(kind)), *sizes)
+
     def _gmm_models(self, kind: str):
         cfg = self.config
-        key = _stage_hash("gmm", self.corpus_fp, cfg.seed,
-                          _feature_text(cfg.feature_config(kind)),
-                          cfg.gmm_components, cfg.gmm_iterations)
-        model_dir = self.cache / "models" / key
+        model_dir = self._model_dir(kind, "gmm")
         if (model_dir / TRAIN_IDS).is_file():
             return load_gmm_pair(model_dir)
         rows = self.manifest.subset("train").rows
@@ -435,16 +482,9 @@ class _Runner:
         save_gmm_pair(model_dir, nat, syn, train_ids)
         return nat, syn, train_ids
 
-    def _ivector_dir(self, kind: str) -> Path:
-        cfg = self.config
-        key = _stage_hash("ivector", self.corpus_fp, cfg.seed,
-                          _feature_text(cfg.feature_config(kind)),
-                          cfg.ubm_components, cfg.tv_rank, cfg.tv_iterations)
-        return self.cache / "models" / key
-
     def _ivector_stack(self, kind: str):
         cfg = self.config
-        model_dir = self._ivector_dir(kind)
+        model_dir = self._model_dir(kind, "ivector")
         if (model_dir / TRAIN_IDS).is_file():
             return load_ivector_stack(model_dir)
         rows = self.manifest.subset("train").rows
@@ -462,7 +502,7 @@ class _Runner:
         in the stack's directory, one file per PLDA setting."""
         cfg = self.config
         self._model(kind, "ivector")   # a trained stack stores its i-vectors
-        model_dir = self._ivector_dir(kind)
+        model_dir = self._model_dir(kind, "ivector")
         path = (model_dir /
                 f"plda.q{cfg.plda_latent}.i{cfg.plda_iterations}.spl")
         if path.is_file():
@@ -556,6 +596,7 @@ class _Runner:
         if "logistic" in cfg.fusion and "dev" not in subsets:
             raise ValueError("logistic fusion needs a dev subset in the "
                              "manifest")
+        _run_jobs(self._extraction_jobs(sum(subsets.values(), ())))
         # per back-end: each feature's systems subset by subset, then each
         # fusion method's
         systems = ([(subset, kind) for subset in subsets
@@ -564,7 +605,6 @@ class _Runner:
                       for subset in subsets])
         results = []
         for cell in cfg.grid:
-            self._prepared = {}
             cond = condition_tag(cell, cfg.enhancement)
             # every back-end is scored from one pass over each (subset,
             # feature), which holds one subset's frames at a time

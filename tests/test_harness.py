@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import shutil
 import stat
@@ -9,7 +10,7 @@ import scipy.special
 from spoofbench import features, gmm, harness, ivector
 from spoofbench.audio import AudioSignal, read_wav, write_wav
 from spoofbench.config import ExperimentConfig, GridCell
-from spoofbench.errors import HygieneError
+from spoofbench.errors import EmptyFeaturesError, HygieneError
 from spoofbench.harness import (check_hygiene, condition_tag, derive_seed,
                                 run_experiment)
 from spoofbench.manifest import Manifest, ManifestRow
@@ -33,6 +34,12 @@ def _config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Extract in this process, so that call counts see every extraction."""
+    monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 1)
 
 
 def _counting(monkeypatch, module, name):
@@ -164,7 +171,8 @@ class TestRun:
         assert "vc16" in table and "vc24" in table
         assert "macro-average" in table
 
-    def test_logistic_fusion_needs_dev(self, corpus, tmp_path, monkeypatch):
+    def test_logistic_fusion_needs_dev(self, corpus, tmp_path, monkeypatch,
+                                       in_process):
         root, man = corpus
         eval_only = Manifest(tuple(r for r in man if r.subset != "dev"))
         cfg = _config(features=("mfcc", "cosphase"), fusion=("logistic",))
@@ -256,7 +264,8 @@ class TestBuildingBlocks:
 
 
 class TestCacheVersion:
-    def test_changed_salt_re_extracts(self, corpus, tmp_path, monkeypatch):
+    def test_changed_salt_re_extracts(self, corpus, tmp_path, monkeypatch,
+                                      in_process):
         root, man = corpus
         cfg = _config()
         calls = []
@@ -389,7 +398,7 @@ class TestModelDirs:
 
 class TestTestAudio:
     def test_cold_run_prepares_each_utterance_once_in_memory(
-            self, corpus, tmp_path, monkeypatch):
+            self, corpus, tmp_path, monkeypatch, in_process):
         """Noisy and enhanced test audio is mixed and enhanced once per
         (cell, utterance) for all features together, and never stored."""
         root, man = corpus
@@ -461,10 +470,11 @@ class TestSharedStack:
         for a, b in zip(cold.rows, warm.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
 
-    def test_cold_grid_reads_no_feature_file(self, corpus, tmp_path,
-                                             monkeypatch):
-        """The GMM pair and the i-vector stack of a feature train on one
-        extraction pass, so a cold grid never reads back what it wrote."""
+    def test_cold_grid_reads_each_feature_file_once(self, corpus, tmp_path,
+                                                    monkeypatch, in_process):
+        """Extraction writes every feature file once, and training and
+        scoring read each one back once: the GMM pair and the i-vector
+        stack of a feature train on one read of its training frames."""
         root, man = corpus
         kinds = ("mfcc", "cosphase")
         cfg = _config(features=kinds, backends=self.ALL_BACKENDS,
@@ -472,7 +482,9 @@ class TestSharedStack:
         reads = _counting(monkeypatch, harness, "read_features")
         extracted = _counting(monkeypatch, features, "extract")
         run_experiment(cfg, man, tmp_path / "w", wav_root=root)
-        assert reads == []
+        written = sorted(str(p) for p in
+                         (tmp_path / "w" / "cache").rglob("*.spbf"))
+        assert sorted(str(args[0]) for args in reads) == written
         scored = len(man.subset("dev").rows) + len(man.subset("eval").rows)
         trained = len(man.subset("train").rows)
         assert len(extracted) == len(kinds) * (trained
@@ -529,7 +541,8 @@ class TestSharedStack:
 
 
 class TestCorpusFingerprint:
-    def test_edited_wav_re_extracts(self, corpus, tmp_path, monkeypatch):
+    def test_edited_wav_re_extracts(self, corpus, tmp_path, monkeypatch,
+                                    in_process):
         """Rewriting a train wav under the same manifest invalidates the
         features and models that depend on it."""
         root, man = corpus
@@ -552,3 +565,112 @@ class TestCorpusFingerprint:
         after = _score_bytes(work)
         assert after.keys() == before.keys()
         assert after != before
+
+
+def _tree_bytes(work):
+    return {p.relative_to(work): p.read_bytes()
+            for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+class TestExtractionStage:
+    """Every missing feature file is extracted in one stage before any
+    training or scoring, in this process or across worker processes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_names_utterance_feature_and_condition(
+            self, corpus, tmp_path, monkeypatch, workers):
+        root, man = corpus
+        copy = tmp_path / "corpus"
+        shutil.copytree(root, copy)
+        write_wav(copy / "wav" / "eval" / "tiny.wav",
+                  AudioSignal(0.1 * np.ones(100), 16000))
+        tiny = ManifestRow("tiny", "wav/eval/tiny.wav", "human", "-", "eval")
+        monkeypatch.setattr(harness, "_worker_count",
+                            lambda n_jobs: min(n_jobs, workers))
+        work = tmp_path / "w"
+        with pytest.raises(EmptyFeaturesError) as err:
+            run_experiment(_config(features=("mfcc", "cosphase")),
+                           Manifest(man.rows + (tiny,)), work, wav_root=copy)
+        for part in ("utterance tiny", "feature mfcc", "condition clean"):
+            assert part in str(err.value)
+        assert list((work / "cache").rglob("*.tmp")) == []
+        assert multiprocessing.active_children() == []
+
+    def test_same_bytes_for_one_and_two_workers(self, corpus, tmp_path,
+                                                monkeypatch):
+        root, man = corpus
+        cfg = _config(features=("mfcc", "rps", "cosphase"),
+                      backends=("gmm", "ivector-plda"), enhancement="wiener",
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        pools = []
+
+        class Recording(harness.ProcessPoolExecutor):
+            def __init__(self, n_workers, **kwargs):
+                pools.append(n_workers)
+                super().__init__(n_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        trees = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_worker_count",
+                                lambda n_jobs: min(n_jobs, workers))
+            run_experiment(cfg, man, tmp_path / str(workers), wav_root=root)
+            trees.append(_tree_bytes(tmp_path / str(workers)))
+        assert pools == [2]
+        scored = len([r for r in man if r.subset != "train"])
+        assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
+            len(man.subset("train").rows) + len(cfg.grid) * scored)
+        assert trees[0].keys() == trees[1].keys()
+        for rel in trees[0]:
+            assert trees[0][rel] == trees[1][rel], rel
+
+    def test_warm_run_extracts_nothing(self, corpus, tmp_path, monkeypatch):
+        root, man = corpus
+        cfg = _config(backends=("gmm", "ivector-cosine"),
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        asked = _counting(monkeypatch, harness, "_worker_count")
+        extracted = _counting(monkeypatch, features, "extract")
+        run_experiment(cfg, man, work, wav_root=root)
+        assert extracted == []
+        assert max(args[0] for args in asked) == 0
+
+    def test_deleted_feature_file_is_the_only_job(self, corpus, tmp_path,
+                                                  monkeypatch, in_process):
+        root, man = corpus
+        cfg = _config(features=("mfcc", "cosphase"),
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        before = _score_bytes(work)
+        row = man.subset("eval").rows[3]
+        # one of its two files, one per condition
+        lost = sorted((work / "cache").rglob(f"{row.utt_id}.cosphase.spbf"))[0]
+        lost.unlink()
+        jobs = _counting(monkeypatch, harness, "_extract_job")
+        extracted = _counting(monkeypatch, features, "extract")
+        run_experiment(cfg, man, work, wav_root=root)
+        assert len(jobs) == 1 and len(extracted) == 1
+        (kind, _, path), = jobs[0][5]
+        assert (jobs[0][1], kind, path) == (row.utt_id, "cosphase", lost)
+        assert lost.is_file()
+        assert _score_bytes(work) == before
+
+    def test_deleted_gmm_dir_trains_without_extracting(
+            self, corpus, tmp_path, monkeypatch, in_process):
+        root, man = corpus
+        cfg = _config(backends=("gmm", "ivector-cosine"))
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        before = _score_bytes(work)
+        gmm_dir = next((work / "cache" / "models").glob("*/human.gmm")).parent
+        shutil.rmtree(gmm_dir)
+        extracted = _counting(monkeypatch, features, "extract")
+        trained = _counting(monkeypatch, gmm, "train_gmm")
+        tv = _counting(monkeypatch, ivector, "train_tv")
+        run_experiment(cfg, man, work, wav_root=root)
+        assert extracted == [] and tv == []
+        assert len(trained) == 2
+        assert (gmm_dir / harness.TRAIN_IDS).is_file()
+        assert _score_bytes(work) == before
