@@ -1,9 +1,8 @@
-"""Detection metrics: EER on the ROC convex hull, DET curve points,
-per-attack aggregation, and long-term average spectrum diagnostics.
+"""Detection metrics: EER on the ROC convex hull, per-attack aggregation,
+and long-term average spectrum diagnostics.
 
 A report's EER comes from one vectorised sweep of the step ROC (a sort
-and a `searchsorted` per class), costing O(n log n) in the trial count;
-DET points are computed on demand by `det_points`.
+and a `searchsorted` per class), costing O(n log n) in the trial count.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ class EvalReport:
     eer_percent: float
     n_target: int
     n_nontarget: int
-    grouping: str = "pooled"
 
 
 def _roc_vertices(target_scores, nontarget_scores):
@@ -84,20 +82,13 @@ def rocch_eer(target_scores, nontarget_scores) -> float:
     return _hull_eer(_roc_vertices(target_scores, nontarget_scores))
 
 
-def det_points(target_scores, nontarget_scores):
-    """(p_miss, p_fa) operating points ordered by rising threshold."""
-    return [(p_miss, p_fa) for p_fa, p_miss
-            in _roc_vertices(target_scores, nontarget_scores)]
-
-
-def _report(tar, non, grouping) -> EvalReport:
+def _report(tar, non) -> EvalReport:
     """EER of one (targets, non-targets) pair, from one ROC sweep."""
-    return EvalReport(100.0 * rocch_eer(tar, non), tar.size, non.size,
-                      grouping)
+    return EvalReport(100.0 * rocch_eer(tar, non), tar.size, non.size)
 
 
-def compute_eer_rocch(scores: ScoreSet, grouping="pooled") -> EvalReport:
-    return _report(scores.target_scores, scores.nontarget_scores, grouping)
+def compute_eer_rocch(scores: ScoreSet) -> EvalReport:
+    return _report(scores.target_scores, scores.nontarget_scores)
 
 
 def per_attack_eers(scores: ScoreSet, average_over=None):
@@ -113,7 +104,7 @@ def per_attack_eers(scores: ScoreSet, average_over=None):
     reports = {}
     for attack in present:
         non = scores.scores[spoof & (attacks == attack)]
-        reports[attack] = _report(tar, non, f"attack:{attack}")
+        reports[attack] = _report(tar, non)
     chosen = present if average_over is None else list(average_over)
     if not chosen:
         raise ValueError("empty attack subset for averaging")

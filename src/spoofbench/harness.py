@@ -19,6 +19,8 @@ it.  One stage extracts every missing feature file before any training or
 scoring, one job per (condition, utterance) across min(jobs, usable CPUs)
 forked workers; a job prepares its test audio in memory, rounded to 16-bit
 PCM at each step, so neither a worker count nor a warm cache changes a byte.
+Then one stage trains each feature's missing models and loads them all back,
+so a cold run reads each model file once; scoring reads only from the cache.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ def extract_test_features(signal: AudioSignal, cfg: features.FeatureConfig,
     return features.extract(signal, cfg, vad=vad)
 
 
+def _with_context(exc: Exception, context: str) -> Exception:
+    """An exception of exc's type, with context appended to its message."""
+    return type(exc)(f"{exc} ({context})")
+
+
 def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
                  todo):
     """One (condition, utterance) of the extraction stage: prepare its test
@@ -133,8 +140,9 @@ def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
             _write_via_temp(write_features, path,
                             extract_test_features(signal, cfg, clean))
     except Exception as exc:
-        raise type(exc)(f"{exc} (utterance {utt_id}, feature {kind}, condition"
-                        f" {condition_tag(cell, enhancement)})") from exc
+        raise _with_context(exc, f"utterance {utt_id}, feature {kind}, "
+                            f"condition {condition_tag(cell, enhancement)}"
+                            ) from exc
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -405,8 +413,6 @@ class _Runner:
             f"{r.utt_id},{r.wav_path},{r.label},{r.attack_id},{r.subset},"
             f"{hashlib.sha256(self._paths[r.utt_id].read_bytes()).hexdigest()}"
             for r in manifest))
-        self._models = {}
-        self._train_frames = (None, {})
 
     # -- audio and features ------------------------------------------------
 
@@ -421,12 +427,11 @@ class _Runner:
         feature file; training features count only for a feature whose GMM
         pair or i-vector stack is missing.  Lists each directory once."""
         cfg = self.config
-        stacks = {"gmm" if b == "gmm" else "ivector" for b in cfg.backends}
         wanted = {   # (cell, enhancement, kind) -> rows
             (GridCell(), None, kind): list(self.manifest.subset("train").rows)
             for kind in cfg.features if not all(
-                (self._model_dir(kind, s) / TRAIN_IDS).is_file()
-                for s in stacks)}
+                path.is_file() for model, path in
+                self._model_files(kind).items() if model != "plda")}
         for cell in cfg.grid:
             for kind in cfg.features:
                 wanted.setdefault((cell, cfg.enhancement, kind),
@@ -449,106 +454,89 @@ class _Runner:
         return {r.utt_id: read_features(cache_dir / f"{r.utt_id}.{kind}.spbf")
                 for r in rows}
 
-    def _train_features(self, kind: str) -> dict:
-        """Training observations: the clean condition, never enhanced.  The
-        GMM pair and the i-vector stack of a feature share one pass; only
-        the latest feature's frames are kept."""
-        if self._train_frames[0] != kind:
-            self._train_frames = (kind, self._features(
-                self.manifest.subset("train").rows, kind, GridCell(), None))
-        return self._train_frames[1]
-
     # -- models ------------------------------------------------------------
 
-    def _model_dir(self, kind: str, name: str) -> Path:
-        """Directory of a feature's GMM pair or i-vector stack."""
+    def _model_files(self, kind: str) -> dict:
+        """{model: marker file} of one feature's models that the back-ends
+        need, in training order: GMM pair, i-vector stack, and the stack's
+        PLDA scorer, kept in its directory one file per PLDA setting."""
         cfg = self.config
-        sizes = ((cfg.gmm_components, cfg.gmm_iterations) if name == "gmm"
-                 else (cfg.ubm_components, cfg.tv_rank, cfg.tv_iterations))
-        return self.cache / "models" / _stage_hash(
-            name, self.corpus_fp, cfg.seed,
-            _feature_text(cfg.feature_config(kind)), *sizes)
+        key = (self.corpus_fp, cfg.seed,
+               _feature_text(cfg.feature_config(kind)))
+        models = self.cache / "models"
+        pair = models / _stage_hash("gmm", *key, cfg.gmm_components,
+                                    cfg.gmm_iterations)
+        stack = models / _stage_hash("ivector", *key, cfg.ubm_components,
+                                     cfg.tv_rank, cfg.tv_iterations)
+        files = {"gmm": pair / TRAIN_IDS, "ivector": stack / TRAIN_IDS,
+                 "plda": stack / (f"plda.q{cfg.plda_latent}"
+                                  f".i{cfg.plda_iterations}.spl")}
+        # a back-end names what it needs: "ivector-plda" the stack and PLDA
+        needed = {part for b in cfg.backends for part in b.split("-")}
+        return {name: path for name, path in files.items() if name in needed}
 
-    def _gmm_models(self, kind: str):
+    def _train_models(self, kind: str) -> dict:
+        """Train each missing model of _model_files(kind), then load them all
+        from the cache: {model: what its loader returns}.  A training error
+        is re-raised naming the feature and the model."""
         cfg = self.config
-        model_dir = self._model_dir(kind, "gmm")
-        if (model_dir / TRAIN_IDS).is_file():
-            return load_gmm_pair(model_dir)
+        files = self._model_files(kind)
+        missing = [name for name in files if not files[name].is_file()]
         rows = self.manifest.subset("train").rows
-        nat, syn = train_gmm_pair(self._train_features(kind), rows,
-                                  cfg.gmm_components, cfg.gmm_iterations,
-                                  cfg.seed, kind)
         train_ids = [r.utt_id for r in rows]
-        save_gmm_pair(model_dir, nat, syn, train_ids)
-        return nat, syn, train_ids
-
-    def _ivector_stack(self, kind: str):
-        cfg = self.config
-        model_dir = self._model_dir(kind, "ivector")
-        if (model_dir / TRAIN_IDS).is_file():
-            return load_ivector_stack(model_dir)
-        rows = self.manifest.subset("train").rows
-        stack, normed = train_ivector_stack(
-            self._train_features(kind), rows,
-            ubm_components=cfg.ubm_components, tv_rank=cfg.tv_rank,
-            tv_iterations=cfg.tv_iterations, root_seed=cfg.seed, kind=kind)
-        train_ids = [r.utt_id for r in rows]
-        save_ivector_stack(model_dir, stack, normed, train_ids)
-        return stack, train_ids
-
-    def _plda(self, kind: str) -> ivector.PldaModel:
-        """PLDA scorer of a feature's i-vector stack: trained on first
-        request from the training i-vectors stored with the stack, and kept
-        in the stack's directory, one file per PLDA setting."""
-        cfg = self.config
-        self._model(kind, "ivector")   # a trained stack stores its i-vectors
-        model_dir = self._model_dir(kind, "ivector")
-        path = (model_dir /
-                f"plda.q{cfg.plda_latent}.i{cfg.plda_iterations}.spl")
-        if path.is_file():
-            return ivector.load_plda(path)
-        plda = train_stack_plda(
-            model_dir, {r.utt_id: r.label for r in self.manifest},
-            latent_rank=cfg.plda_latent, n_iterations=cfg.plda_iterations,
-            root_seed=cfg.seed, kind=kind)
-        _write_via_temp(ivector.save_plda, path, plda)
-        return plda
+        if {"gmm", "ivector"} & set(missing):
+            # training observations: the clean condition, never enhanced
+            frames = self._features(rows, kind, GridCell(), None)
+        for name in missing:
+            path = files[name]
+            try:
+                if name == "gmm":
+                    save_gmm_pair(path.parent, *train_gmm_pair(
+                        frames, rows, cfg.gmm_components, cfg.gmm_iterations,
+                        cfg.seed, kind), train_ids)
+                elif name == "ivector":
+                    save_ivector_stack(path.parent, *train_ivector_stack(
+                        frames, rows, ubm_components=cfg.ubm_components,
+                        tv_rank=cfg.tv_rank, tv_iterations=cfg.tv_iterations,
+                        root_seed=cfg.seed, kind=kind), train_ids)
+                else:
+                    labels = {r.utt_id: r.label for r in self.manifest}
+                    _write_via_temp(ivector.save_plda, path, train_stack_plda(
+                        path.parent, labels, latent_rank=cfg.plda_latent,
+                        n_iterations=cfg.plda_iterations, root_seed=cfg.seed,
+                        kind=kind))
+            except Exception as exc:
+                raise _with_context(exc, f"feature {kind}, model {name}"
+                                    ) from exc
+        load = {"gmm": load_gmm_pair, "ivector": load_ivector_stack,
+                "plda": ivector.load_plda}
+        return {name: load[name](path if name == "plda" else path.parent)
+                for name, path in files.items()}
 
     # -- scoring -----------------------------------------------------------
 
-    def _model(self, kind: str, name: str):
-        """A feature's GMM pair ("gmm"), i-vector stack ("ivector") or PLDA
-        scorer ("plda"), loaded or trained once per run."""
-        key = (kind, name)
-        if key not in self._models:
-            load = {"gmm": self._gmm_models, "ivector": self._ivector_stack,
-                    "plda": self._plda}[name]
-            self._models[key] = load(kind)
-        return self._models[key]
-
-    def _subset_scores(self, rows, kind, cell) -> dict:
-        """{back-end: ScoreSet} of one (condition, subset, feature): the
-        features are read once, and each utterance is embedded once for
-        every i-vector back-end."""
+    def _subset_scores(self, rows, kind, cell, models) -> dict:
+        """{back-end: ScoreSet} of one (condition, subset, feature), with
+        the feature's _train_models: the features are read once, and each
+        utterance is embedded once for every i-vector back-end."""
         frames = self._features(rows, kind, cell, self.config.enhancement)
         utt_ids = [r.utt_id for r in rows]
         backends = self.config.backends
         scores = {}
         if "gmm" in backends:
-            nat, syn, train_ids = self._model(kind, "gmm")
+            nat, syn, train_ids = models["gmm"]
             check_hygiene(train_ids, utt_ids)
             scores["gmm"] = [gmm.llr_score(frames[u], nat, syn)
                              for u in utt_ids]
         ivector_backends = [b for b in backends if b != "gmm"]
         if ivector_backends:
-            stack, train_ids = self._model(kind, "ivector")
+            stack, train_ids = models["ivector"]
             check_hygiene(train_ids, utt_ids)
             embedded = [embed_ivector(stack, frames[u]) for u in utt_ids]
             for backend in ivector_backends:
                 scoring = backend.split("-", 1)[1]
-                plda = self._model(kind, "plda") if scoring == "plda" else None
-                scores[backend] = [embedding_score(stack, w, scoring, plda)
-                                   for w in embedded]
+                scores[backend] = [embedding_score(
+                    stack, w, scoring, models.get("plda")) for w in embedded]
         cond = condition_tag(cell, self.config.enhancement)
         return {b: score_set(rows, scores[b], kind, b, cond)
                 for b in backends}
@@ -597,6 +585,7 @@ class _Runner:
             raise ValueError("logistic fusion needs a dev subset in the "
                              "manifest")
         _run_jobs(self._extraction_jobs(sum(subsets.values(), ())))
+        models = {kind: self._train_models(kind) for kind in cfg.features}
         # per back-end: each feature's systems subset by subset, then each
         # fusion method's
         systems = ([(subset, kind) for subset in subsets
@@ -612,7 +601,7 @@ class _Runner:
             for subset, rows in subsets.items():
                 for kind in cfg.features:
                     for backend, scores in self._subset_scores(
-                            rows, kind, cell).items():
+                            rows, kind, cell, models[kind]).items():
                         sets[backend, subset, kind] = scores
             for backend in cfg.backends:
                 for method in cfg.fusion:

@@ -79,7 +79,7 @@ class TestRocchEer:
         with pytest.raises(ValueError, match="NaN"):
             ev.rocch_eer([np.nan, 1.0, 2.0], [0.0, 3.0])
         with pytest.raises(ValueError, match="NaN"):
-            ev.det_points([1.0, 2.0], [0.0, np.nan])
+            ev._roc_vertices([1.0, 2.0], [0.0, np.nan])
 
 
 # score pools for the vertex-oracle property: few distinct values force
@@ -111,24 +111,26 @@ class TestVertexOracle:
         tar, non = pair
         want = roc_vertices_oracle(tar, non)
         assert ev._roc_vertices(tar, non) == want
-        assert ev.det_points(tar, non) == [(m, f) for f, m in want]
         assert ev.rocch_eer(tar, non) == ev._hull_eer(want)
 
 
 class TestDetPoints:
+    """The step-ROC vertices (p_fa, p_miss): the points a DET curve
+    plots."""
+
     def test_fixture_points(self):
-        pts = ev.det_points([2.0, 0.0], [1.0, -1.0])
-        expected = [(0.0, 1.0), (0.0, 0.5), (0.5, 0.5), (0.5, 0.0), (1.0, 0.0)]
+        pts = ev._roc_vertices([2.0, 0.0], [1.0, -1.0])
+        expected = [(1.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 1.0)]
         assert pts == expected
 
     def test_extremes_and_ordering(self):
         rng = np.random.default_rng(5)
         tar = rng.standard_normal(12)
         non = rng.standard_normal(9)
-        pts = ev.det_points(tar, non)
-        assert pts[0] == (0.0, 1.0)
-        assert pts[-1] == (1.0, 0.0)
-        p_fa = [fa for _, fa in pts]
+        pts = ev._roc_vertices(tar, non)
+        assert pts[0] == (1.0, 0.0)
+        assert pts[-1] == (0.0, 1.0)
+        p_fa = [fa for fa, _ in pts]
         assert all(a >= b for a, b in zip(p_fa, p_fa[1:]))
         assert len(pts) <= 12 + 9 + 1
 

@@ -10,7 +10,8 @@ import scipy.special
 from spoofbench import features, gmm, harness, ivector
 from spoofbench.audio import AudioSignal, read_wav, write_wav
 from spoofbench.config import ExperimentConfig, GridCell
-from spoofbench.errors import EmptyFeaturesError, HygieneError
+from spoofbench.errors import (DegenerateVectorError, EmptyFeaturesError,
+                               HygieneError)
 from spoofbench.harness import (check_hygiene, condition_tag, derive_seed,
                                 run_experiment)
 from spoofbench.manifest import Manifest, ManifestRow
@@ -516,10 +517,15 @@ class TestSharedStack:
         assert plda == [] and len(tv) == 1
         cosine = _score_bytes(work)
         del gmm_calls[:], tv[:]
+        reads = _counting(monkeypatch, harness, "read_features")
         run_experiment(_config(backends=("ivector-cosine", "ivector-plda")),
                        man, work, wav_root=root)
         assert len(plda) == 1
         assert gmm_calls == [] and tv == []
+        # PLDA trains on the stack's stored i-vectors, not on frames
+        scored = {r.utt_id for r in man if r.subset != "train"}
+        assert sorted(harness.Path(args[0]).name.split(".")[0]
+                      for args in reads) == sorted(scored)
         after = _score_bytes(work)
         assert {k: after[k] for k in cosine} == cosine
         assert any("ivector-plda" in str(k) for k in after)
@@ -674,3 +680,49 @@ class TestExtractionStage:
         assert len(trained) == 2
         assert (gmm_dir / harness.TRAIN_IDS).is_file()
         assert _score_bytes(work) == before
+
+
+class TestTrainingStage:
+    """Every missing model is trained, feature by feature, before any
+    utterance is scored; scoring reads models only from the cache."""
+
+    def test_cold_run_trains_everything_before_scoring(self, corpus,
+                                                       tmp_path, monkeypatch):
+        root, man = corpus
+        kinds = ("mfcc", "cosphase")
+        cfg = _config(features=kinds,
+                      backends=("gmm", "ivector-cosine", "ivector-plda"))
+        events = []
+        for module, name in ((harness, "train_gmm_pair"),
+                             (harness, "train_ivector_stack"),
+                             (ivector, "train_plda"), (gmm, "llr_score"),
+                             (harness, "embed_ivector")):
+            original = getattr(module, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                events.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        run_experiment(cfg, man, tmp_path / "w", wav_root=root)
+        trains = ("train_gmm_pair", "train_ivector_stack", "train_plda")
+        first_score = min(events.index(name)
+                          for name in ("llr_score", "embed_ivector"))
+        assert [e for e in events if e in trains] == list(trains) * len(kinds)
+        assert all(e not in trains for e in events[first_score:])
+
+    def test_failure_names_the_feature_and_the_model(self, corpus, tmp_path,
+                                                     monkeypatch):
+        root, man = corpus
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateVectorError("cannot length-normalize a zero "
+                                        "vector")
+        monkeypatch.setattr(ivector, "train_tv", degenerate)
+        cfg = _config(features=("cosphase",), backends=("ivector-cosine",))
+        work = tmp_path / "w"
+        with pytest.raises(DegenerateVectorError) as err:
+            run_experiment(cfg, man, work, wav_root=root)
+        assert "(feature cosphase, model ivector)" in str(err.value)
+        marker = harness._Runner(cfg, man, work, root)._model_files(
+            "cosphase")["ivector"]
+        assert marker.name == harness.TRAIN_IDS and not marker.exists()
