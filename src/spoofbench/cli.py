@@ -4,11 +4,12 @@ Every pipeline stage is a subcommand, so experiments can be scripted
 piecemeal, and `run` executes a whole config grid.  The stage commands
 call the harness's own stage functions: `train-gmm` and `train-ivector`
 write the model directories a run caches, `train-plda` trains a stack's
-PLDA scorer, and `score-gmm`/`score-ivec` prepare test audio for a
-`--noise-kind`/`--snr`/`--enhance` condition exactly as a run does.  With
-the same settings, a stage-by-stage pipeline therefore writes the score
-files `run` writes.  `--seed` of these commands is the experiment root
-seed, as in a config.  On failure the tool prints a single
+PLDA scorer, and `score` prepares test audio for a
+`--noise-kind`/`--snr`/`--enhance` condition exactly as a run does, then
+scores it with the harness's scorer under any `--backend`.  With the same
+settings, a stage-by-stage pipeline therefore writes the score files `run`
+writes.  `--seed` of these commands is the experiment root seed, as in a
+config.  On failure the tool prints a single
 machine-parseable line to stderr::
 
     error\t<ExceptionType>\t<message>
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as configmod
-from . import features, fusion, gmm, harness, ivector
+from . import features, fusion, harness, ivector
 from .audio import read_wav, write_features, write_wav
 from .config import GridCell
 from .enhancement import ENHANCEMENT_METHODS, enhance
@@ -68,33 +69,6 @@ def _train_features(args):
     cfg = _feature_config(args)
     return rows, {r.utt_id: features.extract(read_wav(p), cfg)
                   for r, p in zip(rows, paths)}
-
-
-def _load_models(load, model_dir, command):
-    try:
-        return load(model_dir)
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(f"{exc}; create it with "
-                                f"`spoofbench {command}`") from None
-
-
-def _score(args, backend, train_ids, score_frames):
-    """Score the chosen subset in the --noise-kind/--snr/--enhance
-    condition, prepared as a run prepares it, and write the score file."""
-    cell = GridCell(args.noise_kind, args.snr)
-    rows, paths = _manifest_rows(args, args.subset)
-    harness.check_hygiene(train_ids, [r.utt_id for r in rows])
-    cfg = _feature_config(args)
-    frames = []
-    for r, path in zip(rows, paths):
-        clean = read_wav(path)
-        signal = harness.prepare_signal(clean, r.utt_id, cell, args.enhance,
-                                        args.seed)
-        frames.append(harness.extract_test_features(signal, cfg, clean))
-    cond = harness.condition_tag(cell, args.enhance)
-    write_scores(args.out, harness.score_set(rows, score_frames(frames),
-                                             args.kind, backend, cond))
-    print(f"{args.out}\t{len(rows)}")
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -157,27 +131,39 @@ def cmd_train_plda(args):
     print(args.out)
 
 
-def cmd_score_gmm(args):
-    nat, syn, train_ids = _load_models(harness.load_gmm_pair, args.models,
-                                       "train-gmm")
-    _score(args, "gmm", train_ids,
-           lambda frames: [gmm.llr_score(f, nat, syn) for f in frames])
+def cmd_score(args):
+    """Score the chosen subset with --backend in the --noise-kind/--snr/
+    --enhance condition, prepared as a run prepares it, and write the score
+    file."""
+    needed = configmod.BACKENDS[args.backend]
+    if "plda" in needed and args.plda is None:
+        raise ValueError(f"--backend {args.backend} requires --plda MODEL")
+    if "plda" not in needed and args.plda is not None:
+        raise ValueError(f"--plda applies only to --backend ivector-plda, "
+                         f"not {args.backend}")
+    models = {}
+    for name in needed:
+        marker = (args.plda if name == "plda"
+                  else Path(args.models) / harness.TRAIN_IDS)
+        try:
+            models[name] = harness.load_model(name, marker)
+        except FileNotFoundError as exc:
+            raise FileNotFoundError(f"{exc}; create it with "
+                                    f"`spoofbench train-{name}`") from None
+    cell = GridCell(args.noise_kind, args.snr)
+    rows, paths = _manifest_rows(args, args.subset)
+    cfg = _feature_config(args)
 
-
-def cmd_score_ivec(args):
-    stack, train_ids = _load_models(harness.load_ivector_stack,
-                                    args.stack_dir, "train-ivector")
-    plda = None
-    if args.scoring == "plda":
-        if not args.plda:
-            raise ValueError("--scoring plda requires --plda MODEL")
-        plda = _load_models(ivector.load_plda, args.plda, "train-plda")
-
-    def score_frames(frames):
-        return [harness.embedding_score(
-            stack, harness.embed_ivector(stack, f), args.scoring, plda)
-            for f in frames]
-    _score(args, f"ivector-{args.scoring}", train_ids, score_frames)
+    def test_features():
+        for r, path in zip(rows, paths):
+            clean = read_wav(path)
+            yield harness.extract_test_features(harness.prepare_signal(
+                clean, r.utt_id, cell, args.enhance, args.seed), cfg, clean)
+    cond = harness.condition_tag(cell, args.enhance)
+    sets = harness.score_utterances(rows, test_features(), models,
+                                    (args.backend,), args.kind, cond)
+    write_scores(args.out, sets[args.backend])
+    print(f"{args.out}\t{len(rows)}")
 
 
 def cmd_fuse(args):
@@ -349,22 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_plda)
 
-    p = sub.add_parser("score-gmm", help="score utterances with a GMM pair")
+    p = sub.add_parser("score", help="score utterances with a back-end")
     _add_scoring_args(p)
+    p.add_argument("--backend", required=True, choices=configmod.BACKENDS)
     p.add_argument("--models", required=True,
-                   help="directory written by train-gmm")
-    p.set_defaults(func=cmd_score_gmm)
-
-    p = sub.add_parser("score-ivec",
-                       help="score utterances with an i-vector stack")
-    _add_scoring_args(p)
-    p.add_argument("--stack-dir", required=True,
-                   help="directory written by train-ivector")
-    p.add_argument("--scoring", choices=("cosine", "plda"),
-                   default="cosine")
+                   help="directory written by train-gmm (gmm) or "
+                        "train-ivector (ivector-cosine, ivector-plda)")
     p.add_argument("--plda", default=None,
-                   help="model written by train-plda")
-    p.set_defaults(func=cmd_score_ivec)
+                   help="model written by train-plda (ivector-plda)")
+    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fuse", help="combine score files")
     p.add_argument("--method", choices=("average", "logistic"),

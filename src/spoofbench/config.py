@@ -17,7 +17,10 @@ from . import features
 from .enhancement import ENHANCEMENT_METHODS
 from .noiselab import NOISE_KINDS
 
-BACKENDS = ("gmm", "ivector-cosine", "ivector-plda")
+# each back-end and the models it needs, in training order: a GMM pair, or
+# an i-vector stack scored by cosine or by the stack's PLDA model
+BACKENDS = {"gmm": ("gmm",), "ivector-cosine": ("ivector",),
+            "ivector-plda": ("ivector", "plda")}
 FUSION_METHODS = ("average", "logistic")
 
 
@@ -147,6 +150,18 @@ def _parse_scalar(raw: str):
 _FEATURE_FIELDS = {f.name for f in fields(features.FeatureConfig)
                    if f.name != "kind"}
 
+# the integer ExperimentConfig field that each INI (section, key) sets
+_INT_FIELDS = {
+    ("experiment", "seed"): "seed",
+    ("gmm", "components"): "gmm_components",
+    ("gmm", "iterations"): "gmm_iterations",
+    ("ivector", "ubm_components"): "ubm_components",
+    ("ivector", "rank"): "tv_rank",
+    ("ivector", "tv_iterations"): "tv_iterations",
+    ("ivector", "plda_latent"): "plda_latent",
+    ("ivector", "plda_iterations"): "plda_iterations",
+}
+
 # the keys load_config reads from each fixed section
 _SECTION_KEYS = {
     "experiment": {"name", "seed", "features", "backends", "enhancement",
@@ -183,39 +198,28 @@ def load_config(path) -> ExperimentConfig:
                                  f"[{section}]")
             if kind is not None:
                 overrides.append((kind, key, _parse_scalar(raw)))
+    # only the keys present: ExperimentConfig supplies every default
+    kwargs = {field: parser[section].getint(key)
+              for (section, key), field in _INT_FIELDS.items()
+              if parser.has_option(section, key)}
+    kwargs["feature_overrides"] = tuple(overrides)
     exp = parser["experiment"]
-
-    kwargs = {
-        "name": exp.get("name", "experiment"),
-        "seed": exp.getint("seed", 0),
-        "feature_overrides": tuple(overrides),
-    }
+    if "name" in exp:
+        kwargs["name"] = exp["name"]
     if "features" in exp:
         kwargs["features"] = tuple(exp["features"].split())
     if "backends" in exp:
         kwargs["backends"] = tuple(exp["backends"].split())
-    enhancement = exp.get("enhancement", "none")
-    kwargs["enhancement"] = (None if enhancement.strip().lower()
-                             in ("none", "") else enhancement.strip())
-    fusion = exp.get("fusion", "")
-    kwargs["fusion"] = tuple(w for w in fusion.split()
-                             if w.lower() != "none")
-
-    if "grid" in parser and "cells" in parser["grid"]:
-        cells = parser["grid"]["cells"].split()
-        kwargs["grid"] = tuple(parse_grid_cell(c) for c in cells)
-
-    if "gmm" in parser:
-        g = parser["gmm"]
-        kwargs["gmm_components"] = g.getint("components", 32)
-        kwargs["gmm_iterations"] = g.getint("iterations", 10)
-    if "ivector" in parser:
-        iv = parser["ivector"]
-        kwargs["ubm_components"] = iv.getint("ubm_components", 32)
-        kwargs["tv_rank"] = iv.getint("rank", 32)
-        kwargs["tv_iterations"] = iv.getint("tv_iterations", 5)
-        kwargs["plda_latent"] = iv.getint("plda_latent", 16)
-        kwargs["plda_iterations"] = iv.getint("plda_iterations", 5)
+    if "enhancement" in exp:
+        enhancement = exp["enhancement"].strip()
+        kwargs["enhancement"] = (None if enhancement.lower() in ("none", "")
+                                 else enhancement)
+    if "fusion" in exp:
+        kwargs["fusion"] = tuple(w for w in exp["fusion"].split()
+                                 if w.lower() != "none")
+    if parser.has_option("grid", "cells"):
+        kwargs["grid"] = tuple(parse_grid_cell(c)
+                               for c in parser["grid"]["cells"].split())
     return ExperimentConfig(**kwargs)
 
 

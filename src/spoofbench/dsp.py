@@ -29,10 +29,6 @@ class FrameMatrix:
     """Windowed analysis frames, one per row."""
 
     frames: np.ndarray          # (T, N)
-    frame_length_ms: float
-    frame_shift_ms: float
-    sample_rate: int
-    window: str = "hamming"
 
     @property
     def n_frames(self) -> int:
@@ -41,10 +37,6 @@ class FrameMatrix:
     @property
     def frame_length(self) -> int:
         return self.frames.shape[1]
-
-    @property
-    def shift(self) -> int:
-        return frame_shift_samples(self.frame_shift_ms, self.sample_rate)
 
 
 def frame_length_samples(frame_ms: float, sample_rate: int) -> int:
@@ -97,7 +89,7 @@ def frame_signal(samples, sample_rate: int, frame_ms: float = 20.0,
         idx = shift * np.arange(t)[:, None] + np.arange(n)[None, :]
         frames = x[idx]
     frames = frames * window_function(window, n)[None, :]
-    return FrameMatrix(frames, frame_ms, shift_ms, sample_rate, window)
+    return FrameMatrix(frames)
 
 
 def _check_dft_size(dft_size: int, frame_length: int):

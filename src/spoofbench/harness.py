@@ -39,7 +39,7 @@ import numpy as np
 from . import features, gmm, ivector
 from .audio import (AudioSignal, read_features, read_wav, to_pcm16,
                     write_features)
-from .config import ExperimentConfig, GridCell
+from .config import BACKENDS, ExperimentConfig, GridCell
 from .enhancement import enhance
 from .errors import HygieneError
 from .evaluation import EvalReport, compute_eer_rocch, per_attack_eers
@@ -47,7 +47,7 @@ from .fusion import (apply_fusion, fuse_average, save_fusion,
                      train_logistic_fusion)
 from .manifest import Manifest
 from .noiselab import make_noise, mix_at_snr
-from .scores import HUMAN, NO_ATTACK, ScoreSet, write_scores
+from .scores import HUMAN, NO_ATTACK, SPOOF, ScoreSet, write_scores
 
 # salt of every feature and model cache key: bump it whenever a change
 # alters the bytes an extractor writes, so an old work dir re-extracts
@@ -301,25 +301,24 @@ def load_ivector_stack(model_dir):
     return stack, train_ids
 
 
+def load_model(name: str, marker):
+    """Model `name` of _Runner._model_files as scoring takes it, from its
+    marker file: load_gmm_pair or load_ivector_stack of the marker's
+    directory, or the PLDA model that is the marker itself."""
+    marker = Path(marker)
+    if name == "gmm":
+        return load_gmm_pair(marker.parent)
+    if name == "ivector":
+        return load_ivector_stack(marker.parent)
+    return ivector.load_plda(marker)
+
+
 # -- scoring ----------------------------------------------------------------
 
 def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
     w = ivector.extract_ivector(frames, stack.ubm, stack.tv, stack.gram)
     return ivector.length_normalize(ivector.apply_wccn(stack.wccn,
                                                        w[None, :]))[0]
-
-
-def embedding_score(stack: IvectorStack, w, scoring: str,
-                    plda: ivector.PldaModel | None = None) -> float:
-    """Detection score of an embedded utterance against the class means."""
-    nat, syn = stack.class_means[HUMAN], stack.class_means["spoof"]
-    if scoring == "cosine":
-        return ivector.detection_score(w, nat, syn)
-    if scoring == "plda":
-        if plda is None:
-            raise ValueError("PLDA scoring needs a PLDA model")
-        return ivector.plda_detection_score(plda, w, nat, syn)
-    raise ValueError(f"unknown i-vector scoring {scoring!r}")
 
 
 def check_hygiene(train_utt_ids, scored_utt_ids):
@@ -331,23 +330,47 @@ def check_hygiene(train_utt_ids, scored_utt_ids):
                            f"({len(overlap)} utterances, e.g. {sample})")
 
 
-def score_set(rows, scores, kind, backend, condition) -> ScoreSet:
-    """The score file of one system; a non-finite score raises a
-    ValueError naming its utterance."""
-    scores = np.array(scores)
-    finite = np.isfinite(scores)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"non-finite score {float(scores[i])!r} for "
-                         f"utterance {rows[i].utt_id} (feature {kind}, "
-                         f"back-end {backend}, condition {condition})")
-    return ScoreSet(
-        utt_ids=[r.utt_id for r in rows],
-        scores=scores,
-        labels=[r.label for r in rows],
-        attack_ids=[r.attack_id for r in rows],
-        conditions=[condition] * len(rows),
-    )
+def score_utterances(rows, frames, models, backends, kind,
+                     condition) -> dict:
+    """{back-end: ScoreSet} of rows under each of backends, with models as
+    load_model returns them by name.  frames holds each row's features, in
+    row order; it is read only after every model's training list has been
+    checked against rows, so a generator extracts nothing for a refused
+    subset.  Each utterance is embedded once for every i-vector back-end.
+    A score set's error, such as a non-finite score naming its utterance,
+    is re-raised naming the feature, back-end and condition."""
+    needed = {name for b in backends for name in BACKENDS[b]}
+    utt_ids = [r.utt_id for r in rows]
+    if "gmm" in needed:
+        nat, syn, train_ids = models["gmm"]
+        check_hygiene(train_ids, utt_ids)
+    if "ivector" in needed:
+        stack, train_ids = models["ivector"]
+        check_hygiene(train_ids, utt_ids)
+    frames = list(frames)
+    scores = {}
+    if "gmm" in needed:
+        scores["gmm"] = [gmm.llr_score(f, nat, syn) for f in frames]
+    if "ivector" in needed:
+        embedded = [embed_ivector(stack, f) for f in frames]
+        means = stack.class_means[HUMAN], stack.class_means[SPOOF]
+        if "ivector-cosine" in backends:
+            scores["ivector-cosine"] = [ivector.detection_score(w, *means)
+                                        for w in embedded]
+        if "ivector-plda" in backends:
+            scores["ivector-plda"] = [ivector.plda_detection_score(
+                models["plda"], w, *means) for w in embedded]
+    sets = {}
+    for backend in backends:
+        try:
+            sets[backend] = ScoreSet(list(utt_ids), scores[backend],
+                                     [r.label for r in rows],
+                                     [r.attack_id for r in rows],
+                                     [condition] * len(rows))
+        except ValueError as exc:
+            raise _with_context(exc, f"feature {kind}, back-end {backend}, "
+                                f"condition {condition}") from exc
+    return sets
 
 
 def _write_via_temp(write, path: Path, *values):
@@ -471,8 +494,7 @@ class _Runner:
         files = {"gmm": pair / TRAIN_IDS, "ivector": stack / TRAIN_IDS,
                  "plda": stack / (f"plda.q{cfg.plda_latent}"
                                   f".i{cfg.plda_iterations}.spl")}
-        # a back-end names what it needs: "ivector-plda" the stack and PLDA
-        needed = {part for b in cfg.backends for part in b.split("-")}
+        needed = {name for b in cfg.backends for name in BACKENDS[b]}
         return {name: path for name, path in files.items() if name in needed}
 
     def _train_models(self, kind: str) -> dict:
@@ -508,38 +530,7 @@ class _Runner:
             except Exception as exc:
                 raise _with_context(exc, f"feature {kind}, model {name}"
                                     ) from exc
-        load = {"gmm": load_gmm_pair, "ivector": load_ivector_stack,
-                "plda": ivector.load_plda}
-        return {name: load[name](path if name == "plda" else path.parent)
-                for name, path in files.items()}
-
-    # -- scoring -----------------------------------------------------------
-
-    def _subset_scores(self, rows, kind, cell, models) -> dict:
-        """{back-end: ScoreSet} of one (condition, subset, feature), with
-        the feature's _train_models: the features are read once, and each
-        utterance is embedded once for every i-vector back-end."""
-        frames = self._features(rows, kind, cell, self.config.enhancement)
-        utt_ids = [r.utt_id for r in rows]
-        backends = self.config.backends
-        scores = {}
-        if "gmm" in backends:
-            nat, syn, train_ids = models["gmm"]
-            check_hygiene(train_ids, utt_ids)
-            scores["gmm"] = [gmm.llr_score(frames[u], nat, syn)
-                             for u in utt_ids]
-        ivector_backends = [b for b in backends if b != "gmm"]
-        if ivector_backends:
-            stack, train_ids = models["ivector"]
-            check_hygiene(train_ids, utt_ids)
-            embedded = [embed_ivector(stack, frames[u]) for u in utt_ids]
-            for backend in ivector_backends:
-                scoring = backend.split("-", 1)[1]
-                scores[backend] = [embedding_score(
-                    stack, w, scoring, models.get("plda")) for w in embedded]
-        cond = condition_tag(cell, self.config.enhancement)
-        return {b: score_set(rows, scores[b], kind, b, cond)
-                for b in backends}
+        return {name: load_model(name, path) for name, path in files.items()}
 
     # -- fusion and results ------------------------------------------------
 
@@ -600,8 +591,11 @@ class _Runner:
             sets = {}
             for subset, rows in subsets.items():
                 for kind in cfg.features:
-                    for backend, scores in self._subset_scores(
-                            rows, kind, cell, models[kind]).items():
+                    frames = self._features(rows, kind, cell,
+                                            cfg.enhancement).values()
+                    for backend, scores in score_utterances(
+                            rows, frames, models[kind], cfg.backends, kind,
+                            cond).items():
                         sets[backend, subset, kind] = scores
             for backend in cfg.backends:
                 for method in cfg.fusion:

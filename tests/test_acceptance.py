@@ -42,7 +42,7 @@ def test_criterion_01_dsp_matches_direct_summation_oracles():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     frames = rng.standard_normal((100, 320))
-    fm = dsp.FrameMatrix(frames, 20.0, 10.0, RATE, "rect")
+    fm = dsp.FrameMatrix(frames)
     spec = naive_dft_matrix(frames, 512)
 
     power = dsp.power_spectrum(fm, 512)
@@ -121,7 +121,7 @@ def test_criterion_04_mgd_matches_one_pole_group_delay():
     term, the modified group delay reduces to the true group delay."""
     a = 0.6
     frame = a ** np.arange(320)
-    fm = dsp.FrameMatrix(frame[None, :], 20.0, 10.0, RATE, "rect")
+    fm = dsp.FrameMatrix(frame[None, :])
     tau = features.mgd_spectrum(fm, 512, alpha=1.0, gamma=1.0,
                                 cep_lifter=None)[0]
     w = 2 * np.pi * np.arange(257) / 512

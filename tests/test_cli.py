@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spoofbench import features
+from spoofbench import config, features
 from spoofbench.audio import read_features
 from spoofbench.cli import build_parser, main
 from spoofbench.config import ExperimentConfig, GridCell
@@ -100,7 +100,8 @@ class TestBasics:
 class TestScoringFlow:
     def test_score_and_eval(self, corpus, gmm_models, tmp_path, capsys):
         scores = tmp_path / "s.tsv"
-        rc = main(["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
+        rc = main(["score", "--backend", "gmm",
+                   "--manifest", str(corpus / "manifest.tsv"),
                    "--kind", "mfcc", "--models", str(gmm_models),
                    "--subset", "eval", "--out", str(scores)])
         assert rc == 0
@@ -114,7 +115,8 @@ class TestScoringFlow:
     def test_noisy_scoring_differs(self, corpus, gmm_models, tmp_path):
         clean = tmp_path / "c.tsv"
         noisy = tmp_path / "n.tsv"
-        base = ["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
+        base = ["score", "--backend", "gmm",
+                "--manifest", str(corpus / "manifest.tsv"),
                 "--kind", "mfcc", "--models", str(gmm_models),
                 "--subset", "eval"]
         assert main(base + ["--out", str(clean)]) == 0
@@ -135,15 +137,16 @@ class TestScoringFlow:
         assert main(["train-plda", "--manifest", man, "--kind", "cosphase",
                      "--stack-dir", str(stack), "--latent", "2",
                      "--iterations", "2", "--out", str(plda)]) == 0
-        assert main(["score-ivec", "--manifest", man, "--kind", "cosphase",
-                     "--stack-dir", str(stack), "--scoring", "plda",
+        assert main(["score", "--backend", "ivector-plda", "--manifest", man,
+                     "--kind", "cosphase", "--models", str(stack),
                      "--plda", str(plda), "--subset", "eval",
                      "--out", str(scores)]) == 0
         assert len(read_scores(scores)) == 6
 
     def test_fuse_average_identity(self, corpus, gmm_models, tmp_path):
         s = tmp_path / "s.tsv"
-        main(["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
+        main(["score", "--backend", "gmm",
+              "--manifest", str(corpus / "manifest.tsv"),
               "--kind", "mfcc", "--models", str(gmm_models),
               "--subset", "eval", "--out", str(s)])
         fused = tmp_path / "f.tsv"
@@ -197,17 +200,17 @@ class TestRunParity:
         conditions = {"clean": [], "white_0dB": noisy,
                       "white_0dB+wiener": noisy + ["--enhance", "wiener"]}
         backends = {
-            "gmm": ["score-gmm", "--models", str(models)],
-            "ivector-cosine": ["score-ivec", "--stack-dir", str(stack)],
-            "ivector-plda": ["score-ivec", "--stack-dir", str(stack),
-                             "--scoring", "plda", "--plda", str(plda)],
+            "gmm": ["--models", str(models)],
+            "ivector-cosine": ["--models", str(stack)],
+            "ivector-plda": ["--models", str(stack), "--plda", str(plda)],
         }
         for cond, flags in conditions.items():
-            for backend, command in backends.items():
+            for backend, model_flags in backends.items():
                 for subset in ("dev", "eval"):
                     out = tmp_path / f"{cond}.{backend}.{subset}.tsv"
-                    assert main([*command, *common, *flags, "--subset",
-                                 subset, "--out", str(out)]) == 0
+                    assert main(["score", "--backend", backend, *model_flags,
+                                 *common, *flags, "--subset", subset,
+                                 "--out", str(out)]) == 0
                     expected = (work / "scores" / cond / backend /
                                 f"{self.KIND}.{subset}.tsv")
                     assert out.read_bytes() == expected.read_bytes(), \
@@ -234,7 +237,8 @@ class TestRunCommand:
 class TestErrorContract:
     def test_missing_model_names_the_training_command(self, corpus,
                                                       tmp_path, capsys):
-        rc = main(["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
+        rc = main(["score", "--backend", "gmm",
+                   "--manifest", str(corpus / "manifest.tsv"),
                    "--kind", "mfcc", "--models", str(tmp_path / "nowhere"),
                    "--subset", "eval", "--out", str(tmp_path / "s.tsv")])
         assert rc == 1
@@ -244,26 +248,27 @@ class TestErrorContract:
         assert err.count("\n") == 1
 
     def test_hygiene_refusal(self, corpus, gmm_models, tmp_path, capsys):
-        rc = main(["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
+        rc = main(["score", "--backend", "gmm",
+                   "--manifest", str(corpus / "manifest.tsv"),
                    "--kind", "mfcc", "--models", str(gmm_models),
                    "--subset", "train", "--out", str(tmp_path / "s.tsv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tHygieneError\t")
 
-    @pytest.mark.parametrize("command", ["score-gmm", "score-ivec"])
+    @pytest.mark.parametrize("backend", ["gmm", "ivector-cosine"])
     def test_model_dir_without_training_list_is_refused(
-            self, command, corpus, gmm_models, ivector_stack, tmp_path,
+            self, backend, corpus, gmm_models, ivector_stack, tmp_path,
             capsys):
         """Hygiene cannot be checked without the training list, so scoring
         stops with one error line instead of skipping the check."""
-        flag, models = {"score-gmm": ("--models", gmm_models),
-                        "score-ivec": ("--stack-dir", ivector_stack)}[command]
+        models = {"gmm": gmm_models, "ivector-cosine": ivector_stack}[backend]
         copy = shutil.copytree(models, tmp_path / "models")
         (copy / "train_utts.txt").unlink()
-        rc = main([command, "--manifest", str(corpus / "manifest.tsv"),
-                   "--kind", "mfcc", flag, str(copy), "--subset", "eval",
-                   "--out", str(tmp_path / "s.tsv")])
+        rc = main(["score", "--backend", backend,
+                   "--manifest", str(corpus / "manifest.tsv"),
+                   "--kind", "mfcc", "--models", str(copy), "--subset",
+                   "eval", "--out", str(tmp_path / "s.tsv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tFileNotFoundError\t")
@@ -273,7 +278,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("command,subset", [
         ("train-gmm", "train"), ("train-ivector", "train"),
-        ("score-gmm", "eval")])
+        ("score", "eval")])
     def test_missing_wav_fails_before_extraction(
             self, command, subset, corpus, gmm_models, tmp_path, capsys,
             monkeypatch):
@@ -286,8 +291,8 @@ class TestErrorContract:
                             lambda *a, **k: extracted.append(a))
         args = {"train-gmm": ["--out-dir", str(tmp_path / "m")],
                 "train-ivector": ["--out-dir", str(tmp_path / "m")],
-                "score-gmm": ["--models", str(gmm_models),
-                              "--out", str(tmp_path / "s.tsv")]}[command]
+                "score": ["--backend", "gmm", "--models", str(gmm_models),
+                          "--out", str(tmp_path / "s.tsv")]}[command]
         rc = main([command, "--manifest", str(copy / "manifest.tsv"),
                    "--kind", "mfcc"] + args)
         assert rc == 1
@@ -299,12 +304,37 @@ class TestErrorContract:
 
     def test_snr_required_with_noise(self, corpus, gmm_models, tmp_path,
                                      capsys):
-        rc = main(["score-gmm", "--manifest", str(corpus / "manifest.tsv"),
+        rc = main(["score", "--backend", "gmm",
+                   "--manifest", str(corpus / "manifest.tsv"),
                    "--kind", "mfcc", "--models", str(gmm_models),
                    "--subset", "eval", "--noise-kind", "white",
                    "--out", str(tmp_path / "s.tsv")])
         assert rc == 1
         assert "error\tValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend,plda", [
+        ("ivector-cosine", True), ("ivector-plda", False)])
+    def test_plda_model_goes_with_the_plda_backend_only(
+            self, backend, plda, corpus, ivector_stack, tmp_path, capsys,
+            monkeypatch):
+        """--plda without --backend ivector-plda would be ignored, and
+        ivector-plda cannot score without it: both stop before any model
+        is read or any utterance extracted."""
+        extracted = []
+        monkeypatch.setattr(features, "extract",
+                            lambda *a, **k: extracted.append(a))
+        extra = ["--plda", str(tmp_path / "p.spl")] if plda else []
+        rc = main(["score", "--backend", backend,
+                   "--manifest", str(corpus / "manifest.tsv"),
+                   "--kind", "mfcc", "--models", str(ivector_stack),
+                   *extra, "--out", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t")
+        assert "--plda" in err and "ivector-plda" in err
+        assert err.count("\n") == 1
+        assert extracted == []
+        assert not (tmp_path / "s.tsv").exists()
 
     def test_nan_score_file_names_the_trial(self, tmp_path, capsys):
         path = tmp_path / "scores.tsv"
@@ -333,6 +363,14 @@ class TestErrorContract:
         assert bad.returncode == 1
         assert bad.stderr.startswith("error\tFileNotFoundError\t")
         assert bad.stderr.count("\n") == 1
+
+
+def test_score_backends_are_the_config_backends():
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    backend, = (a for a in sub.choices["score"]._actions
+                if a.dest == "backend")
+    assert list(backend.choices) == list(config.BACKENDS)
 
 
 def test_readme_table_lists_the_subcommands():

@@ -109,6 +109,16 @@ class TestIniFile:
         path.write_text(canonical_text(cfg), encoding="utf-8")
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("text, field, value", [
+        ("[gmm]\niterations = 7\n", "gmm_iterations", 7),
+        ("[ivector]\nplda_latent = 3\n", "plda_latent", 3),
+    ], ids=["gmm", "ivector"])
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path, text,
+                                                     field, value):
+        path = tmp_path / "x.ini"
+        path.write_text("[experiment]\n" + text)
+        assert load_config(path) == ExperimentConfig(**{field: value})
+
     def test_missing_experiment_section(self, tmp_path):
         path = tmp_path / "x.ini"
         path.write_text("[grid]\ncells = clean\n")

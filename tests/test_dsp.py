@@ -49,7 +49,7 @@ def test_frame_invalid_args():
 def test_power_and_phase_match_direct_dft():
     rng = np.random.default_rng(1)
     frames = rng.standard_normal((10, 320))
-    fm = dsp.FrameMatrix(frames, 20.0, 10.0, RATE, "rect")
+    fm = dsp.FrameMatrix(frames)
     ref = naive_dft_matrix(frames, 512)
     pow_ref = np.abs(ref) ** 2
     got = dsp.power_spectrum(fm, 512)
@@ -63,7 +63,7 @@ def test_power_and_phase_match_direct_dft():
 def test_power_spectrum_parseval():
     rng = np.random.default_rng(2)
     frames = rng.standard_normal((4, 320))
-    fm = dsp.FrameMatrix(frames, 20.0, 10.0, RATE, "rect")
+    fm = dsp.FrameMatrix(frames)
     k = 512
     p = dsp.power_spectrum(fm, k)
     # rebuild the full-circle sum from the half spectrum
@@ -74,14 +74,14 @@ def test_power_spectrum_parseval():
 def test_power_spectrum_constant_frame_dc_only():
     # with frame length == dft size there is no zero-padding leakage
     frames = np.full((1, 512), 0.25)
-    fm = dsp.FrameMatrix(frames, 32.0, 10.0, RATE, "rect")
+    fm = dsp.FrameMatrix(frames)
     p = dsp.power_spectrum(fm, 512)
     assert p[0, 0] == pytest.approx((0.25 * 512) ** 2)
     assert np.max(np.abs(p[0, 1:])) < 1e-18
 
 
 def test_power_spectrum_bad_dft_size():
-    fm = dsp.FrameMatrix(np.zeros((1, 320)), 20.0, 10.0, RATE, "rect")
+    fm = dsp.FrameMatrix(np.zeros((1, 320)))
     with pytest.raises(ValueError):
         dsp.power_spectrum(fm, 300)   # not a power of two
     with pytest.raises(ValueError):

@@ -255,13 +255,31 @@ class TestBuildingBlocks:
         w = harness.embed_ivector(stack, feats[rows[0].utt_id])
         assert w.shape == (4,)
         assert np.isclose(np.linalg.norm(w), 1.0)
-        s_cos = harness.embedding_score(stack, w, "cosine")
-        s_plda = harness.embedding_score(stack, w, "plda", plda)
-        assert np.isfinite(s_cos) and np.isfinite(s_plda)
-        with pytest.raises(ValueError):
-            harness.embedding_score(stack, w, "plda")
-        with pytest.raises(ValueError):
-            harness.embedding_score(stack, w, "svm")
+        test_rows = man.subset("eval").rows
+        frames = [features.extract(read_wav(root / r.wav_path), cfg)
+                  for r in test_rows]
+        models = {"ivector": (stack, [r.utt_id for r in rows]),
+                  "plda": plda}
+        sets = harness.score_utterances(
+            test_rows, frames, models, ("ivector-cosine", "ivector-plda"),
+            "mfcc", "clean")
+        for scores in sets.values():
+            assert scores.utt_ids == [r.utt_id for r in test_rows]
+            assert np.isfinite(scores.scores).all()
+        means = stack.class_means["human"], stack.class_means["spoof"]
+        assert list(sets["ivector-cosine"].scores) == [
+            ivector.detection_score(harness.embed_ivector(stack, f), *means)
+            for f in frames]
+        with pytest.raises(KeyError):
+            harness.score_utterances(test_rows, frames,
+                                     {"ivector": models["ivector"]},
+                                     ("ivector-plda",), "mfcc", "clean")
+        with pytest.raises(KeyError):
+            harness.score_utterances(test_rows, frames, models, ("svm",),
+                                     "mfcc", "clean")
+        with pytest.raises(HygieneError):
+            harness.score_utterances(rows, iter(()), models,
+                                     ("ivector-cosine",), "mfcc", "clean")
 
 
 class TestCacheVersion:
