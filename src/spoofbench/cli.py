@@ -2,15 +2,17 @@
 
 Every pipeline stage is a subcommand, so experiments can be scripted
 piecemeal, and `run` executes a whole config grid.  The stage commands
-call the harness's own stage functions: `train-gmm` and `train-ivector`
-write the model directories a run caches, `train-plda` trains a stack's
-PLDA scorer, and `score` prepares test audio for a
+`extract`, `train` and `score` read their settings (root seed, model sizes,
+feature overrides) from the run's INI file given as `--config`, or use the
+`ExperimentConfig` defaults without one; flags choose only what to run: the
+feature, the model or back-end, the test condition and the files.  They
+call the harness's own stage functions: `train --model` writes a model into
+`--models` as a run caches it, and `score` prepares test audio for a
 `--noise-kind`/`--snr`/`--enhance` condition exactly as a run does, then
 scores it with the harness's scorer under any `--backend`.  With the same
-settings, a stage-by-stage pipeline therefore writes the score files `run`
-writes.  `--seed` of these commands is the experiment root seed, as in a
-config.  On failure the tool prints a single
-machine-parseable line to stderr::
+config, a stage-by-stage pipeline therefore writes the score files `run`
+writes.  On failure the tool prints a single machine-parseable line to
+stderr::
 
     error\t<ExceptionType>\t<message>
 
@@ -26,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as configmod
-from . import features, fusion, harness, ivector
+from . import features, fusion, harness
 from .audio import read_wav, write_features, write_wav
-from .config import GridCell
+from .config import ExperimentConfig, GridCell
 from .enhancement import ENHANCEMENT_METHODS, enhance
 from .evaluation import compute_eer_rocch, compute_ltas, per_attack_eers, \
     save_ltas_csv
@@ -38,19 +40,15 @@ from .scores import read_scores, write_scores
 from .toycorpus import make_toy_corpus
 
 
-def _parse_params(pairs):
-    """--param name=value overrides for a FeatureConfig."""
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ValueError(f"--param expects name=value, got {pair!r}")
-        name, raw = pair.split("=", 1)
-        out[name.strip()] = configmod._parse_scalar(raw)
-    return out
+def _config(args) -> ExperimentConfig:
+    """The settings of --config, or the defaults without one."""
+    return (configmod.load_config(args.config) if args.config
+            else ExperimentConfig())
 
 
-def _feature_config(args) -> features.FeatureConfig:
-    return configmod.feature_config(args.kind, _parse_params(args.param))
+def _missing_model(exc, name):
+    return FileNotFoundError(f"{exc}; create it with "
+                             f"`spoofbench train --model {name}`")
 
 
 def _manifest_rows(args, subset):
@@ -63,18 +61,10 @@ def _manifest_rows(args, subset):
                                                  Path(args.manifest).parent)
 
 
-def _train_features(args):
-    """(training rows, clean features by utterance) as a run trains on."""
-    rows, paths = _manifest_rows(args, "train")
-    cfg = _feature_config(args)
-    return rows, {r.utt_id: features.extract(read_wav(p), cfg)
-                  for r, p in zip(rows, paths)}
-
-
 # -- subcommand bodies ------------------------------------------------------
 
 def cmd_extract(args):
-    cfg = _feature_config(args)
+    cfg = _config(args).feature_config(args.kind)
     signal = read_wav(args.wav)
     vad = None
     if args.vad_from:
@@ -104,61 +94,52 @@ def cmd_enhance(args):
     print(args.out)
 
 
-def cmd_train_gmm(args):
-    rows, feats = _train_features(args)
-    nat, syn = harness.train_gmm_pair(feats, rows, args.components,
-                                      args.iterations, args.seed, args.kind)
-    harness.save_gmm_pair(args.out_dir, nat, syn, [r.utt_id for r in rows])
-    print(args.out_dir)
-
-
-def cmd_train_ivector(args):
-    rows, feats = _train_features(args)
-    stack, normed = harness.train_ivector_stack(
-        feats, rows, ubm_components=args.components, tv_rank=args.rank,
-        tv_iterations=args.iterations, root_seed=args.seed, kind=args.kind)
-    harness.save_ivector_stack(args.out_dir, stack, normed,
-                               [r.utt_id for r in rows])
-    print(args.out_dir)
-
-
-def cmd_train_plda(args):
+def cmd_train(args):
+    """Train --model of --kind with the config's settings and write it into
+    --models under the name a run caches it by: the GMM pair or the
+    i-vector stack from the manifest's train subset, or the PLDA scorer of
+    the stack already in --models."""
+    cfg = _config(args)
+    rows, frames = (), None
+    if args.model in harness.FRAME_MODELS:
+        rows, paths = _manifest_rows(args, "train")
+        feature_cfg = cfg.feature_config(args.kind)
+        frames = {r.utt_id: features.extract(read_wav(p), feature_cfg)
+                  for r, p in zip(rows, paths)}
     labels = {r.utt_id: r.label for r in read_manifest(args.manifest)}
-    model = harness.train_stack_plda(
-        args.stack_dir, labels, latent_rank=args.latent,
-        n_iterations=args.iterations, root_seed=args.seed, kind=args.kind)
-    ivector.save_plda(args.out, model)
-    print(args.out)
+    marker = Path(args.models) / harness.marker_name(args.model, cfg)
+    try:
+        harness.train_model(args.model, marker, rows, frames, labels, cfg,
+                            args.kind)
+    except FileNotFoundError as exc:
+        if args.model == "plda":   # the stack it trains on is missing
+            raise _missing_model(exc, "ivector") from None
+        raise
+    print(marker)
 
 
 def cmd_score(args):
     """Score the chosen subset with --backend in the --noise-kind/--snr/
     --enhance condition, prepared as a run prepares it, and write the score
     file."""
-    needed = configmod.BACKENDS[args.backend]
-    if "plda" in needed and args.plda is None:
-        raise ValueError(f"--backend {args.backend} requires --plda MODEL")
-    if "plda" not in needed and args.plda is not None:
-        raise ValueError(f"--plda applies only to --backend ivector-plda, "
-                         f"not {args.backend}")
+    cfg = _config(args)
     models = {}
-    for name in needed:
-        marker = (args.plda if name == "plda"
-                  else Path(args.models) / harness.TRAIN_IDS)
+    for name in configmod.BACKENDS[args.backend]:
+        marker = Path(args.models) / harness.marker_name(name, cfg)
         try:
             models[name] = harness.load_model(name, marker)
         except FileNotFoundError as exc:
-            raise FileNotFoundError(f"{exc}; create it with "
-                                    f"`spoofbench train-{name}`") from None
+            raise _missing_model(exc, name) from None
     cell = GridCell(args.noise_kind, args.snr)
     rows, paths = _manifest_rows(args, args.subset)
-    cfg = _feature_config(args)
+    feature_cfg = cfg.feature_config(args.kind)
 
     def test_features():
         for r, path in zip(rows, paths):
             clean = read_wav(path)
             yield harness.extract_test_features(harness.prepare_signal(
-                clean, r.utt_id, cell, args.enhance, args.seed), cfg, clean)
+                clean, r.utt_id, cell, args.enhance, cfg.seed), feature_cfg,
+                clean)
     cond = harness.condition_tag(cell, args.enhance)
     sets = harness.score_utterances(rows, test_features(), models,
                                     (args.backend,), args.kind, cond)
@@ -167,6 +148,11 @@ def cmd_score(args):
 
 
 def cmd_fuse(args):
+    if args.method == "average" and (args.dev or args.model):
+        raise ValueError("--dev and --model apply only to --method logistic")
+    if args.method == "logistic" and bool(args.dev) == bool(args.model):
+        raise ValueError("logistic fusion needs exactly one of --dev "
+                         "(sets to train on) and --model (a trained model)")
     sets = [read_scores(p) for p in args.scores]
     if args.method == "average":
         fused = fusion.fuse_average(sets)
@@ -174,13 +160,11 @@ def cmd_fuse(args):
     else:
         if args.model:
             model = fusion.load_fusion(args.model)
-        elif args.dev:
+        else:
             dev_sets = [read_scores(p) for p in args.dev]
             if len(dev_sets) != len(sets):
                 raise ValueError("need one --dev set per scored system")
             model = fusion.train_logistic_fusion(dev_sets)
-        else:
-            raise ValueError("logistic fusion needs --dev sets or --model")
         fused = fusion.apply_fusion(model, sets)
     write_scores(args.out, fused)
     if args.model_out:
@@ -241,35 +225,20 @@ def cmd_run(args):
 
 # -- argument wiring --------------------------------------------------------
 
-def _add_feature_args(p):
+def _add_stage_args(p):
     p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="feature config override, repeatable")
+    p.add_argument("--config", default=None,
+                   help="experiment INI file whose settings (seed, model "
+                        "sizes, feature overrides) to use "
+                        "(default: the built-in defaults)")
 
 
 def _add_corpus_args(p):
-    _add_feature_args(p)
+    _add_stage_args(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--wav-root", default=None,
                    help="base for relative wav paths "
                         "(default: manifest directory)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="experiment root seed")
-
-
-def _add_training_args(p):
-    _add_corpus_args(p)
-    p.add_argument("--out-dir", required=True)
-
-
-def _add_scoring_args(p):
-    _add_corpus_args(p)
-    p.add_argument("--subset", default="eval",
-                   choices=("train", "dev", "eval"))
-    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--enhance", choices=ENHANCEMENT_METHODS, default=None)
-    p.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="extract features from one wav")
-    _add_feature_args(p)
+    _add_stage_args(p)
     p.add_argument("--wav", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vad-from", default=None,
@@ -304,45 +273,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("train-gmm",
-                       help="train the human/spoof GMM pair")
-    _add_training_args(p)
-    p.add_argument("--components", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=10)
-    p.set_defaults(func=cmd_train_gmm)
-
-    p = sub.add_parser("train-ivector",
-                       help="train the i-vector stack (UBM, total "
-                            "variability, WCCN, class means)")
-    _add_training_args(p)
-    p.add_argument("--components", type=int, default=32,
-                   help="UBM components")
-    p.add_argument("--rank", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=5,
-                   help="total-variability EM iterations")
-    p.set_defaults(func=cmd_train_ivector)
-
-    p = sub.add_parser("train-plda",
-                       help="train the PLDA scorer of an i-vector stack")
-    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--stack-dir", required=True,
-                   help="directory written by train-ivector")
-    p.add_argument("--latent", type=int, default=16)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0,
-                   help="experiment root seed")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_plda)
+    p = sub.add_parser("train", help="train a model of one feature")
+    p.add_argument("--model", required=True,
+                   choices=("gmm", "ivector", "plda"))
+    _add_corpus_args(p)
+    p.add_argument("--models", required=True,
+                   help="model directory: the GMM pair (gmm), or the "
+                        "i-vector stack and its PLDA scorers (ivector, "
+                        "plda)")
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score utterances with a back-end")
-    _add_scoring_args(p)
     p.add_argument("--backend", required=True, choices=configmod.BACKENDS)
+    _add_corpus_args(p)
     p.add_argument("--models", required=True,
-                   help="directory written by train-gmm (gmm) or "
-                        "train-ivector (ivector-cosine, ivector-plda)")
-    p.add_argument("--plda", default=None,
-                   help="model written by train-plda (ivector-plda)")
+                   help="directory written by train --model gmm (gmm) or "
+                        "train --model ivector (ivector-cosine, "
+                        "ivector-plda, which also needs train --model plda)")
+    p.add_argument("--subset", default="eval",
+                   choices=("train", "dev", "eval"))
+    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
+    p.add_argument("--snr", type=float, default=None)
+    p.add_argument("--enhance", choices=ENHANCEMENT_METHODS, default=None)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fuse", help="combine score files")

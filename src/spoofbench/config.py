@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 
 from . import features
@@ -36,16 +37,28 @@ class GridCell:
             raise ValueError("noise_kind and snr_db must be set together")
         if self.noise_kind is not None and self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+        if self.snr_db is not None and (math.isnan(self.snr_db)
+                                        or self.snr_db == -math.inf):
+            raise ValueError(f"bad SNR {self.snr_db!r} dB")
 
     @property
     def is_clean(self) -> bool:
         return self.noise_kind is None
 
     @property
+    def snr_text(self) -> str:
+        """The SNR as `:g` writes it when that reads back exactly (every
+        integer SNR), else as repr; float() of it is snr_db."""
+        text = f"{self.snr_db:g}"
+        if float(text) != self.snr_db:
+            text = repr(float(self.snr_db))
+        return text
+
+    @property
     def tag(self) -> str:
         if self.is_clean:
             return "clean"
-        return f"{self.noise_kind}_{self.snr_db:g}dB"
+        return f"{self.noise_kind}_{self.snr_text}dB"
 
 
 def parse_grid_cell(text: str) -> GridCell:
@@ -106,8 +119,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown fusion method {method!r}")
 
     def feature_config(self, kind: str) -> features.FeatureConfig:
-        return feature_config(kind, ((name, value) for k, name, value
-                                     in self.feature_overrides if k == kind))
+        """The front-end settings every stage uses: the defaults of `kind`,
+        then DESK_FEATURE_OVERRIDES, then this config's overrides of kind."""
+        merged = dict(DESK_FEATURE_OVERRIDES.get(kind, ()))
+        merged.update((name, value) for k, name, value
+                      in self.feature_overrides if k == kind)
+        return features.FeatureConfig(kind, **merged)
 
 
 # desk-scale CQT geometry: full-resolution kernels dominate runtime while
@@ -117,14 +134,6 @@ class ExperimentConfig:
 # acceptance run (about 1,000 CQCC extractions) cannot afford 96x9.
 DESK_FEATURE_OVERRIDES = {"cqcc": (("cqt_bins_per_octave", 24),
                                    ("cqt_octaves", 6))}
-
-
-def feature_config(kind: str, overrides=()) -> features.FeatureConfig:
-    """The front-end settings every stage uses: the defaults of `kind`,
-    then DESK_FEATURE_OVERRIDES, then the explicit (name, value) pairs."""
-    merged = dict(DESK_FEATURE_OVERRIDES.get(kind, ()))
-    merged.update(overrides)
-    return features.FeatureConfig(kind, **merged)
 
 
 def _parse_scalar(raw: str):
@@ -237,7 +246,7 @@ def canonical_text(config: ExperimentConfig) -> str:
     }
     parser["grid"] = {
         "cells": " ".join("clean" if c.is_clean
-                          else f"{c.noise_kind}:{c.snr_db:g}"
+                          else f"{c.noise_kind}:{c.snr_text}"
                           for c in config.grid),
     }
     by_kind = {}

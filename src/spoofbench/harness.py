@@ -301,6 +301,49 @@ def load_ivector_stack(model_dir):
     return stack, train_ids
 
 
+# the models trained on a feature's training frames; the PLDA scorer is
+# trained on its stack's stored i-vectors instead
+FRAME_MODELS = ("gmm", "ivector")
+
+
+def marker_name(name: str, cfg: ExperimentConfig) -> str:
+    """The file that marks model `name` complete in its directory: the
+    training list of a GMM pair or an i-vector stack, or the PLDA model
+    itself, kept in its stack's directory one file per PLDA setting."""
+    if name in FRAME_MODELS:
+        return TRAIN_IDS
+    return f"plda.q{cfg.plda_latent}.i{cfg.plda_iterations}.spl"
+
+
+def train_model(name: str, marker, rows, frames, labels,
+                cfg: ExperimentConfig, kind: str):
+    """Train model `name` of feature `kind` with cfg's settings and write it
+    so that marker appears last: the GMM pair or the i-vector stack from
+    frames (the features of the training rows, by utterance), or the PLDA
+    scorer of the stack in marker's directory, with labels mapping its
+    training utterances to their classes.  An error is re-raised naming the
+    feature and the model."""
+    marker = Path(marker)
+    train_ids = [r.utt_id for r in rows]
+    try:
+        if name == "gmm":
+            save_gmm_pair(marker.parent, *train_gmm_pair(
+                frames, rows, cfg.gmm_components, cfg.gmm_iterations,
+                cfg.seed, kind), train_ids)
+        elif name == "ivector":
+            save_ivector_stack(marker.parent, *train_ivector_stack(
+                frames, rows, ubm_components=cfg.ubm_components,
+                tv_rank=cfg.tv_rank, tv_iterations=cfg.tv_iterations,
+                root_seed=cfg.seed, kind=kind), train_ids)
+        else:
+            _write_via_temp(ivector.save_plda, marker, train_stack_plda(
+                marker.parent, labels, latent_rank=cfg.plda_latent,
+                n_iterations=cfg.plda_iterations, root_seed=cfg.seed,
+                kind=kind))
+    except Exception as exc:
+        raise _with_context(exc, f"feature {kind}, model {name}") from exc
+
+
 def load_model(name: str, marker):
     """Model `name` of _Runner._model_files as scoring takes it, from its
     marker file: load_gmm_pair or load_ivector_stack of the marker's
@@ -454,7 +497,7 @@ class _Runner:
             (GridCell(), None, kind): list(self.manifest.subset("train").rows)
             for kind in cfg.features if not all(
                 path.is_file() for model, path in
-                self._model_files(kind).items() if model != "plda")}
+                self._model_files(kind).items() if model in FRAME_MODELS)}
         for cell in cfg.grid:
             for kind in cfg.features:
                 wanted.setdefault((cell, cfg.enhancement, kind),
@@ -491,45 +534,25 @@ class _Runner:
                                     cfg.gmm_iterations)
         stack = models / _stage_hash("ivector", *key, cfg.ubm_components,
                                      cfg.tv_rank, cfg.tv_iterations)
-        files = {"gmm": pair / TRAIN_IDS, "ivector": stack / TRAIN_IDS,
-                 "plda": stack / (f"plda.q{cfg.plda_latent}"
-                                  f".i{cfg.plda_iterations}.spl")}
+        dirs = {"gmm": pair, "ivector": stack, "plda": stack}
         needed = {name for b in cfg.backends for name in BACKENDS[b]}
-        return {name: path for name, path in files.items() if name in needed}
+        return {name: path / marker_name(name, cfg)
+                for name, path in dirs.items() if name in needed}
 
     def _train_models(self, kind: str) -> dict:
         """Train each missing model of _model_files(kind), then load them all
-        from the cache: {model: what its loader returns}.  A training error
-        is re-raised naming the feature and the model."""
-        cfg = self.config
+        from the cache: {model: what its loader returns}."""
         files = self._model_files(kind)
         missing = [name for name in files if not files[name].is_file()]
         rows = self.manifest.subset("train").rows
-        train_ids = [r.utt_id for r in rows]
-        if {"gmm", "ivector"} & set(missing):
+        frames = None
+        if any(name in FRAME_MODELS for name in missing):
             # training observations: the clean condition, never enhanced
             frames = self._features(rows, kind, GridCell(), None)
+        labels = {r.utt_id: r.label for r in self.manifest}
         for name in missing:
-            path = files[name]
-            try:
-                if name == "gmm":
-                    save_gmm_pair(path.parent, *train_gmm_pair(
-                        frames, rows, cfg.gmm_components, cfg.gmm_iterations,
-                        cfg.seed, kind), train_ids)
-                elif name == "ivector":
-                    save_ivector_stack(path.parent, *train_ivector_stack(
-                        frames, rows, ubm_components=cfg.ubm_components,
-                        tv_rank=cfg.tv_rank, tv_iterations=cfg.tv_iterations,
-                        root_seed=cfg.seed, kind=kind), train_ids)
-                else:
-                    labels = {r.utt_id: r.label for r in self.manifest}
-                    _write_via_temp(ivector.save_plda, path, train_stack_plda(
-                        path.parent, labels, latent_rank=cfg.plda_latent,
-                        n_iterations=cfg.plda_iterations, root_seed=cfg.seed,
-                        kind=kind))
-            except Exception as exc:
-                raise _with_context(exc, f"feature {kind}, model {name}"
-                                    ) from exc
+            train_model(name, files[name], rows, frames, labels, self.config,
+                        kind)
         return {name: load_model(name, path) for name, path in files.items()}
 
     # -- fusion and results ------------------------------------------------

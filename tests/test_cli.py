@@ -14,13 +14,18 @@ import pytest
 from spoofbench import config, features
 from spoofbench.audio import read_features
 from spoofbench.cli import build_parser, main
-from spoofbench.config import ExperimentConfig, GridCell
+from spoofbench.config import GridCell, load_config
 from spoofbench.harness import run_experiment
 from spoofbench.manifest import read_manifest
 from spoofbench.scores import read_scores
 from spoofbench.toycorpus import make_toy_corpus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# model sizes small enough for the 12-utterance training subset
+SMALL_MODELS = ("[gmm]\ncomponents = 4\niterations = 3\n"
+                "[ivector]\nubm_components = 4\nrank = 4\n"
+                "tv_iterations = 2\nplda_latent = 2\nplda_iterations = 2\n")
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +36,28 @@ def corpus(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def gmm_models(corpus, tmp_path_factory):
+def small_ini(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "small.ini"
+    path.write_text("[experiment]\n" + SMALL_MODELS, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def gmm_models(corpus, small_ini, tmp_path_factory):
     out = tmp_path_factory.mktemp("models") / "gmm-mfcc"
-    rc = main(["train-gmm", "--manifest", str(corpus / "manifest.tsv"),
-               "--kind", "mfcc", "--components", "4", "--iterations", "3",
-               "--out-dir", str(out)])
+    rc = main(["train", "--model", "gmm",
+               "--manifest", str(corpus / "manifest.tsv"), "--kind", "mfcc",
+               "--config", small_ini, "--models", str(out)])
     assert rc == 0
     return out
 
 
 @pytest.fixture(scope="module")
-def ivector_stack(corpus, tmp_path_factory):
+def ivector_stack(corpus, small_ini, tmp_path_factory):
     out = tmp_path_factory.mktemp("models") / "stack-mfcc"
-    rc = main(["train-ivector", "--manifest", str(corpus / "manifest.tsv"),
-               "--kind", "mfcc", "--components", "4", "--rank", "4",
-               "--iterations", "2", "--out-dir", str(out)])
+    rc = main(["train", "--model", "ivector",
+               "--manifest", str(corpus / "manifest.tsv"), "--kind", "mfcc",
+               "--config", small_ini, "--models", str(out)])
     assert rc == 0
     return out
 
@@ -60,10 +72,13 @@ class TestBasics:
         assert read_features(out).shape[1] == 96
 
     def test_extract_with_param_override(self, corpus, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\n[feature.mfcc]\nn_coeffs = 20\n",
+                       encoding="utf-8")
         out = tmp_path / "f.spbf"
         rc = main(["extract", "--wav",
                    str(corpus / "wav" / "eval" / "eval-0000.wav"),
-                   "--kind", "mfcc", "--param", "n_coeffs=20",
+                   "--kind", "mfcc", "--config", str(ini),
                    "--out", str(out)])
         assert rc == 0
         assert read_features(out).shape[1] == 60
@@ -121,25 +136,24 @@ class TestScoringFlow:
                 "--subset", "eval"]
         assert main(base + ["--out", str(clean)]) == 0
         assert main(base + ["--noise-kind", "white", "--snr", "0",
-                            "--seed", "4", "--out", str(noisy)]) == 0
+                            "--out", str(noisy)]) == 0
         a, b = read_scores(clean), read_scores(noisy)
         assert not np.array_equal(a.scores, b.scores)
         assert set(b.conditions) == {"white_0dB"}
 
-    def test_ivector_flow(self, corpus, tmp_path):
-        man = str(corpus / "manifest.tsv")
+    def test_ivector_flow(self, corpus, small_ini, tmp_path):
+        common = ["--manifest", str(corpus / "manifest.tsv"),
+                  "--kind", "cosphase", "--config", small_ini]
         stack = tmp_path / "stack"
-        plda = tmp_path / "p.spl"
         scores = tmp_path / "s.tsv"
-        assert main(["train-ivector", "--manifest", man, "--kind",
-                     "cosphase", "--components", "4", "--rank", "4",
-                     "--iterations", "2", "--out-dir", str(stack)]) == 0
-        assert main(["train-plda", "--manifest", man, "--kind", "cosphase",
-                     "--stack-dir", str(stack), "--latent", "2",
-                     "--iterations", "2", "--out", str(plda)]) == 0
-        assert main(["score", "--backend", "ivector-plda", "--manifest", man,
-                     "--kind", "cosphase", "--models", str(stack),
-                     "--plda", str(plda), "--subset", "eval",
+        assert main(["train", "--model", "ivector", *common,
+                     "--models", str(stack)]) == 0
+        assert main(["train", "--model", "plda", *common,
+                     "--models", str(stack)]) == 0
+        # named by the config's PLDA settings, as a run names it
+        assert (stack / "plda.q2.i2.spl").is_file()
+        assert main(["score", "--backend", "ivector-plda", *common,
+                     "--models", str(stack), "--subset", "eval",
                      "--out", str(scores)]) == 0
         assert len(read_scores(scores)) == 6
 
@@ -165,51 +179,48 @@ class TestRunParity:
     def test_cli_pipeline_writes_the_run_score_files(self, corpus,
                                                      tmp_path):
         man = str(corpus / "manifest.tsv")
-        config = ExperimentConfig(
-            seed=self.SEED, features=(self.KIND,),
-            backends=("gmm", "ivector-cosine", "ivector-plda"),
-            grid=(GridCell(), GridCell("white", 0.0)),
-            gmm_components=4, gmm_iterations=3, ubm_components=4,
-            tv_rank=4, tv_iterations=2, plda_latent=2, plda_iterations=2)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nseed = {self.SEED}\n"
+                       f"features = {self.KIND}\n"
+                       "backends = gmm ivector-cosine ivector-plda\n"
+                       "[grid]\ncells = clean white:0\n" + SMALL_MODELS,
+                       encoding="utf-8")
         work = tmp_path / "work"
-        manifest = read_manifest(man)
-        run_experiment(config, manifest, work, wav_root=corpus)
-        run_experiment(replace(config, grid=(GridCell("white", 0.0),),
+        assert main(["run", "--config", str(ini), "--manifest", man,
+                     "--work-dir", str(work)]) == 0
+        run_experiment(replace(load_config(ini),
+                               grid=(GridCell("white", 0.0),),
                                enhancement="wiener"),
-                       manifest, work, wav_root=corpus)
+                       read_manifest(man), work, wav_root=corpus)
 
         common = ["--manifest", man, "--kind", self.KIND,
-                  "--seed", str(self.SEED)]
+                  "--config", str(ini)]
         models, stack = tmp_path / "gmm", tmp_path / "stack"
-        plda = tmp_path / "plda.spl"
-        assert main(["train-gmm", *common, "--components", "4",
-                     "--iterations", "3", "--out-dir", str(models)]) == 0
-        assert main(["train-ivector", *common, "--components", "4",
-                     "--rank", "4", "--iterations", "2",
-                     "--out-dir", str(stack)]) == 0
-        assert main(["train-plda", *common, "--stack-dir", str(stack),
-                     "--latent", "2", "--iterations", "2",
-                     "--out", str(plda)]) == 0
-        # the CLI's model directories are the runner's cached ones
+        for model, out in (("gmm", models), ("ivector", stack),
+                           ("plda", stack)):
+            assert main(["train", "--model", model, *common,
+                         "--models", str(out)]) == 0
+        # the CLI's model directories, PLDA file included, are the
+        # runner's cached ones
         for cli_dir, marker in ((models, "human.gmm"), (stack, "tv.stv")):
             cached, = (work / "cache" / "models").glob(f"*/{marker}")
+            assert sorted(f.name for f in cli_dir.iterdir()) == \
+                sorted(f.name for f in cached.parent.iterdir())
             for f in cli_dir.iterdir():
                 assert f.read_bytes() == (cached.parent / f.name).read_bytes()
 
         noisy = ["--noise-kind", "white", "--snr", "0"]
         conditions = {"clean": [], "white_0dB": noisy,
                       "white_0dB+wiener": noisy + ["--enhance", "wiener"]}
-        backends = {
-            "gmm": ["--models", str(models)],
-            "ivector-cosine": ["--models", str(stack)],
-            "ivector-plda": ["--models", str(stack), "--plda", str(plda)],
-        }
+        backends = {"gmm": models, "ivector-cosine": stack,
+                    "ivector-plda": stack}
         for cond, flags in conditions.items():
-            for backend, model_flags in backends.items():
+            for backend, model_dir in backends.items():
                 for subset in ("dev", "eval"):
                     out = tmp_path / f"{cond}.{backend}.{subset}.tsv"
-                    assert main(["score", "--backend", backend, *model_flags,
-                                 *common, *flags, "--subset", subset,
+                    assert main(["score", "--backend", backend,
+                                 "--models", str(model_dir), *common,
+                                 *flags, "--subset", subset,
                                  "--out", str(out)]) == 0
                     expected = (work / "scores" / cond / backend /
                                 f"{self.KIND}.{subset}.tsv")
@@ -244,8 +255,69 @@ class TestErrorContract:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tFileNotFoundError\t")
-        assert "train-gmm" in err
+        assert "train --model gmm" in err
         assert err.count("\n") == 1
+
+    def test_missing_plda_names_its_training_command(
+            self, corpus, ivector_stack, tmp_path, capsys, monkeypatch):
+        """A stack without the PLDA file of the config's PLDA settings
+        stops ivector-plda scoring before any utterance is extracted."""
+        extracted = []
+        monkeypatch.setattr(features, "extract",
+                            lambda *a, **k: extracted.append(a))
+        rc = main(["score", "--backend", "ivector-plda",
+                   "--manifest", str(corpus / "manifest.tsv"),
+                   "--kind", "mfcc", "--models", str(ivector_stack),
+                   "--out", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFileNotFoundError\t")
+        assert "plda.q16.i5.spl" in err and "train --model plda" in err
+        assert err.count("\n") == 1
+        assert extracted == []
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_plda_without_a_stack_names_the_stack_training(
+            self, corpus, tmp_path, capsys):
+        models = tmp_path / "empty"
+        models.mkdir()
+        rc = main(["train", "--model", "plda",
+                   "--manifest", str(corpus / "manifest.tsv"),
+                   "--kind", "mfcc", "--models", str(models)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tFileNotFoundError\t")
+        assert "train --model ivector" in err
+        assert err.count("\n") == 1
+        assert list(models.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["extract", "train", "score"])
+    def test_unknown_config_key_is_one_error_line(
+            self, command, corpus, tmp_path, capsys, monkeypatch):
+        """A misspelled setting stops a stage command before it extracts
+        anything, as it stops `run`."""
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\n[gmm]\ncomponent = 4\n",
+                       encoding="utf-8")
+        extracted = []
+        monkeypatch.setattr(features, "extract",
+                            lambda *a, **k: extracted.append(a))
+        man, out = str(corpus / "manifest.tsv"), str(tmp_path / "out")
+        args = {"extract": ["--wav", str(corpus / "wav" / "eval" /
+                                         "eval-0000.wav"), "--out", out],
+                "train": ["--model", "gmm", "--manifest", man,
+                          "--models", str(tmp_path / "m")],
+                "score": ["--backend", "gmm", "--manifest", man,
+                          "--models", str(tmp_path / "m"),
+                          "--out", out]}[command]
+        rc = main([command, "--kind", "mfcc", "--config", str(ini), *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t")
+        assert "'component'" in err and "[gmm]" in err
+        assert err.count("\n") == 1
+        assert extracted == []
+        assert not (tmp_path / "m").exists()
 
     def test_hygiene_refusal(self, corpus, gmm_models, tmp_path, capsys):
         rc = main(["score", "--backend", "gmm",
@@ -289,12 +361,15 @@ class TestErrorContract:
         extracted = []
         monkeypatch.setattr(features, "extract",
                             lambda *a, **k: extracted.append(a))
-        args = {"train-gmm": ["--out-dir", str(tmp_path / "m")],
-                "train-ivector": ["--out-dir", str(tmp_path / "m")],
-                "score": ["--backend", "gmm", "--models", str(gmm_models),
+        args = {"train-gmm": ["train", "--model", "gmm",
+                              "--models", str(tmp_path / "m")],
+                "train-ivector": ["train", "--model", "ivector",
+                                  "--models", str(tmp_path / "m")],
+                "score": ["score", "--backend", "gmm",
+                          "--models", str(gmm_models),
                           "--out", str(tmp_path / "s.tsv")]}[command]
-        rc = main([command, "--manifest", str(copy / "manifest.tsv"),
-                   "--kind", "mfcc"] + args)
+        rc = main(args + ["--manifest", str(copy / "manifest.tsv"),
+                          "--kind", "mfcc"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tFileNotFoundError\t")
@@ -312,29 +387,25 @@ class TestErrorContract:
         assert rc == 1
         assert "error\tValueError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend,plda", [
-        ("ivector-cosine", True), ("ivector-plda", False)])
-    def test_plda_model_goes_with_the_plda_backend_only(
-            self, backend, plda, corpus, ivector_stack, tmp_path, capsys,
-            monkeypatch):
-        """--plda without --backend ivector-plda would be ignored, and
-        ivector-plda cannot score without it: both stop before any model
-        is read or any utterance extracted."""
-        extracted = []
-        monkeypatch.setattr(features, "extract",
-                            lambda *a, **k: extracted.append(a))
-        extra = ["--plda", str(tmp_path / "p.spl")] if plda else []
-        rc = main(["score", "--backend", backend,
-                   "--manifest", str(corpus / "manifest.tsv"),
-                   "--kind", "mfcc", "--models", str(ivector_stack),
-                   *extra, "--out", str(tmp_path / "s.tsv")])
+    @pytest.mark.parametrize("method,extra", [
+        ("average", ["--dev"]), ("average", ["--model"]),
+        ("logistic", ["--dev", "--model"])])
+    def test_fuse_refuses_flags_its_method_would_ignore(
+            self, method, extra, tmp_path, capsys):
+        """Averaging uses neither dev sets nor a model, and a logistic model
+        would override the dev sets: each stops before any score file is
+        read (the files do not exist, so a read would fail otherwise)."""
+        files = [str(tmp_path / f"{name}.tsv") for name in ("a", "b")]
+        flags = [arg for flag in extra for arg in (
+            [flag, *files] if flag == "--dev" else [flag, files[0]])]
+        rc = main(["fuse", "--method", method, "--scores", *files, *flags,
+                   "--out", str(tmp_path / "f.tsv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tValueError\t")
-        assert "--plda" in err and "ivector-plda" in err
+        assert "--dev" in err and "--model" in err
         assert err.count("\n") == 1
-        assert extracted == []
-        assert not (tmp_path / "s.tsv").exists()
+        assert not (tmp_path / "f.tsv").exists()
 
     def test_nan_score_file_names_the_trial(self, tmp_path, capsys):
         path = tmp_path / "scores.tsv"

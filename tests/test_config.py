@@ -26,6 +26,21 @@ class TestGridCell:
             parse_grid_cell("pink:10")
         with pytest.raises(ValueError):
             GridCell("white", None)
+        for snr in (float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="SNR"):
+                GridCell("white", snr)
+        with pytest.raises(ValueError, match="SNR"):
+            parse_grid_cell("white:nan")
+
+    def test_snr_tag_keeps_every_digit(self):
+        """The tag keys the feature cache and seeds the noise, so SNRs
+        that differ past the sixth digit must not share it; SNRs that
+        `:g` writes exactly keep their old tags."""
+        a, b = GridCell("white", 12.3456789), GridCell("white", 12.34567)
+        assert (a.tag, b.tag) == ("white_12.3456789dB", "white_12.34567dB")
+        assert GridCell("car", 20.0).tag == "car_20dB"
+        assert GridCell("white", 2.5).tag == "white_2.5dB"
+        assert ExperimentConfig(grid=(a, b)).grid == (a, b)
 
 
 class TestValidation:
@@ -68,15 +83,15 @@ class TestFeatureOverrides:
 
     def test_desk_geometry_sits_under_explicit_overrides(self):
         desk = dict(cfgmod.DESK_FEATURE_OVERRIDES["cqcc"])
-        assert cfgmod.feature_config("cqcc") == \
+        assert ExperimentConfig().feature_config("cqcc") == \
             features.FeatureConfig("cqcc", **desk)
         cfg = ExperimentConfig(
             feature_overrides=(("cqcc", "cqt_bins_per_octave", 48),))
         got = cfg.feature_config("cqcc")
         assert got.cqt_bins_per_octave == 48
         assert got.cqt_octaves == desk["cqt_octaves"]
-        assert got == cfgmod.feature_config("cqcc",
-                                            {"cqt_bins_per_octave": 48})
+        assert got == features.FeatureConfig(
+            "cqcc", **{**desk, "cqt_bins_per_octave": 48})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="'mfc'"):
@@ -99,7 +114,8 @@ class TestIniFile:
             features=("mfcc", "rps"),
             backends=("gmm", "ivector-plda"),
             grid=(GridCell(), GridCell("white", 0.0),
-                  GridCell("babble", 10.0)),
+                  GridCell("babble", 10.0), GridCell("white", 12.3456789),
+                  GridCell("white", 12.34567)),
             enhancement="wiener",
             fusion=("average",),
             feature_overrides=(("mfcc", "n_coeffs", 24),

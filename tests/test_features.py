@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spoofbench import dsp, features
 from spoofbench.audio import AudioSignal
-from spoofbench.config import feature_config
+from spoofbench.config import ExperimentConfig
 from spoofbench.errors import AlignmentError, EmptyFeaturesError
 
 from reference import (mhec_energies_whole_matrix, naive_dct, naive_dft_matrix,
@@ -513,7 +513,8 @@ def test_edge_inputs_raise_value_errors_or_give_finite_features(case, kind,
                                                                 rate, n):
     """Degenerate audio ends in a ValueError-family error or in finite
     features of the configured width, never in a numpy RuntimeWarning."""
-    cfg = feature_config(kind)   # desk CQT geometry keeps the kernel small
+    # desk CQT geometry keeps the kernel small
+    cfg = ExperimentConfig().feature_config(kind)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
