@@ -34,7 +34,7 @@ from .config import ExperimentConfig, GridCell
 from .enhancement import ENHANCEMENT_METHODS, enhance
 from .evaluation import compute_eer_rocch, compute_ltas, per_attack_eers, \
     save_ltas_csv
-from .manifest import read_manifest
+from .manifest import SUBSETS, read_manifest
 from .noiselab import NOISE_KINDS, make_noise, mix_at_snr
 from .scores import read_scores, write_scores
 from .toycorpus import make_toy_corpus
@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model of one feature")
     p.add_argument("--model", required=True,
-                   choices=("gmm", "ivector", "plda"))
+                   choices=tuple(dict.fromkeys(
+                       m for models in configmod.BACKENDS.values()
+                       for m in models)))
     _add_corpus_args(p)
     p.add_argument("--models", required=True,
                    help="model directory: the GMM pair (gmm), or the "
@@ -290,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory written by train --model gmm (gmm) or "
                         "train --model ivector (ivector-cosine, "
                         "ivector-plda, which also needs train --model plda)")
-    p.add_argument("--subset", default="eval",
-                   choices=("train", "dev", "eval"))
+    p.add_argument("--subset", default="eval", choices=SUBSETS)
     p.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--enhance", choices=ENHANCEMENT_METHODS, default=None)
@@ -299,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("fuse", help="combine score files")
-    p.add_argument("--method", choices=("average", "logistic"),
-                   required=True)
+    p.add_argument("--method", choices=fusion.FUSION_METHODS, required=True)
     p.add_argument("--scores", nargs="+", required=True,
                    help="aligned score TSVs, one per system")
     p.add_argument("--dev", nargs="+", default=None,

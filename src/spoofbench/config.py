@@ -16,13 +16,13 @@ from dataclasses import dataclass, fields
 
 from . import features
 from .enhancement import ENHANCEMENT_METHODS
+from .fusion import FUSION_METHODS
 from .noiselab import NOISE_KINDS
 
 # each back-end and the models it needs, in training order: a GMM pair, or
 # an i-vector stack scored by cosine or by the stack's PLDA model
 BACKENDS = {"gmm": ("gmm",), "ivector-cosine": ("ivector",),
             "ivector-plda": ("ivector", "plda")}
-FUSION_METHODS = ("average", "logistic")
 
 
 @dataclass(frozen=True)
@@ -136,50 +136,67 @@ DESK_FEATURE_OVERRIDES = {"cqcc": (("cqt_bins_per_octave", 24),
                                    ("cqt_octaves", 6))}
 
 
-def _parse_scalar(raw: str):
-    text = raw.strip()
-    low = text.lower()
-    if low == "none":
-        return None
-    if low in ("true", "yes"):
-        return True
-    if low in ("false", "no"):
-        return False
+def _optional(read):
+    """read, except that 'none' reads as None."""
+    return lambda text: None if text.lower() == "none" else read(text)
+
+
+def _flag(text: str) -> bool:
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("expected true/false, yes/no, on/off or "
+                         "1/0") from None
 
 
-_FEATURE_FIELDS = {f.name for f in fields(features.FeatureConfig)
-                   if f.name != "kind"}
+_INT = (int, str)
+_WORDS = (lambda text: tuple(text.split()), " ".join)
 
-# the integer ExperimentConfig field that each INI (section, key) sets
-_INT_FIELDS = {
-    ("experiment", "seed"): "seed",
-    ("gmm", "components"): "gmm_components",
-    ("gmm", "iterations"): "gmm_iterations",
-    ("ivector", "ubm_components"): "ubm_components",
-    ("ivector", "rank"): "tv_rank",
-    ("ivector", "tv_iterations"): "tv_iterations",
-    ("ivector", "plda_latent"): "plda_latent",
-    ("ivector", "plda_iterations"): "plda_iterations",
+# each INI key, by section: the ExperimentConfig field it sets, how its text
+# reads and how the field's value writes.  An absent key leaves the field at
+# its default.
+_KEYS = {
+    "experiment": {
+        "name": ("name", str, str),
+        "seed": ("seed", *_INT),
+        "features": ("features", *_WORDS),
+        "backends": ("backends", *_WORDS),
+        "enhancement": ("enhancement",
+                        lambda text: (None if text.strip().lower()
+                                      in ("none", "") else text.strip()),
+                        lambda method: method or "none"),
+        "fusion": ("fusion",
+                   lambda text: tuple(w for w in text.split()
+                                      if w.lower() != "none"),
+                   lambda methods: " ".join(methods) or "none"),
+    },
+    "grid": {
+        "cells": ("grid",
+                  lambda text: tuple(parse_grid_cell(c) for c in text.split()),
+                  lambda cells: " ".join(
+                      "clean" if c.is_clean else f"{c.noise_kind}:{c.snr_text}"
+                      for c in cells)),
+    },
+    "gmm": {
+        "components": ("gmm_components", *_INT),
+        "iterations": ("gmm_iterations", *_INT),
+    },
+    "ivector": {
+        "ubm_components": ("ubm_components", *_INT),
+        "rank": ("tv_rank", *_INT),
+        "tv_iterations": ("tv_iterations", *_INT),
+        "plda_latent": ("plda_latent", *_INT),
+        "plda_iterations": ("plda_iterations", *_INT),
+    },
 }
 
-# the keys load_config reads from each fixed section
-_SECTION_KEYS = {
-    "experiment": {"name", "seed", "features", "backends", "enhancement",
-                   "fusion"},
-    "grid": {"cells"},
-    "gmm": {"components", "iterations"},
-    "ivector": {"ubm_components", "rank", "tv_iterations", "plda_latent",
-                "plda_iterations"},
-}
+# the keys of a [feature.<kind>] section: each FeatureConfig field, read as
+# its declared type
+_READ_BY_TYPE = {"int": int, "float": float, "str": str,
+                 "bool | None": _optional(_flag),
+                 "int | None": _optional(int)}
+_FEATURE_KEYS = {f.name: (f.name, _READ_BY_TYPE[f.type], str)
+                 for f in fields(features.FeatureConfig) if f.name != "kind"}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -188,7 +205,7 @@ def load_config(path) -> ExperimentConfig:
         parser.read_file(fh)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
-    overrides = []
+    kwargs, overrides = {}, []
     for section in parser.sections():
         kind = None
         if section.startswith("feature."):
@@ -196,75 +213,45 @@ def load_config(path) -> ExperimentConfig:
             if kind not in features.FEATURE_KINDS:
                 raise ValueError(f"{path}: unknown feature kind {kind!r} "
                                  f"in [{section}]")
-            known = _FEATURE_FIELDS
-        elif section in _SECTION_KEYS:
-            known = _SECTION_KEYS[section]
+            keys = _FEATURE_KEYS
+        elif section in _KEYS:
+            keys = _KEYS[section]
         else:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in known:
+        for key, text in parser[section].items():
+            if key not in keys:
                 raise ValueError(f"{path}: unknown key {key!r} in "
                                  f"[{section}]")
-            if kind is not None:
-                overrides.append((kind, key, _parse_scalar(raw)))
-    # only the keys present: ExperimentConfig supplies every default
-    kwargs = {field: parser[section].getint(key)
-              for (section, key), field in _INT_FIELDS.items()
-              if parser.has_option(section, key)}
-    kwargs["feature_overrides"] = tuple(overrides)
-    exp = parser["experiment"]
-    if "name" in exp:
-        kwargs["name"] = exp["name"]
-    if "features" in exp:
-        kwargs["features"] = tuple(exp["features"].split())
-    if "backends" in exp:
-        kwargs["backends"] = tuple(exp["backends"].split())
-    if "enhancement" in exp:
-        enhancement = exp["enhancement"].strip()
-        kwargs["enhancement"] = (None if enhancement.lower() in ("none", "")
-                                 else enhancement)
-    if "fusion" in exp:
-        kwargs["fusion"] = tuple(w for w in exp["fusion"].split()
-                                 if w.lower() != "none")
-    if parser.has_option("grid", "cells"):
-        kwargs["grid"] = tuple(parse_grid_cell(c)
-                               for c in parser["grid"]["cells"].split())
-    return ExperimentConfig(**kwargs)
+            field, read, _ = keys[key]
+            try:
+                value = read(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad value {text!r} for {key!r} "
+                                 f"in [{section}]: {exc}") from None
+            if kind is None:
+                kwargs[field] = value
+            else:
+                overrides.append((kind, field, value))
+    return ExperimentConfig(**kwargs, feature_overrides=tuple(overrides))
 
 
 def canonical_text(config: ExperimentConfig) -> str:
     """Deterministic INI rendering that load_config reads back to an equal
     config."""
-    parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "name": config.name,
-        "seed": str(config.seed),
-        "features": " ".join(config.features),
-        "backends": " ".join(config.backends),
-        "enhancement": config.enhancement or "none",
-        "fusion": " ".join(config.fusion) or "none",
-    }
-    parser["grid"] = {
-        "cells": " ".join("clean" if c.is_clean
-                          else f"{c.noise_kind}:{c.snr_text}"
-                          for c in config.grid),
-    }
-    by_kind = {}
+    sections = {section: {key: write(getattr(config, field))
+                          for key, (field, _, write) in keys.items()}
+                for section, keys in _KEYS.items()}
+    overrides = {}
     for kind, name, value in config.feature_overrides:
-        by_kind.setdefault(kind, {})[name] = str(value)
-    for kind in sorted(by_kind):
-        parser[f"feature.{kind}"] = dict(sorted(by_kind[kind].items()))
-    parser["gmm"] = {
-        "components": str(config.gmm_components),
-        "iterations": str(config.gmm_iterations),
-    }
-    parser["ivector"] = {
-        "ubm_components": str(config.ubm_components),
-        "rank": str(config.tv_rank),
-        "tv_iterations": str(config.tv_iterations),
-        "plda_latent": str(config.plda_latent),
-        "plda_iterations": str(config.plda_iterations),
-    }
+        overrides.setdefault(f"feature.{kind}", {})[name] = \
+            _FEATURE_KEYS[name][2](value)
+    parser = configparser.ConfigParser()
+    # the [feature.<kind>] sections go between [grid] and the model sizes
+    parser.read_dict({"experiment": sections.pop("experiment"),
+                      "grid": sections.pop("grid"),
+                      **{section: dict(sorted(overrides[section].items()))
+                         for section in sorted(overrides)},
+                      **sections})
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -147,8 +147,6 @@ ENHANCEMENT_METHODS = ("specsub-mag", "specsub-pow", "wiener")
 
 def enhance(signal: AudioSignal, method: str) -> AudioSignal:
     """Name-based dispatch used by the harness config."""
-    if method in ("none", "", None):
-        return signal
     if method == "specsub-mag":
         return spectral_subtract(signal, domain="magnitude")
     if method == "specsub-pow":

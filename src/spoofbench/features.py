@@ -26,14 +26,9 @@ from . import dsp, filterbanks
 from .audio import AudioSignal
 from .errors import AlignmentError, EmptyFeaturesError
 
-FEATURE_KINDS = ("mfcc", "imfcc", "scmc", "cqcc", "mhec", "rps", "mgd", "cosphase")
-
-# features that get deltas + CMS by default; the phase-pattern features
-# (rps, cosphase) are used raw
-_DYNAMIC_DEFAULT = {
-    "mfcc": True, "imfcc": True, "scmc": True, "cqcc": True,
-    "mhec": True, "mgd": True, "rps": False, "cosphase": False,
-}
+# the phase-pattern features, used raw; every other kind gets deltas + CMS
+# by default
+_RAW_KINDS = {"rps", "cosphase"}
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class FeatureConfig:
     # modified group delay shaping
     mgd_alpha: float = 0.3
     mgd_gamma: float = 0.1
-    mgd_cep_lifter: int = 30
+    mgd_cep_lifter: int | None = 30
     # constant-Q geometry (f_max = Nyquist, f_min = f_max / 2**octaves)
     cqt_bins_per_octave: int = 96
     cqt_octaves: int = 9
@@ -77,19 +72,19 @@ class FeatureConfig:
     @property
     def want_delta(self) -> bool:
         if self.add_delta is None:
-            return _DYNAMIC_DEFAULT[self.kind]
+            return self.kind not in _RAW_KINDS
         return self.add_delta
 
     @property
     def want_deltadelta(self) -> bool:
         if self.add_deltadelta is None:
-            return _DYNAMIC_DEFAULT[self.kind] if self.add_delta is None else False
+            return self.add_delta is None and self.want_delta
         return self.add_deltadelta
 
     @property
     def want_cms(self) -> bool:
         if self.apply_cms is None:
-            return _DYNAMIC_DEFAULT[self.kind]
+            return self.kind not in _RAW_KINDS
         return self.apply_cms
 
     @property
@@ -435,3 +430,5 @@ _FRONT_ENDS = {
     "scmc": _scmc, "cqcc": _cqcc, "mhec": _mhec, "rps": _rps, "mgd": _mgd,
     "cosphase": _cosphase,
 }
+
+FEATURE_KINDS = tuple(_FRONT_ENDS)

@@ -10,18 +10,19 @@ import numpy as np
 from .scores import HUMAN, ScoreSet, check_aligned
 
 L2_PENALTY = 1e-3
+FUSION_METHODS = ("average", "logistic")
 
 
 @dataclass
 class FusionModel:
-    kind: str              # "average" | "logistic"
+    kind: str              # one of FUSION_METHODS
     system_ids: list
     weights: np.ndarray
     bias: float
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.kind not in ("average", "logistic"):
+        if self.kind not in FUSION_METHODS:
             raise ValueError(f"unknown fusion kind {self.kind!r}")
         if len(self.system_ids) != self.weights.shape[0]:
             raise ValueError("one weight per system required")

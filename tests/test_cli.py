@@ -294,11 +294,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("command", ["extract", "train", "score"])
     def test_unknown_config_key_is_one_error_line(
             self, command, corpus, tmp_path, capsys, monkeypatch):
-        """A misspelled setting stops a stage command before it extracts
-        anything, as it stops `run`."""
-        ini = tmp_path / "exp.ini"
-        ini.write_text("[experiment]\n[gmm]\ncomponent = 4\n",
-                       encoding="utf-8")
+        """A misspelled or mistyped setting stops a stage command before it
+        extracts anything, as it stops `run`."""
         extracted = []
         monkeypatch.setattr(features, "extract",
                             lambda *a, **k: extracted.append(a))
@@ -310,14 +307,21 @@ class TestErrorContract:
                 "score": ["--backend", "gmm", "--manifest", man,
                           "--models", str(tmp_path / "m"),
                           "--out", out]}[command]
-        rc = main([command, "--kind", "mfcc", "--config", str(ini), *args])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error\tValueError\t")
-        assert "'component'" in err and "[gmm]" in err
-        assert err.count("\n") == 1
-        assert extracted == []
-        assert not (tmp_path / "m").exists()
+        ini = tmp_path / "exp.ini"
+        for text, names in [
+                ("[gmm]\ncomponent = 4\n", ("'component'", "[gmm]")),
+                ("[feature.mfcc]\nn_coeffs = 20.0\n",
+                 ("'n_coeffs'", "[feature.mfcc]"))]:
+            ini.write_text("[experiment]\n" + text, encoding="utf-8")
+            rc = main([command, "--kind", "mfcc", "--config", str(ini),
+                       *args])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error\tValueError\t")
+            assert all(name in err for name in names)
+            assert err.count("\n") == 1
+            assert extracted == []
+            assert not (tmp_path / "m").exists()
 
     def test_hygiene_refusal(self, corpus, gmm_models, tmp_path, capsys):
         rc = main(["score", "--backend", "gmm",

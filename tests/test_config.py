@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -97,28 +98,56 @@ class TestFeatureOverrides:
         with pytest.raises(ValueError, match="'mfc'"):
             ExperimentConfig(feature_overrides=(("mfc", "n_coeffs", 12),))
 
-    def test_parse_scalar(self):
-        parse = cfgmod._parse_scalar
-        assert parse("none") is None
-        assert parse("true") is True
-        assert parse("False") is False
-        assert parse("32") == 32 and isinstance(parse("32"), int)
-        assert parse("2.5") == 2.5
-        assert parse("hamming") == "hamming"
+    @staticmethod
+    def _load(tmp_path, text):
+        path = tmp_path / "x.ini"
+        path.write_text("[experiment]\n" + text, encoding="utf-8")
+        return load_config(path)
+
+    def test_off_flags_read_as_false(self, tmp_path):
+        cfg = self._load(tmp_path, "[feature.mfcc]\napply_cms = off\n"
+                                   "add_delta = off\n")
+        got = cfg.feature_config("mfcc")
+        assert (got.apply_cms, got.add_delta) == (False, False)
+        assert not got.want_cms and not got.want_delta
+
+    @pytest.mark.parametrize("word", ["on", "1"])
+    def test_on_flags_read_as_true(self, tmp_path, word):
+        cfg = self._load(tmp_path, f"[feature.rps]\nadd_delta = {word}\n")
+        assert cfg.feature_config("rps").add_delta is True
+
+    def test_mistyped_value_refused_at_load(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match=r"'n_coeffs' in \[feature\.mfcc\]"):
+            self._load(tmp_path, "[feature.mfcc]\nn_coeffs = 20.0\n")
+
+    def test_float_field_reads_as_float(self, tmp_path):
+        """frame_ms = 20 and 20.0 are one setting, so one feature-cache
+        key."""
+        a = self._load(tmp_path, "[feature.mfcc]\nframe_ms = 20\n")
+        b = self._load(tmp_path, "[feature.mfcc]\nframe_ms = 20.0\n")
+        assert a.feature_config("mfcc") == b.feature_config("mfcc")
+        assert isinstance(a.feature_config("mfcc").frame_ms, float)
+
+    def test_none_lifter(self, tmp_path):
+        cfg = self._load(tmp_path, "[feature.mgd]\nmgd_cep_lifter = none\n")
+        assert cfg.feature_config("mgd").mgd_cep_lifter is None
 
 
 class TestIniFile:
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(
             name="grid-demo", seed=13,
-            features=("mfcc", "rps"),
+            features=("mfcc", "rps", "mgd"),
             backends=("gmm", "ivector-plda"),
             grid=(GridCell(), GridCell("white", 0.0),
                   GridCell("babble", 10.0), GridCell("white", 12.3456789),
                   GridCell("white", 12.34567)),
             enhancement="wiener",
             fusion=("average",),
-            feature_overrides=(("mfcc", "n_coeffs", 24),
+            feature_overrides=(("mfcc", "apply_cms", False),
+                               ("mfcc", "n_coeffs", 24),
+                               ("mgd", "mgd_cep_lifter", None),
                                ("rps", "f0_max", 400.0)),
             gmm_components=16, tv_rank=24)
         path = tmp_path / "exp.ini"
@@ -168,16 +197,30 @@ class TestIniFile:
         with pytest.raises(ValueError, match=where):
             load_config(path)
 
+    def test_every_key_sets_one_field(self):
+        """The key table and ExperimentConfig describe the same settings:
+        each field but the feature overrides has exactly one INI key."""
+        set_by_keys = sorted(field for keys in cfgmod._KEYS.values()
+                             for field, _, _ in keys.values())
+        assert set_by_keys == sorted(f.name for f in fields(ExperimentConfig)
+                                     if f.name != "feature_overrides")
+
     def test_readme_example_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
-        example = text.split("```ini\n", 1)[1].split("```", 1)[0]
-        path = tmp_path / "experiment.ini"
-        path.write_text(example, encoding="utf-8")
-        cfg = load_config(path)
-        assert cfg.features == ("mfcc", "cqcc", "cosphase")
-        assert cfg.fusion == ("average",)
-        assert cfg.gmm_components == 32
+        examples = [block.split("```", 1)[0]
+                    for block in text.split("```ini\n")[1:]]
+        cfgs = []
+        for i, example in enumerate(examples):
+            path = tmp_path / f"example{i}.ini"
+            path.write_text(example, encoding="utf-8")
+            cfgs.append(load_config(path))
+        assert len(cfgs) >= 2
+        assert cfgs[0].features == ("mfcc", "cqcc", "cosphase")
+        assert cfgs[0].fusion == ("average",)
+        assert cfgs[0].gmm_components == 32
+        assert cfgs[1].feature_config("cqcc").cqt_bins_per_octave == 24
+        assert cfgs[1].gmm_components == 4
 
     def test_none_enhancement_forms(self, tmp_path):
         path = tmp_path / "x.ini"
