@@ -117,6 +117,14 @@ class ExperimentConfig:
         for method in self.fusion:
             if method not in FUSION_METHODS:
                 raise ValueError(f"unknown fusion method {method!r}")
+        for kind, name, value in self.feature_overrides:
+            if name not in _FIELD_TYPES:
+                raise ValueError(f"unknown {kind} setting {name!r}")
+            if type(value) not in _READ_BY_TYPE[_FIELD_TYPES[name]][1]:
+                raise ValueError(f"bad value {value!r} for {kind} setting "
+                                 f"{name!r}: expected {_FIELD_TYPES[name]}")
+        for kind, _, _ in self.feature_overrides:
+            self.feature_config(kind)
 
     def feature_config(self, kind: str) -> features.FeatureConfig:
         """The front-end settings every stage uses: the defaults of `kind`,
@@ -191,16 +199,22 @@ _KEYS = {
 }
 
 # the keys of a [feature.<kind>] section: each FeatureConfig field, read as
-# its declared type
-_READ_BY_TYPE = {"int": int, "float": float, "str": str,
-                 "bool | None": _optional(_flag),
-                 "int | None": _optional(int)}
-_FEATURE_KEYS = {f.name: (f.name, _READ_BY_TYPE[f.type], str)
-                 for f in fields(features.FeatureConfig) if f.name != "kind"}
+# its declared type.  The types that reading gives are the only ones a
+# feature override may hold, whether it comes from a file or from code.
+_READ_BY_TYPE = {"int": (int, {int}), "float": (float, {float}),
+                 "str": (str, {str}),
+                 "bool | None": (_optional(_flag), {bool, type(None)}),
+                 "int | None": (_optional(int), {int, type(None)})}
+_FIELD_TYPES = {f.name: f.type for f in fields(features.FeatureConfig)
+                if f.name != "kind"}
+_FEATURE_KEYS = {name: (name, _READ_BY_TYPE[type_name][0], str)
+                 for name, type_name in _FIELD_TYPES.items()}
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # no section header can name "\n", so a [DEFAULT] section reads as an
+    # ordinary, unknown one instead of lending its keys to every section
+    parser = configparser.ConfigParser(default_section="\n")
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
     if "experiment" not in parser:

@@ -29,6 +29,7 @@ import hashlib
 import os
 import secrets
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from multiprocessing import get_all_start_methods, get_context
@@ -127,6 +128,11 @@ def _with_context(exc: Exception, context: str) -> Exception:
     return type(exc)(f"{exc} ({context})")
 
 
+def _job_context(utt_id, kind, cell: GridCell, enhancement) -> str:
+    return (f"utterance {utt_id}, feature {kind}, "
+            f"condition {condition_tag(cell, enhancement)}")
+
+
 def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
                  todo):
     """One (condition, utterance) of the extraction stage: prepare its test
@@ -140,9 +146,8 @@ def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
             _write_via_temp(write_features, path,
                             extract_test_features(signal, cfg, clean))
     except Exception as exc:
-        raise _with_context(exc, f"utterance {utt_id}, feature {kind}, "
-                            f"condition {condition_tag(cell, enhancement)}"
-                            ) from exc
+        raise _with_context(exc, _job_context(utt_id, kind, cell,
+                                              enhancement)) from exc
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -152,7 +157,9 @@ def _worker_count(n_jobs: int) -> int:
 
 def _run_jobs(jobs):
     """Run extraction jobs; the first failure in job order cancels the jobs
-    not yet started and is re-raised once the pool has shut down."""
+    not yet started and is re-raised once the pool has shut down.  A worker
+    that dies breaks the pool, which is re-raised naming the first job in
+    job order that did not finish."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
         for job in jobs:
@@ -160,8 +167,15 @@ def _run_jobs(jobs):
         return
     pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
     try:
-        for future in [pool.submit(_extract_job, *job) for job in jobs]:
-            future.result()
+        futures = [pool.submit(_extract_job, *job) for job in jobs]
+        for (_, utt_id, cell, enhancement, _, todo), future in zip(jobs,
+                                                                 futures):
+            try:
+                future.result()
+            except BrokenProcessPool as exc:
+                kinds = ",".join(k for k, _, _ in todo)
+                raise _with_context(exc, _job_context(
+                    utt_id, kinds, cell, enhancement)) from exc
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -8,6 +8,7 @@ with repr() so a re-read is bit-exact and repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -58,19 +59,16 @@ class ScoreSet:
         return ScoreSet(list(self.utt_ids), new_scores, list(self.labels),
                         list(self.attack_ids), list(self.conditions))
 
-    def trial_key(self):
-        """Identity of the trial list, for cross-system alignment checks."""
-        return tuple(zip(self.utt_ids, self.labels, self.attack_ids,
-                         self.conditions))
-
 
 def check_aligned(score_sets):
     """All sets must describe the identical trial list, in order."""
     if not score_sets:
         raise ValueError("no score sets given")
-    first = score_sets[0].trial_key()
+    first = score_sets[0]
     for other in score_sets[1:]:
-        if other.trial_key() != first:
+        if any(list(getattr(other, column)) != list(getattr(first, column))
+               for column in ("utt_ids", "labels", "attack_ids",
+                              "conditions")):
             raise AlignmentError("score sets cover different trial lists")
 
 
@@ -84,22 +82,38 @@ def write_scores(path, scores: ScoreSet):
         fh.write("\t".join(HEADER) + "\n" + body)
 
 
+def _first_bad_row(path, lines) -> ValueError:
+    """The error of the first row, in file order, that has not 5 columns or
+    whose score float() rejects."""
+    for ln, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            return ValueError(f"{path}:{ln}: expected 5 columns")
+        try:
+            float(parts[1])
+        except ValueError:
+            return ValueError(f"{path}:{ln}: bad score {parts[1]!r}")
+
+
 def read_scores(path) -> ScoreSet:
-    utt_ids, vals, labels, attacks, conds = [], [], [], [], []
+    """A score TSV read column by column; blank lines are skipped.  Only a
+    file whose batched checks fail is walked row by row, to name the file
+    and line of its first bad row."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != HEADER:
             raise ValueError(f"{path}: unexpected score header {header}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{ln}: expected 5 columns")
-            utt_ids.append(parts[0])
-            vals.append(float(parts[1]))
-            labels.append(parts[2])
-            attacks.append(parts[3])
-            conds.append(parts[4])
-    return ScoreSet(utt_ids, np.array(vals), labels, attacks, conds)
+        lines = fh.read().split("\n")
+    rows = [line for line in lines if line]
+    if set(map(str.count, rows, repeat("\t"))) - {4}:
+        raise _first_bad_row(path, lines)
+    fields = "\t".join(rows).split("\t") if rows else []
+    try:
+        scores = np.fromiter(map(float, fields[1::5]), np.float64,
+                             len(rows))
+    except ValueError:
+        raise _first_bad_row(path, lines) from None
+    return ScoreSet(fields[0::5], scores, fields[2::5], fields[3::5],
+                    fields[4::5])

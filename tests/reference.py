@@ -14,7 +14,7 @@ import scipy.signal
 
 from spoofbench.dsp import (frame_length_samples, frame_shift_samples, n_frames_for,
                             window_function)
-from spoofbench.scores import HEADER
+from spoofbench.scores import HEADER, ScoreSet
 
 
 def naive_dft(frame, dft_size):
@@ -240,3 +240,52 @@ def write_scores_rowwise(path, scores):
             fh.write(f"{scores.utt_ids[i]}\t{float(scores.scores[i])!r}\t"
                      f"{scores.labels[i]}\t{scores.attack_ids[i]}\t"
                      f"{scores.conditions[i]}\n")
+
+
+def read_scores_rowwise(path):
+    """A score TSV read one row at a time: split each non-blank line on
+    tabs, require 5 fields and parse the score with float()."""
+    utt_ids, vals, labels, attacks, conds = [], [], [], [], []
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if tuple(header) != HEADER:
+            raise ValueError(f"{path}: unexpected score header {header}")
+        for ln, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise ValueError(f"{path}:{ln}: expected 5 columns")
+            utt_ids.append(parts[0])
+            vals.append(float(parts[1]))
+            labels.append(parts[2])
+            attacks.append(parts[3])
+            conds.append(parts[4])
+    return ScoreSet(utt_ids, np.array(vals), labels, attacks, conds)
+
+
+def aligned_by_trial_key(score_sets):
+    """Whether every set has the first one's trial list, compared as one
+    tuple of (utt_id, label, attack_id, condition) rows per set."""
+    def key(s):
+        return tuple(zip(s.utt_ids, s.labels, s.attack_ids, s.conditions))
+
+    first = key(score_sets[0])
+    return all(key(other) == first for other in score_sets[1:])
+
+
+def lower_hull_loop(points):
+    """Lower-left convex frontier over (p_fa, p_miss) by a monotone chain
+    over every point, sorted with p_fa ascending."""
+    pts = sorted(points)
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -97,6 +98,23 @@ class TestFeatureOverrides:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="'mfc'"):
             ExperimentConfig(feature_overrides=(("mfc", "n_coeffs", 12),))
+
+    @pytest.mark.parametrize("override, match", [
+        (("mfcc", "lifter", 3), "unknown mfcc setting 'lifter'"),
+        (("rps", "n_coeffs", 20.0), "20.0 for rps setting 'n_coeffs': "
+                                    "expected int"),
+        (("mfcc", "apply_cms", 1), "expected bool | None"),
+        (("mfcc", "frame_ms", 20), "expected float"),
+        (("mfcc", "n_coeffs", True), "expected int"),
+        (("mfcc", "n_coeffs", 0), "n_coeffs must be positive"),
+    ], ids=["unknown-field", "float-for-int", "int-for-flag", "int-for-float",
+            "bool-for-int", "invalid-setting"])
+    def test_code_built_override_refused_at_construction(self, override,
+                                                         match):
+        """A value the INI reader could not have produced for its field
+        fails when the config is built, as it does when a file loads."""
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ExperimentConfig(feature_overrides=(override,))
 
     @staticmethod
     def _load(tmp_path, text):
@@ -221,6 +239,13 @@ class TestIniFile:
         assert cfgs[0].gmm_components == 32
         assert cfgs[1].feature_config("cqcc").cqt_bins_per_octave == 24
         assert cfgs[1].gmm_components == 4
+
+    def test_default_section_refused_by_name(self, tmp_path):
+        path = tmp_path / "x.ini"
+        path.write_text("[experiment]\n[DEFAULT]\nseed = 3\n"
+                        "[grid]\ncells = clean\n")
+        with pytest.raises(ValueError, match=r"unknown section \[DEFAULT\]"):
+            load_config(path)
 
     def test_none_enhancement_forms(self, tmp_path):
         path = tmp_path / "x.ini"

@@ -1,5 +1,7 @@
 """Tests for ROCCH-EER, DET points, per-attack aggregation, and LTAS."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from spoofbench.audio import AudioSignal
 from spoofbench.errors import NoActiveSpeechError
 from spoofbench import evaluation as ev
 
-from reference import roc_vertices_oracle, rocch_eer_oracle
+from reference import (lower_hull_loop, roc_vertices_oracle,
+                       rocch_eer_oracle)
 from test_scores import make_scores
 
 RATE = 16000
@@ -112,6 +115,30 @@ class TestVertexOracle:
         want = roc_vertices_oracle(tar, non)
         assert ev._roc_vertices(tar, non) == want
         assert ev.rocch_eer(tar, non) == ev._hull_eer(want)
+
+
+# tie-heavy score lists: integer multiples of a coarse step, one class all
+# tied, and a single trial in a class
+_STEPPED = st.builds(lambda ks, step: [k * step for k in ks],
+                     st.lists(st.integers(-12, 12), min_size=1, max_size=60),
+                     st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+_ALL_TIED = st.builds(lambda v, n: [v] * n, st.sampled_from([-1.0, 0.0, 0.5]),
+                      st.integers(1, 30))
+_SINGLE = st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0]),
+                   min_size=1, max_size=1)
+_TIE_HEAVY = st.one_of(_STEPPED, _ALL_TIED, _SINGLE)
+
+
+class TestCornerHull:
+    """Feeding the chain only the step ROC's corners gives the EER that
+    the chain over every vertex gives."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TIE_HEAVY, _TIE_HEAVY)
+    def test_equals_hull_over_every_vertex(self, tar, non):
+        with mock.patch.object(ev, "_lower_hull", lower_hull_loop):
+            want = ev.rocch_eer(tar, non)
+        assert ev.rocch_eer(tar, non) == want
 
 
 class TestDetPoints:

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import shutil
 import stat
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -591,6 +592,16 @@ class TestCorpusFingerprint:
         assert after != before
 
 
+_PYTEST_PID = os.getpid()
+
+
+def _dies_in_a_worker(wav_path, utt_id, cell, enhancement, root_seed, todo):
+    """An extraction job whose worker is killed with status 137, as the
+    kernel's OOM killer would; in the test's own process it returns."""
+    if utt_id == "u0" and os.getpid() != _PYTEST_PID:
+        os._exit(137)
+
+
 def _tree_bytes(work):
     return {p.relative_to(work): p.read_bytes()
             for p in sorted(work.rglob("*")) if p.is_file()}
@@ -618,6 +629,19 @@ class TestExtractionStage:
         for part in ("utterance tiny", "feature mfcc", "condition clean"):
             assert part in str(err.value)
         assert list((work / "cache").rglob("*.tmp")) == []
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_names_the_first_unfinished_job(self, monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
+        monkeypatch.setattr(harness, "_extract_job", _dies_in_a_worker)
+        cell = GridCell("white", 0.0)
+        todo = [("mfcc", None, None), ("rps", None, None)]
+        jobs = [(None, f"u{i}", cell, "wiener", 0, todo) for i in range(3)]
+        with pytest.raises(BrokenProcessPool) as err:
+            harness._run_jobs(jobs)
+        assert str(err.value).endswith(
+            "(utterance u0, feature mfcc,rps, condition "
+            f"{condition_tag(cell, 'wiener')})")
         assert multiprocessing.active_children() == []
 
     def test_same_bytes_for_one_and_two_workers(self, corpus, tmp_path,

@@ -1,12 +1,16 @@
 """Tests for score-list TSV handling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reference import write_scores_rowwise
+from reference import (aligned_by_trial_key, read_scores_rowwise,
+                       write_scores_rowwise)
 from spoofbench.errors import AlignmentError
-from spoofbench.scores import ScoreSet, check_aligned, read_scores, write_scores
+from spoofbench.scores import (HEADER, ScoreSet, check_aligned, read_scores,
+                               write_scores)
 
 
 def make_scores(values, labels, attacks=None, conditions=None):
@@ -53,6 +57,27 @@ class TestScoreSet:
         c = make_scores([1.0, 2.0], ["spoof", "human"])
         with pytest.raises(AlignmentError):
             check_aligned([a, c])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(["u0", "u1"]),
+                                       st.sampled_from(["human", "spoof"]),
+                                       st.sampled_from(["-", "S1"]),
+                                       st.sampled_from(["clean", "white@0"])),
+                             max_size=3),
+                    min_size=2, max_size=3))
+    def test_check_aligned_agrees_with_trial_key(self, trial_lists):
+        """Comparing the four metadata columns one by one accepts and
+        rejects exactly the sets that comparing whole row tuples did."""
+        sets = []
+        for rows in trial_lists:
+            columns = [[row[k] for row in rows] for k in range(4)]
+            sets.append(ScoreSet(columns[0], np.zeros(len(rows)),
+                                 *columns[1:]))
+        if aligned_by_trial_key(sets):
+            check_aligned(sets)
+        else:
+            with pytest.raises(AlignmentError):
+                check_aligned(sets)
 
 
 class TestTsv:
@@ -103,8 +128,54 @@ class TestTsv:
             read_scores(path)
 
     def test_bad_column_count_rejected(self, tmp_path):
+        """The error names the file and line.  Rows of 3 and 7 columns hold
+        4 tabs each on average, so each row is checked on its own."""
         path = tmp_path / "bad.tsv"
-        path.write_text("utt_id\tscore\tlabel\tattack_id\tcondition\n"
-                        "u0\t1.0\thuman\n")
-        with pytest.raises(ValueError):
+        path.write_text("\t".join(HEADER) + "\n"
+                        "u0\t1.0\thuman\t-\tclean\n\n"
+                        "u1\t1.0\thuman\n"
+                        "u2\t1.0\tspoof\tS1\tclean\tx\ty\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: expected 5 columns")):
             read_scores(path)
+
+    def test_bad_score_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("\t".join(HEADER) + "\n"
+                        "u0\t1.0\thuman\t-\tclean\n\n"
+                        "u1\tabc\thuman\t-\tclean\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: bad score 'abc'")):
+            read_scores(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        st.text("abcXYZ019-_.@", min_size=1, max_size=6),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16,
+                                   -3.0e17, 2.0 ** 53 + 2.0])),
+        st.sampled_from([repr, "{:.17g}".format, "{:e}".format,
+                         " {!r} ".format]),
+        st.sampled_from(["human", "spoof"]),
+        st.sampled_from(["clean", "white@0"]),
+        st.integers(0, 2)), max_size=30),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        tail=st.sampled_from(["", "\n", "\n\n"]))
+    def test_columnar_reader_matches_row_by_row(self, tmp_path, rows,
+                                                newline, tail):
+        """Every column equals the row-wise reader's, and every score is
+        bit-equal, sign of zero included, whatever text float() read it
+        from; blank lines and CRLF endings are skipped alike."""
+        lines = ["\t".join(HEADER)]
+        for utt, value, fmt, label, cond, blanks in rows:
+            lines += [""] * blanks
+            attack = "-" if label == "human" else "S1"
+            lines.append(f"{utt}\t{fmt(value)}\t{label}\t{attack}\t{cond}")
+        path = tmp_path / "scores.tsv"
+        path.write_bytes((newline.join(lines) + tail).encode())
+        got, want = read_scores(path), read_scores_rowwise(path)
+        for column in ("utt_ids", "labels", "attack_ids", "conditions"):
+            assert getattr(got, column) == getattr(want, column)
+        assert np.array_equal(got.scores.view(np.int64),
+                              want.scores.view(np.int64))
