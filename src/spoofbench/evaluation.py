@@ -17,7 +17,7 @@ import numpy as np
 from .audio import AudioSignal
 from . import dsp
 from .errors import NoActiveSpeechError
-from .scores import HUMAN, SPOOF, ScoreSet
+from .scores import ScoreSet
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,17 @@ def _report(tar, non) -> EvalReport:
 
 
 def compute_eer_rocch(scores: ScoreSet) -> EvalReport:
-    return _report(scores.target_scores, scores.nontarget_scores)
+    human = scores.target_mask
+    return _report(scores.scores[human], scores.scores[~human])
 
 
 def per_attack_eers(scores: ScoreSet, average_over=None):
     """One report per attack (targets shared, non-targets filtered), plus a
     macro-average over `average_over` (default: every attack present)."""
-    labels = np.asarray(scores.labels)
+    human = scores.target_mask
     attacks = np.asarray(scores.attack_ids)
-    tar = scores.scores[labels == HUMAN]
-    spoof = labels == SPOOF
+    tar = scores.scores[human]
+    spoof = ~human
     present = sorted(set(attacks[spoof]))
     if not present:
         raise ValueError("no spoof trials with attack tags")

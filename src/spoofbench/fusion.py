@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import HUMAN, ScoreSet, check_aligned
+from .scores import ScoreSet, check_aligned
 
 L2_PENALTY = 1e-3
 FUSION_METHODS = ("average", "logistic")
@@ -77,7 +77,7 @@ def train_logistic_fusion(dev_score_sets, system_ids=None,
         system_ids = [f"sys{i}" for i in range(len(dev_score_sets))]
     if len(system_ids) != len(dev_score_sets):
         raise ValueError("one system id per score set required")
-    y = (np.asarray(dev_score_sets[0].labels) == HUMAN).astype(np.float64)
+    y = dev_score_sets[0].target_mask.astype(np.float64)
     if y.min() == y.max():
         raise ValueError("logistic fusion needs both classes in the dev set")
     raw = np.stack([s.scores for s in dev_score_sets], axis=1)

@@ -15,12 +15,14 @@ files a run writes.
 Caching notes: every artifact lives under a directory named by a hash of
 exactly the settings that influence its bytes, so re-running a config
 reuses everything and changing one knob invalidates only what depends on
-it.  One stage extracts every missing feature file before any training or
-scoring, one job per (condition, utterance) across min(jobs, usable CPUs)
-forked workers; a job prepares its test audio in memory, rounded to 16-bit
-PCM at each step, so neither a worker count nor a warm cache changes a byte.
-Then one stage trains each feature's missing models and loads them all back,
-so a cold run reads each model file once; scoring reads only from the cache.
+it.  One pool of min(jobs, usable CPUs) forked workers runs every missing
+artifact before any scoring: one extraction job per (condition,
+utterance), then one training job per feature lacking a model, started once
+the jobs writing its clean training files are done.  An extraction job
+prepares its test audio in memory, rounded to 16-bit PCM at each step, so
+neither a worker count nor a warm cache changes a byte.  The run then loads
+every model back, so a cold run reads each model file once; scoring reads
+only from the cache.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import secrets
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -150,32 +152,46 @@ def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
                                               enhancement)) from exc
 
 
+def _read_features(feature_dir: Path, rows, kind: str) -> dict:
+    """Per-utterance features of rows, from one cache directory."""
+    return {r.utt_id: read_features(feature_dir / f"{r.utt_id}.{kind}.spbf")
+            for r in rows}
+
+
 def _worker_count(n_jobs: int) -> int:
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     return min(n_jobs, len(cpus) or 1)
 
 
 def _run_jobs(jobs):
-    """Run extraction jobs; the first failure in job order cancels the jobs
-    not yet started and is re-raised once the pool has shut down.  A worker
-    that dies breaks the pool, which is re-raised naming the first job in
-    job order that did not finish."""
+    """Run jobs, each (function, args, after, context): function(*args),
+    once the jobs at plan-order indices after, all earlier in the plan, are
+    done; a job whose prerequisite failed is not started.  The first failure
+    in plan order cancels the jobs not yet started and is re-raised once the
+    pool has shut down.  A worker that dies breaks the pool, which is
+    re-raised with the context of the first job in plan order that did not
+    finish."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
-        for job in jobs:
-            _extract_job(*job)
+        for function, args, _, _ in jobs:
+            function(*args)
         return
     pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
+    futures = []
     try:
-        futures = [pool.submit(_extract_job, *job) for job in jobs]
-        for (_, utt_id, cell, enhancement, _, todo), future in zip(jobs,
-                                                                 futures):
+        for function, args, after, _ in jobs:
+            if any(futures[i].exception() for i in after):
+                break
+            try:
+                futures.append(pool.submit(function, *args))
+            except BrokenProcessPool as exc:   # a worker died meanwhile
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+        for future, (_, _, _, context) in zip(futures, jobs):
             try:
                 future.result()
             except BrokenProcessPool as exc:
-                kinds = ",".join(k for k, _, _ in todo)
-                raise _with_context(exc, _job_context(
-                    utt_id, kinds, cell, enhancement)) from exc
+                raise _with_context(exc, context) from exc
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -370,6 +386,18 @@ def load_model(name: str, marker):
     return ivector.load_plda(marker)
 
 
+def _train_job(todo, rows, feature_dir, labels, cfg: ExperimentConfig,
+               kind: str):
+    """One feature's training job: train_model for each (model, marker) of
+    todo, in order, reading the training rows' features from feature_dir
+    once if a GMM pair or an i-vector stack is among them."""
+    frames = None
+    if any(name in FRAME_MODELS for name, _ in todo):
+        frames = _read_features(feature_dir, rows, kind)
+    for name, marker in todo:
+        train_model(name, marker, rows, frames, labels, cfg, kind)
+
+
 # -- scoring ----------------------------------------------------------------
 
 def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
@@ -502,16 +530,21 @@ class _Runner:
                           _feature_text(self.config.feature_config(kind)))
         return self.cache / "features" / key
 
-    def _extraction_jobs(self, scored) -> list:
-        """_extract_job arguments of each (condition, utterance) lacking a
-        feature file; training features count only for a feature whose GMM
-        pair or i-vector stack is missing.  Lists each directory once."""
+    def _jobs(self, scored, model_files) -> list:
+        """_run_jobs jobs in plan order: an _extract_job for each (condition,
+        utterance) lacking a feature file, listing each directory once, then
+        a _train_job for each feature lacking one of model_files, after the
+        jobs that write its clean training files.  Training features count
+        only for a feature whose GMM pair or i-vector stack is missing."""
         cfg = self.config
+        train_rows = self.manifest.subset("train").rows
+        missing = {kind: [(name, path) for name, path in files.items()
+                          if not path.is_file()]
+                   for kind, files in model_files.items()}
         wanted = {   # (cell, enhancement, kind) -> rows
-            (GridCell(), None, kind): list(self.manifest.subset("train").rows)
-            for kind in cfg.features if not all(
-                path.is_file() for model, path in
-                self._model_files(kind).items() if model in FRAME_MODELS)}
+            (GridCell(), None, kind): list(train_rows)
+            for kind, models in missing.items()
+            if any(name in FRAME_MODELS for name, _ in models)}
         for cell in cfg.grid:
             for kind in cfg.features:
                 wanted.setdefault((cell, cfg.enhancement, kind),
@@ -526,13 +559,26 @@ class _Runner:
                     todo.setdefault((self._paths[row.utt_id], row.utt_id, cell,
                                      enhancement, cfg.seed), []).append(
                         (kind, cfg.feature_config(kind), cache_dir / name))
-        return [(*job, kinds) for job, kinds in todo.items()]
-
-    def _features(self, rows, kind: str, cell: GridCell, enhancement) -> dict:
-        """Per-utterance features of rows in one condition, from the cache."""
-        cache_dir = self._feature_dir(kind, cell, enhancement)
-        return {r.utt_id: read_features(cache_dir / f"{r.utt_id}.{kind}.spbf")
-                for r in rows}
+        jobs, writer = [], {}   # writer: feature file -> index of its job
+        for (wav, utt_id, cell, enhancement, seed), kinds in todo.items():
+            writer.update((path, len(jobs)) for _, _, path in kinds)
+            jobs.append((_extract_job, (wav, utt_id, cell, enhancement, seed,
+                                        kinds), (),
+                         _job_context(utt_id, ",".join(k for k, _, _ in kinds),
+                                      cell, enhancement)))
+        labels = {r.utt_id: r.label for r in self.manifest}
+        for kind, models in missing.items():
+            if models:
+                # training observations: the clean condition, never enhanced
+                feature_dir = self._feature_dir(kind, GridCell(), None)
+                paths = (feature_dir / f"{r.utt_id}.{kind}.spbf"
+                         for r in train_rows)
+                names = ",".join(name for name, _ in models)
+                jobs.append((_train_job, (models, train_rows, feature_dir,
+                                          labels, cfg, kind),
+                             sorted({writer[p] for p in paths if p in writer}),
+                             f"feature {kind}, model {names}"))
+        return jobs
 
     # -- models ------------------------------------------------------------
 
@@ -552,22 +598,6 @@ class _Runner:
         needed = {name for b in cfg.backends for name in BACKENDS[b]}
         return {name: path / marker_name(name, cfg)
                 for name, path in dirs.items() if name in needed}
-
-    def _train_models(self, kind: str) -> dict:
-        """Train each missing model of _model_files(kind), then load them all
-        from the cache: {model: what its loader returns}."""
-        files = self._model_files(kind)
-        missing = [name for name in files if not files[name].is_file()]
-        rows = self.manifest.subset("train").rows
-        frames = None
-        if any(name in FRAME_MODELS for name in missing):
-            # training observations: the clean condition, never enhanced
-            frames = self._features(rows, kind, GridCell(), None)
-        labels = {r.utt_id: r.label for r in self.manifest}
-        for name in missing:
-            train_model(name, files[name], rows, frames, labels, self.config,
-                        kind)
-        return {name: load_model(name, path) for name, path in files.items()}
 
     # -- fusion and results ------------------------------------------------
 
@@ -612,8 +642,11 @@ class _Runner:
         if "logistic" in cfg.fusion and "dev" not in subsets:
             raise ValueError("logistic fusion needs a dev subset in the "
                              "manifest")
-        _run_jobs(self._extraction_jobs(sum(subsets.values(), ())))
-        models = {kind: self._train_models(kind) for kind in cfg.features}
+        model_files = {kind: self._model_files(kind) for kind in cfg.features}
+        _run_jobs(self._jobs(sum(subsets.values(), ()), model_files))
+        models = {kind: {name: load_model(name, path)
+                         for name, path in files.items()}
+                  for kind, files in model_files.items()}
         # per back-end: each feature's systems subset by subset, then each
         # fusion method's
         systems = ([(subset, kind) for subset in subsets
@@ -628,8 +661,8 @@ class _Runner:
             sets = {}
             for subset, rows in subsets.items():
                 for kind in cfg.features:
-                    frames = self._features(rows, kind, cell,
-                                            cfg.enhancement).values()
+                    frames = _read_features(self._feature_dir(
+                        kind, cell, cfg.enhancement), rows, kind).values()
                     for backend, scores in score_utterances(
                             rows, frames, models[kind], cfg.backends, kind,
                             cond).items():

@@ -47,12 +47,17 @@ class ScoreSet:
         return len(self.utt_ids)
 
     @property
+    def target_mask(self) -> np.ndarray:
+        """True for each human (target) trial; every other trial is spoof."""
+        return np.array(self.labels, dtype=object) == HUMAN
+
+    @property
     def target_scores(self) -> np.ndarray:
-        return self.scores[np.asarray(self.labels) == HUMAN]
+        return self.scores[self.target_mask]
 
     @property
     def nontarget_scores(self) -> np.ndarray:
-        return self.scores[np.asarray(self.labels) == SPOOF]
+        return self.scores[~self.target_mask]
 
     def with_scores(self, new_scores) -> "ScoreSet":
         """Same trial list, different scores."""

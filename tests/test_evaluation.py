@@ -171,6 +171,24 @@ class TestDetPoints:
             ev.compute_eer_rocch(make_scores([1.0], ["human"]))
 
 
+class TestLabelMask:
+    """The pooled report selects both classes with one label mask and gets
+    the EER the two label-array selections gave, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_TIED, st.sampled_from(["human", "spoof"])),
+                    min_size=2, max_size=60).filter(
+        lambda trials: len({label for _, label in trials}) == 2))
+    def test_equals_label_array_selection(self, trials):
+        s = make_scores([v for v, _ in trials], [lab for _, lab in trials])
+        labels = np.asarray(s.labels)
+        tar = s.scores[labels == "human"]
+        non = s.scores[labels == "spoof"]
+        report = ev.compute_eer_rocch(s)
+        assert report.eer_percent == 100.0 * ev.rocch_eer(tar, non)
+        assert (report.n_target, report.n_nontarget) == (tar.size, non.size)
+
+
 class TestPerAttack:
     def _mixed(self):
         values = [4.0, 3.5, 3.8,            # humans

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import shutil
 import stat
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -40,7 +41,8 @@ def _config(**kwargs):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Extract in this process, so that call counts see every extraction."""
+    """Extract and train in this process, so that call counts see every
+    extraction and every training call."""
     monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 1)
 
 
@@ -382,7 +384,7 @@ class TestFileModes:
 
 class TestModelDirs:
     def test_every_file_is_renamed_into_place_marker_last(
-            self, corpus, tmp_path, monkeypatch):
+            self, corpus, tmp_path, monkeypatch, in_process):
         """Each model file arrives by rename from a temp file, and the
         training list, which marks a directory complete, arrives last."""
         root, man = corpus
@@ -511,7 +513,7 @@ class TestSharedStack:
                                                + len(cfg.grid) * scored)
 
     def test_cold_grid_trains_one_stack_per_feature(self, corpus, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, in_process):
         root, man = corpus
         kinds = ("mfcc", "cosphase")
         cfg = _config(features=kinds,
@@ -523,7 +525,7 @@ class TestSharedStack:
         assert len(plda) == len(kinds)
 
     def test_cached_stack_gains_plda_later(self, corpus, tmp_path,
-                                           monkeypatch):
+                                           monkeypatch, in_process):
         """A cosine-only run trains no PLDA; a later PLDA run on the same
         work dir trains only the PLDA and leaves the cosine scores alone."""
         root, man = corpus
@@ -602,6 +604,18 @@ def _dies_in_a_worker(wav_path, utt_id, cell, enhancement, root_seed, todo):
         os._exit(137)
 
 
+def _fails(message):
+    raise ValueError(message)
+
+
+def _sleeps(seconds):
+    time.sleep(seconds)
+
+
+def _touch(path):
+    path.touch()
+
+
 def _tree_bytes(work):
     return {p.relative_to(work): p.read_bytes()
             for p in sorted(work.rglob("*")) if p.is_file()}
@@ -633,15 +647,31 @@ class TestExtractionStage:
 
     def test_dead_worker_names_the_first_unfinished_job(self, monkeypatch):
         monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
-        monkeypatch.setattr(harness, "_extract_job", _dies_in_a_worker)
         cell = GridCell("white", 0.0)
         todo = [("mfcc", None, None), ("rps", None, None)]
-        jobs = [(None, f"u{i}", cell, "wiener", 0, todo) for i in range(3)]
+        jobs = [(_dies_in_a_worker, (None, f"u{i}", cell, "wiener", 0, todo),
+                 (), harness._job_context(f"u{i}", "mfcc,rps", cell,
+                                          "wiener"))
+                for i in range(3)]
         with pytest.raises(BrokenProcessPool) as err:
             harness._run_jobs(jobs)
         assert str(err.value).endswith(
             "(utterance u0, feature mfcc,rps, condition "
             f"{condition_tag(cell, 'wiener')})")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_after_a_failed_job_never_starts(self, tmp_path, monkeypatch,
+                                                 workers):
+        monkeypatch.setattr(harness, "_worker_count",
+                            lambda n_jobs: min(n_jobs, workers))
+        # the first job is still running when the third could start
+        jobs = [(_sleeps, (0.5,), (), "first"),
+                (_fails, ("bad input",), (), "second"),
+                (_touch, (tmp_path / "third",), (1,), "third")]
+        with pytest.raises(ValueError, match="bad input"):
+            harness._run_jobs(jobs)
+        assert not (tmp_path / "third").exists()
         assert multiprocessing.active_children() == []
 
     def test_same_bytes_for_one_and_two_workers(self, corpus, tmp_path,
@@ -658,13 +688,18 @@ class TestExtractionStage:
                 super().__init__(n_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-        trees = []
+        trained = _counting(monkeypatch, harness, "train_model")
+        trees, trained_here = [], []
         for workers in (1, 2):
             monkeypatch.setattr(harness, "_worker_count",
                                 lambda n_jobs: min(n_jobs, workers))
+            del trained[:]
             run_experiment(cfg, man, tmp_path / str(workers), wav_root=root)
             trees.append(_tree_bytes(tmp_path / str(workers)))
+            trained_here.append(len(trained))
+        # one pool per cold run, which trains the models too
         assert pools == [2]
+        assert trained_here == [3 * 3, 0]
         scored = len([r for r in man if r.subset != "train"])
         assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
             len(man.subset("train").rows) + len(cfg.grid) * scored)
@@ -725,11 +760,12 @@ class TestExtractionStage:
 
 
 class TestTrainingStage:
-    """Every missing model is trained, feature by feature, before any
+    """Every missing model is trained, in one job per feature, before any
     utterance is scored; scoring reads models only from the cache."""
 
     def test_cold_run_trains_everything_before_scoring(self, corpus,
-                                                       tmp_path, monkeypatch):
+                                                       tmp_path, monkeypatch,
+                                                       in_process):
         root, man = corpus
         kinds = ("mfcc", "cosphase")
         cfg = _config(features=kinds,
@@ -768,3 +804,50 @@ class TestTrainingStage:
         marker = harness._Runner(cfg, man, work, root)._model_files(
             "cosphase")["ivector"]
         assert marker.name == harness.TRAIN_IDS and not marker.exists()
+
+    def test_failure_in_a_worker_names_the_feature_and_the_model(
+            self, corpus, tmp_path, monkeypatch):
+        root, man = corpus
+
+        def degenerate_in_a_worker(*args, **kwargs):
+            assert os.getpid() != _PYTEST_PID, "trained in the run process"
+            raise DegenerateVectorError("cannot length-normalize a zero "
+                                        "vector")
+        monkeypatch.setattr(ivector, "train_tv", degenerate_in_a_worker)
+        monkeypatch.setattr(harness, "_worker_count",
+                            lambda n_jobs: min(n_jobs, 2))
+        work = tmp_path / "w"
+        with pytest.raises(DegenerateVectorError) as err:
+            run_experiment(_config(features=("cosphase",),
+                                   backends=("ivector-cosine",)),
+                           man, work, wav_root=root)
+        assert "(feature cosphase, model ivector)" in str(err.value)
+        assert list((work / "cache").rglob("*.tmp")) == []
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_names_the_feature_and_the_model(self, corpus,
+                                                         tmp_path,
+                                                         monkeypatch):
+        """A worker killed with status 137 inside a training job breaks the
+        pool, which is re-raised naming the job's feature and model."""
+        root, man = corpus
+        work = tmp_path / "w"
+        # a GMM-only run extracts every feature file, so the i-vector run's
+        # one job trains the stack
+        run_experiment(_config(features=("cosphase",)), man, work,
+                       wav_root=root)
+        train_tv = ivector.train_tv
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != _PYTEST_PID:
+                os._exit(137)
+            return train_tv(*args, **kwargs)
+        monkeypatch.setattr(ivector, "train_tv", dies_in_a_worker)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
+        with pytest.raises(BrokenProcessPool) as err:
+            run_experiment(_config(features=("cosphase",),
+                                   backends=("ivector-cosine",)),
+                           man, work, wav_root=root)
+        assert str(err.value).endswith("(feature cosphase, model ivector)")
+        assert list((work / "cache").rglob("*.tmp")) == []
+        assert multiprocessing.active_children() == []

@@ -40,6 +40,17 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             make_scores([1.0], ["genuine"])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["human", "spoof"]), min_size=1,
+                    max_size=60))
+    def test_mask_selects_what_the_label_array_selected(self, labels):
+        s = make_scores(np.arange(len(labels), dtype=float), labels)
+        array = np.asarray(labels)
+        assert s.target_mask.dtype == bool
+        assert np.array_equal(s.target_mask, array == "human")
+        assert np.array_equal(s.target_scores, s.scores[array == "human"])
+        assert np.array_equal(s.nontarget_scores, s.scores[array == "spoof"])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected_with_trial_id(self, bad):
         with pytest.raises(ValueError, match=rf"{bad!r} for trial u001"):
