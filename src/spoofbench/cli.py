@@ -2,17 +2,16 @@
 
 Every pipeline stage is a subcommand, so experiments can be scripted
 piecemeal, and `run` executes a whole config grid.  The stage commands
-`extract`, `train` and `score` read their settings (root seed, model sizes,
-feature overrides) from the run's INI file given as `--config`, or use the
-`ExperimentConfig` defaults without one; flags choose only what to run: the
-feature, the model or back-end, the test condition and the files.  They
-call the harness's own stage functions: `train --model` writes a model into
-`--models` as a run caches it, and `score` prepares test audio for a
-`--noise-kind`/`--snr`/`--enhance` condition exactly as a run does, then
-scores it with the harness's scorer under any `--backend`.  With the same
-config, a stage-by-stage pipeline therefore writes the score files `run`
-writes.  On failure the tool prints a single machine-parseable line to
-stderr::
+`prepare`, `extract`, `train` and `score` read their settings (root seed,
+model sizes, feature overrides) from the run's INI file given as
+`--config`, or use the `ExperimentConfig` defaults without one; flags
+choose only what to run: the feature, the model or back-end, the test
+condition and the files.  They call the harness's own stage functions:
+`prepare` writes a `--noise-kind`/`--snr`/`--enhance` condition's test
+audio as a run prepares it, `score` scores that audio with the run's
+scorer, and `train --model` writes a model as a run caches it.  With the
+same config, a stage-by-stage pipeline writes the files `run` writes.  On
+failure the tool prints a single machine-parseable line to stderr::
 
     error\t<ExceptionType>\t<message>
 
@@ -31,11 +30,11 @@ from . import config as configmod
 from . import features, fusion, harness
 from .audio import read_wav, write_features, write_wav
 from .config import ExperimentConfig, GridCell
-from .enhancement import ENHANCEMENT_METHODS, enhance
+from .enhancement import ENHANCEMENT_METHODS
 from .evaluation import compute_eer_rocch, compute_ltas, per_attack_eers, \
     save_ltas_csv
 from .manifest import SUBSETS, read_manifest
-from .noiselab import NOISE_KINDS, make_noise, mix_at_snr
+from .noiselab import NOISE_KINDS
 from .scores import read_scores, write_scores
 from .toycorpus import make_toy_corpus
 
@@ -51,14 +50,17 @@ def _missing_model(exc, name):
                              f"`spoofbench train --model {name}`")
 
 
+def _wav_root(args) -> Path:
+    return Path(args.wav_root or Path(args.manifest).parent)
+
+
 def _manifest_rows(args, subset):
     """(rows, wav paths) of a manifest subset; a missing wav fails here,
     before any extraction, naming its utterance."""
     manifest = read_manifest(args.manifest).subset(subset)
     if not manifest:
         raise ValueError(f"manifest has no rows in subset {subset!r}")
-    return manifest.rows, manifest.resolve_paths(args.wav_root or
-                                                 Path(args.manifest).parent)
+    return manifest.rows, manifest.resolve_paths(_wav_root(args))
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -74,24 +76,24 @@ def cmd_extract(args):
     print(f"{args.out}\t{values.shape[0]}x{values.shape[1]}")
 
 
-def cmd_mix_noise(args):
-    speech = read_wav(args.wav)
-    if args.noise_wav:
-        noise = read_wav(args.noise_wav)
-    else:
-        noise = make_noise(args.noise_kind, len(speech), speech.sample_rate,
-                           seed=args.seed)
-    result = mix_at_snr(speech, noise, args.snr, seed=args.seed,
-                        level_method=args.level_method)
-    write_wav(args.out, result.signal)
-    print(f"{args.out}\tgain={result.noise_gain:.6g}\tscale={result.scale:.6g}"
-          f"\tclipped={int(result.clipped)}")
-
-
-def cmd_enhance(args):
-    signal = read_wav(args.wav)
-    write_wav(args.out, enhance(signal, args.method))
-    print(args.out)
+def cmd_prepare(args):
+    """Write each --subset row's test audio, exactly as a run scores it, to
+    --out-dir/<utt_id>.wav; no output may replace a wav the manifest names."""
+    cfg = _config(args)
+    cell = GridCell(args.noise_kind, args.snr)
+    rows, paths = _manifest_rows(args, args.subset)
+    out_dir = Path(args.out_dir)
+    corpus = {(_wav_root(args) / r.wav_path).resolve()
+              for r in read_manifest(args.manifest)}
+    for r in rows:
+        if (target := out_dir / f"{r.utt_id}.wav").resolve() in corpus:
+            raise ValueError(f"{r.utt_id}: {target} is a manifest wav; "
+                             f"prepare does not overwrite the corpus")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for r, path in zip(rows, paths):
+        write_wav(out_dir / f"{r.utt_id}.wav", harness.prepare_signal(
+            read_wav(path), r.utt_id, cell, args.enhance, cfg.seed))
+    print(f"{out_dir}\t{len(rows)}")
 
 
 def cmd_train(args):
@@ -214,9 +216,8 @@ def cmd_toy_corpus(args):
 def cmd_run(args):
     cfg = configmod.load_config(args.config)
     manifest = read_manifest(args.manifest)
-    wav_root = args.wav_root or Path(args.manifest).parent
     result = harness.run_experiment(cfg, manifest, args.work_dir,
-                                    wav_root=wav_root)
+                                    wav_root=_wav_root(args))
     print(result.summary_path)
     for row in result.rows:
         print(f"{row.cell_tag}\t{row.backend}\t{row.system}\t{row.subset}\t"
@@ -225,8 +226,7 @@ def cmd_run(args):
 
 # -- argument wiring --------------------------------------------------------
 
-def _add_stage_args(p):
-    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
+def _add_config_arg(p):
     p.add_argument("--config", default=None,
                    help="experiment INI file whose settings (seed, model "
                         "sizes, feature overrides) to use "
@@ -234,11 +234,19 @@ def _add_stage_args(p):
 
 
 def _add_corpus_args(p):
-    _add_stage_args(p)
+    _add_config_arg(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--wav-root", default=None,
                    help="base for relative wav paths "
                         "(default: manifest directory)")
+
+
+def _add_condition_args(p):
+    """The rows and the test condition a run scores them in."""
+    p.add_argument("--subset", default="eval", choices=SUBSETS)
+    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
+    p.add_argument("--snr", type=float, default=None)
+    p.add_argument("--enhance", choices=ENHANCEMENT_METHODS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,37 +255,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="synthetic-speech spoofing detection workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    p = sub.add_parser("prepare", help="write test audio as a run scores it")
+    _add_corpus_args(p)
+    _add_condition_args(p)
+    p.add_argument("--out-dir", required=True,
+                   help="directory of the <utt_id>.wav files; no manifest "
+                        "wav may be among them")
+    p.set_defaults(func=cmd_prepare)
+
     p = sub.add_parser("extract", help="extract features from one wav")
-    _add_stage_args(p)
+    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
+    _add_config_arg(p)
     p.add_argument("--wav", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vad-from", default=None,
                    help="take voicing decisions from this (clean) wav")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("mix-noise", help="add noise to a wav at target SNR")
-    p.add_argument("--wav", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--noise-kind", choices=NOISE_KINDS)
-    group.add_argument("--noise-wav")
-    p.add_argument("--snr", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level-method", choices=("active", "rms"),
-                   default="active")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_mix_noise)
-
-    p = sub.add_parser("enhance", help="classical speech enhancement")
-    p.add_argument("--wav", required=True)
-    p.add_argument("--method", required=True, choices=ENHANCEMENT_METHODS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_enhance)
-
     p = sub.add_parser("train", help="train a model of one feature")
     p.add_argument("--model", required=True,
                    choices=tuple(dict.fromkeys(
                        m for models in configmod.BACKENDS.values()
                        for m in models)))
+    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
     _add_corpus_args(p)
     p.add_argument("--models", required=True,
                    help="model directory: the GMM pair (gmm), or the "
@@ -287,15 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="score utterances with a back-end")
     p.add_argument("--backend", required=True, choices=configmod.BACKENDS)
+    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
     _add_corpus_args(p)
     p.add_argument("--models", required=True,
                    help="directory written by train --model gmm (gmm) or "
                         "train --model ivector (ivector-cosine, "
                         "ivector-plda, which also needs train --model plda)")
-    p.add_argument("--subset", default="eval", choices=SUBSETS)
-    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--enhance", choices=ENHANCEMENT_METHODS, default=None)
+    _add_condition_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 

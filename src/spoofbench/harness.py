@@ -8,9 +8,10 @@ writes score TSVs plus EER reports.
 
 The stages themselves are the public functions below (audio preparation,
 feature extraction, model training, model directories, scoring); the
-runner adds only the cache around them, and the CLI's stage commands call
-the same functions, so a stage-by-stage CLI pipeline writes the score
-files a run writes.
+runner adds only the cache around them, and the CLI's stage commands
+(`prepare`, `extract`, `train`, `score`) call the same functions, so a
+stage-by-stage CLI pipeline writes the test audio, features and score
+files a run uses and writes.
 
 Caching notes: every artifact lives under a directory named by a hash of
 exactly the settings that influence its bytes, so re-running a config

@@ -15,7 +15,7 @@ from spoofbench import config, features
 from spoofbench.audio import read_features
 from spoofbench.cli import build_parser, main
 from spoofbench.config import GridCell, load_config
-from spoofbench.harness import run_experiment
+from spoofbench.harness import _Runner, run_experiment
 from spoofbench.manifest import read_manifest
 from spoofbench.scores import read_scores
 from spoofbench.toycorpus import make_toy_corpus
@@ -83,16 +83,21 @@ class TestBasics:
         assert rc == 0
         assert read_features(out).shape[1] == 60
 
-    def test_mix_and_enhance(self, corpus, tmp_path):
-        wav = corpus / "wav" / "eval" / "eval-0000.wav"
-        noisy = tmp_path / "n.wav"
-        assert main(["mix-noise", "--wav", str(wav), "--noise-kind",
-                     "white", "--snr", "5", "--seed", "2", "--out",
-                     str(noisy)]) == 0
-        enh = tmp_path / "e.wav"
-        assert main(["enhance", "--wav", str(noisy), "--method", "wiener",
-                     "--out", str(enh)]) == 0
-        assert enh.stat().st_size > 0
+    def test_prepare_clean_rewrites_the_sources(self, corpus, tmp_path,
+                                                capsys):
+        """The clean cell without enhancement is the source audio itself,
+        so each written wav has its source's bytes."""
+        out = tmp_path / "clean"
+        rc = main(["prepare", "--manifest", str(corpus / "manifest.tsv"),
+                   "--subset", "dev", "--out-dir", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == f"{out}\t6\n"
+        rows = read_manifest(corpus / "manifest.tsv").subset("dev").rows
+        assert sorted(f.name for f in out.iterdir()) == \
+            sorted(f"{r.utt_id}.wav" for r in rows)
+        for r in rows:
+            assert (out / f"{r.utt_id}.wav").read_bytes() == \
+                (corpus / r.wav_path).read_bytes()
 
     def test_ltas_csv(self, corpus, tmp_path):
         out = tmp_path / "l.csv"
@@ -212,6 +217,28 @@ class TestRunParity:
         noisy = ["--noise-kind", "white", "--snr", "0"]
         conditions = {"clean": [], "white_0dB": noisy,
                       "white_0dB+wiener": noisy + ["--enhance", "wiener"]}
+        # prepare, then extract with the clean wav's voicing, writes the
+        # runner's cached test features
+        runner = _Runner(load_config(ini), read_manifest(man), work,
+                         wav_root=corpus)
+        rows = read_manifest(man).subset("eval").rows
+        for cond, enhancement in (("white_0dB", None),
+                                  ("white_0dB+wiener", "wiener")):
+            audio = tmp_path / cond
+            assert main(["prepare", "--manifest", man, "--config", str(ini),
+                         *conditions[cond], "--out-dir", str(audio)]) == 0
+            cached = runner._feature_dir(self.KIND, GridCell("white", 0.0),
+                                         enhancement)
+            for r in rows:
+                out = tmp_path / f"{cond}.{r.utt_id}.spbf"
+                assert main(["extract", "--kind", self.KIND,
+                             "--config", str(ini),
+                             "--wav", str(audio / f"{r.utt_id}.wav"),
+                             "--vad-from", str(corpus / r.wav_path),
+                             "--out", str(out)]) == 0
+                name = f"{r.utt_id}.{self.KIND}.spbf"
+                assert out.read_bytes() == (cached / name).read_bytes(), \
+                    (cond, r.utt_id)
         backends = {"gmm": models, "ivector-cosine": stack,
                     "ivector-plda": stack}
         for cond, flags in conditions.items():
@@ -354,7 +381,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("command,subset", [
         ("train-gmm", "train"), ("train-ivector", "train"),
-        ("score", "eval")])
+        ("score", "eval"), ("prepare", "eval")])
     def test_missing_wav_fails_before_extraction(
             self, command, subset, corpus, gmm_models, tmp_path, capsys,
             monkeypatch):
@@ -371,15 +398,36 @@ class TestErrorContract:
                                   "--models", str(tmp_path / "m")],
                 "score": ["score", "--backend", "gmm",
                           "--models", str(gmm_models),
-                          "--out", str(tmp_path / "s.tsv")]}[command]
-        rc = main(args + ["--manifest", str(copy / "manifest.tsv"),
-                          "--kind", "mfcc"])
+                          "--out", str(tmp_path / "s.tsv")],
+                "prepare": ["prepare", "--noise-kind", "white", "--snr", "0",
+                            "--out-dir", str(tmp_path / "p")]}[command]
+        kind = [] if command == "prepare" else ["--kind", "mfcc"]
+        rc = main(args + ["--manifest", str(copy / "manifest.tsv"), *kind])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tFileNotFoundError\t")
         assert row.utt_id in err
         assert err.count("\n") == 1
         assert extracted == []
+        assert not (tmp_path / "p").exists()
+
+    def test_prepare_refuses_to_overwrite_the_corpus(self, corpus, tmp_path,
+                                                     capsys):
+        """An --out-dir that holds the subset's own wavs stops prepare
+        before its first write, naming the utterance."""
+        copy = shutil.copytree(corpus, tmp_path / "corpus")
+        wavs = {p: p.read_bytes() for p in (copy / "wav").rglob("*.wav")}
+        rc = main(["prepare", "--manifest", str(copy / "manifest.tsv"),
+                   "--noise-kind", "white", "--snr", "0",
+                   "--out-dir", str(copy / "wav" / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t")
+        first = read_manifest(copy / "manifest.tsv").subset("eval").rows[0]
+        assert first.utt_id in err
+        assert err.count("\n") == 1
+        assert {p: p.read_bytes() for p in (copy / "wav").rglob("*.wav")} \
+            == wavs
 
     def test_snr_required_with_noise(self, corpus, gmm_models, tmp_path,
                                      capsys):
