@@ -11,10 +11,10 @@ Conventions used throughout the workbench:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 
 from .errors import AlignmentError, EmptyFeaturesError
 
@@ -196,13 +196,52 @@ def apply_vad(features, vad_mask) -> np.ndarray:
     return kept
 
 
+@lru_cache(maxsize=4)
+def _hilbert_kernel(n: int) -> tuple[int, np.ndarray]:
+    """(m, rfft(g, m)) for the length-n circular Hilbert kernel
+    g = Im(IDFT_n(H)), H being the one-sided analytic-signal weight: 1 at DC,
+    2 on the positive bins, 1 at Nyquist for even n.  The DC and Nyquist
+    terms of an IDFT are real, so only the positive bins reach g.
+
+    m = n when n is 11-smooth (`next_fast_len`'s own test), as pocketfft then
+    needs no Bluestein: at n = 21000-26000 one 8-row FFT pair at length n
+    cost 0.4-0.8 of the pair at the padded length.  Otherwise
+    m = next_fast_len(2n - 1), long enough that the product is a linear
+    convolution, which the caller folds back modulo n."""
+    h = np.zeros(n)
+    h[1:(n + 1) // 2] = 2.0
+    g = scipy.fft.ifft(h).imag
+    m = n if scipy.fft.next_fast_len(n) == n else scipy.fft.next_fast_len(2 * n - 1, real=True)
+    spectrum = scipy.fft.rfft(g, m)
+    spectrum.flags.writeable = False
+    return m, spectrum
+
+
 def analytic_envelope(samples) -> np.ndarray:
-    """Squared magnitude of the analytic signal (FFT Hilbert method), along
-    the last axis, so each row of a matrix is one signal."""
+    """Squared magnitude of the length-n circular analytic signal along the
+    last axis (each row of a matrix is one signal), as Marple's FFT method
+    in `scipy.signal.hilbert` defines it.  Its real part is x, its imaginary
+    part the circular convolution of x with `_hilbert_kernel`'s g, done with
+    one real FFT pair at a fast length, so no row's transform reaches
+    pocketfft's Bluestein path.  Every value is within 1e-12 times the
+    largest of the scipy result (property test against
+    tests/reference.py::analytic_envelope_oracle; at most 2.4e-15 measured
+    over lengths 1-600 and 60 lengths of 21000-26000)."""
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         return np.zeros(x.shape)
-    return np.abs(scipy.signal.hilbert(x)) ** 2
+    n = x.shape[-1]
+    m, spectrum = _hilbert_kernel(n)
+    spec = scipy.fft.rfft(x, m, axis=-1)
+    spec *= spectrum
+    full = scipy.fft.irfft(spec, m, axis=-1)
+    y = full[..., :n]
+    if m > n:
+        y[..., :n - 1] += full[..., n:2 * n - 1]
+    env = x * x
+    y *= y
+    env += y
+    return env
 
 
 def safe_log(values) -> np.ndarray:

@@ -56,8 +56,10 @@ from .scores import HUMAN, NO_ATTACK, SPOOF, ScoreSet, write_scores
 # salt of every feature and model cache key: bump it whenever a change
 # alters the bytes an extractor writes, so an old work dir re-extracts
 # instead of mixing old and new features (2: blocked-GEMM constant-Q
-# transform, sosfilt gammatone bank)
-CACHE_VERSION = 2
+# transform, sosfilt gammatone bank; 3: MHEC's Hilbert envelope as a
+# circular convolution at a fast FFT length, which moves MHEC features at
+# rounding level)
+CACHE_VERSION = 3
 
 # the file in which every model directory lists the utterances its models
 # were trained on; it is written last, so it also marks the directory

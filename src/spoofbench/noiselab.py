@@ -110,8 +110,7 @@ def speech_level_db(signal: AudioSignal, method: str = "active") -> float:
     raise ValueError(f"unknown level method {method!r}")
 
 
-def mix_at_snr(speech: AudioSignal, noise, snr_db: float, seed=None,
-               level_method: str = "active") -> MixResult:
+def mix_at_snr(speech: AudioSignal, noise, snr_db: float, seed=None) -> MixResult:
     """Add a noise segment to speech at the requested SNR.
 
     The noise record is sampled at a random (seeded) offset with wraparound,
@@ -140,7 +139,7 @@ def mix_at_snr(speech: AudioSignal, noise, snr_db: float, seed=None,
     if seg_pow <= 0.0:
         raise ValueError("selected noise segment is silent")
 
-    speech_pow = 10.0 ** (speech_level_db(speech, level_method) / 10.0)
+    speech_pow = 10.0 ** (speech_level_db(speech) / 10.0)
     gain = float(np.sqrt(speech_pow / (seg_pow * 10.0 ** (snr_db / 10.0))))
     mixed = speech.samples + gain * segment
     peak = float(np.max(np.abs(mixed)))

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import scipy.signal
 
-from spoofbench.dsp import (frame_length_samples, frame_shift_samples, n_frames_for,
-                            window_function)
+from spoofbench.dsp import (analytic_envelope, frame_length_samples, frame_shift_samples,
+                            n_frames_for, window_function)
 from spoofbench.scores import HEADER, ScoreSet
 
 
@@ -166,14 +166,23 @@ def gammatone_cascade_oracle(bank, samples):
     return out
 
 
+def analytic_envelope_oracle(samples):
+    """Squared magnitude of scipy's analytic signal (Marple's FFT method at
+    the signal's own length), along the last axis."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size == 0:
+        return np.zeros(x.shape)
+    return np.abs(scipy.signal.hilbert(x)) ** 2
+
+
 def mhec_energies_whole_matrix(channels, sample_rate, frame_ms=20.0,
                                shift_ms=10.0, window="hamming",
                                cutoff_hz=20.0):
     """MHEC band energies over the whole (M, N) channel matrix at once:
-    squared Hilbert envelope along axis 1, 20 Hz zero-phase smoothing along
-    axis 1, then an (M, T, n) gather of every frame times the normalized
-    window."""
-    env = np.abs(scipy.signal.hilbert(channels, axis=1)) ** 2
+    squared Hilbert envelope of the whole matrix in one call, 20 Hz
+    zero-phase smoothing along axis 1, then an (M, T, n) gather of every
+    frame times the normalized window."""
+    env = analytic_envelope(channels)
     b, a = scipy.signal.butter(2, cutoff_hz / (sample_rate / 2.0))
     smooth = scipy.signal.filtfilt(b, a, env, axis=1)
     n = frame_length_samples(frame_ms, sample_rate)

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spoofbench import dsp
 from spoofbench.errors import AlignmentError, EmptyFeaturesError
 
-from reference import naive_dct_matrix, naive_dft_matrix
+from reference import analytic_envelope_oracle, naive_dct_matrix, naive_dft_matrix
 
 RATE = 16000
 
@@ -208,6 +209,38 @@ def test_analytic_envelope_tracks_modulation():
     env = dsp.analytic_envelope(x)
     interior = slice(2000, -2000)
     assert np.max(np.abs(env[interior] - am[interior] ** 2)) < 0.02
+
+
+# lengths whose real FFT is fast (5-smooth), prime lengths, and lengths
+# with one large prime factor, as toy utterances have (23964 = 2^2*3*1997,
+# 22087 = 13*1699)
+_ENVELOPE_LENGTHS = st.one_of(
+    st.integers(1, 600),
+    st.sampled_from([512, 640, 1000, 1024, 1080, 2048, 6000, 24000]),
+    st.sampled_from([601, 1009, 1997, 4099, 7919, 22079]),
+    st.sampled_from([2 * 1997, 23964, 22087, 5 * 4099, 7 * 1699]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_ENVELOPE_LENGTHS, rows=st.sampled_from([None, 1, 3, 8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_analytic_envelope_matches_scipy_hilbert(n, rows, seed):
+    """The fast-length circular convolution is scipy's length-n analytic
+    signal up to rounding, for 1-D signals and for (k, n) matrices."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+    want = analytic_envelope_oracle(x)
+    got = dsp.analytic_envelope(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_analytic_envelope_of_empty_and_single_samples():
+    assert dsp.analytic_envelope(np.zeros((2, 0))).shape == (2, 0)
+    assert np.array_equal(dsp.analytic_envelope(np.array([-0.5])), [0.25])
+    assert np.array_equal(dsp.analytic_envelope(np.array([[0.3], [2.0]])),
+                          [[0.09], [4.0]])
 
 
 def test_safe_log_floor():

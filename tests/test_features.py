@@ -250,6 +250,20 @@ def test_mhec_streamed_energies_equal_whole_matrix_energies(seconds, block,
     assert np.array_equal(features.mhec_band_energies(sig, cfg, n_frames), want)
 
 
+def test_mhec_of_one_frame_is_finite():
+    x = 0.1 * np.random.default_rng(3).standard_normal(320)
+    out = features.extract(AudioSignal(x, RATE), features.FeatureConfig("mhec"))
+    assert out.shape == (1, 96)
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("samples", [np.zeros(RATE), 0.1 * np.ones(319)],
+                         ids=["all-zero", "shorter-than-a-frame"])
+def test_mhec_without_speech_frames_raises(samples):
+    with pytest.raises(EmptyFeaturesError):
+        features.extract(AudioSignal(samples, RATE), features.FeatureConfig("mhec"))
+
+
 def test_mhec_band_energy_tracks_slow_amplitude_modulation():
     import scipy.fft
 
