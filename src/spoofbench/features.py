@@ -202,10 +202,13 @@ def _cqcc(signal, fm, config):
 
 
 # gammatone channels per streamed MHEC block.  mhec_band_energies of the
-# 32-channel bank, timed on one thread over 15 lengths of 21000-26000
-# samples in two passes, took a median of 46.5/48.5 ms at 4 rows, 45.3/45.9
-# at 8, 49.0/48.3 at 16 and 49.5/47.4 at 32: 4 and 8 are within noise, and
-# 8 rows keep a block's memory at a quarter of the bank
+# 32-channel bank, timed on one BLAS thread inside a fork-pool worker with
+# the workers' heap policy (harness._keep_freed_heap), over 20 toy
+# utterances in two runs, took a median of 57.5/61.8 ms at 4 rows,
+# 58.0/65.2 at 8 and 56.4/65.2 at 16, with 600-1,000 minor faults per 20
+# utterances at each size: within noise, and 8 rows keep a block's memory
+# at a quarter of the bank.  Without the policy the worker took 9.7k,
+# 39.9k and 95.4k faults
 _MHEC_BLOCK = 8
 
 
@@ -269,37 +272,53 @@ def estimate_f0(signal: AudioSignal, config: FeatureConfig | None = None) -> F0T
     if lag_max >= n:
         raise ValueError("pitch window too short for f0_min")
 
-    f0 = np.zeros(fm.n_frames)
-    voiced = np.zeros(fm.n_frames, dtype=bool)
     size = int(2 ** np.ceil(np.log2(2 * n)))
     spec = np.fft.rfft(fm.frames, n=size, axis=1)
     corr = np.fft.irfft(np.abs(spec) ** 2, n=size, axis=1)[:, :lag_max + 2]
-    for t in range(fm.n_frames):
-        r = corr[t]
-        if r[0] <= 0:
-            continue
-        seg = r[lag_min:lag_max + 1] / r[0]
-        best = lag_min + int(np.argmax(seg))
-        strength = r[best] / r[0]
-        if strength < config.f0_voicing_threshold:
-            continue
-        # prefer the shortest submultiple lag that is nearly as strong
-        lag = best
-        for div in (2, 3, 4):
-            cand = best / div
-            if cand < lag_min:
-                break
-            lo = max(lag_min, int(round(cand)) - 2)
-            hi = min(lag_max, int(round(cand)) + 2)
-            local = lo + int(np.argmax(r[lo:hi + 1]))
-            if r[local] / r[0] >= 0.9 * strength:
-                lag = min(lag, local)
-        y0, y1, y2 = r[lag - 1] / r[0], r[lag] / r[0], r[lag + 1] / r[0]
-        denom = y0 - 2.0 * y1 + y2
-        delta = 0.0 if denom == 0 else np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0)
-        voiced[t] = True
-        f0[t] = rate / (lag + delta)
+    f0, voiced = _pitch_decisions(corr, rate, lag_min, lag_max,
+                                  config.f0_voicing_threshold)
     return F0Track(f0, voiced, config.f0_frame_ms, config.shift_ms)
+
+
+def _pitch_decisions(corr, rate, lag_min, lag_max, threshold):
+    """(f0, voiced) of each autocorrelation row r (lags 0..lag_max + 1).
+
+    A row with r[0] > 0 is voiced when its normalized peak over lags
+    lag_min..lag_max reaches threshold.  The lag is then the shortest of the
+    peak lag and the local maxima within 2 lags of its 2nd, 3rd and 4th
+    submultiples (those at or above lag_min) that reach 0.9 of its
+    strength, refined by a parabola through its neighbours.  All rows are
+    decided at once, with the same scalar operations as a row at a time.
+    """
+    f0 = np.zeros(corr.shape[0])
+    voiced = np.zeros(corr.shape[0], dtype=bool)
+    rows = np.flatnonzero(~(corr[:, 0] <= 0))
+    r = corr[rows]
+    norm = r / r[:, :1]
+    at = np.arange(rows.size)
+    best = lag_min + np.argmax(norm[:, lag_min:lag_max + 1], axis=1)
+    strength = norm[at, best]
+    # prefer the shortest submultiple lag that is nearly as strong
+    lag = best
+    for div in (2, 3, 4):
+        cand = best / div
+        centre = np.rint(cand).astype(int)   # half to even, as round()
+        lo = np.maximum(lag_min, centre - 2)
+        hi = np.minimum(lag_max, centre + 2)
+        window = lo[:, None] + np.arange(5)
+        local = lo + np.argmax(np.where(
+            window <= hi[:, None],
+            r[at[:, None], np.minimum(window, lag_max)], -np.inf), axis=1)
+        better = (cand >= lag_min) & (norm[at, local] >= 0.9 * strength)
+        lag = np.where(better, np.minimum(lag, local), lag)
+    y0, y1, y2 = (norm[at, lag + i] for i in (-1, 0, 1))
+    denom = y0 - 2.0 * y1 + y2
+    delta = np.clip(np.divide(0.5 * (y0 - y2), denom,
+                              out=np.zeros_like(denom), where=denom != 0),
+                    -1.0, 1.0)
+    voiced[rows] = ~(strength < threshold)
+    f0[rows] = np.where(voiced[rows], rate / (lag + delta), 0.0)
+    return f0, voiced
 
 
 def _f0_on_analysis_grid(track: F0Track, config: FeatureConfig, n_frames, rate):
@@ -314,46 +333,82 @@ def _f0_on_analysis_grid(track: F0Track, config: FeatureConfig, n_frames, rate):
     return track.f0[src], track.voiced[src]
 
 
-def relative_phase_row(spectrum_row, f0: float, sample_rate: int, dft_size: int):
-    """Relative phase shift theta_k of each harmonic of f0 (theta_1 = 0).
+def relative_phases(spectra, f0s, sample_rate: int, dft_size: int):
+    """Relative phase shifts theta_k of the harmonics of each row's f0
+    (theta_1 = 0), from that row of the rfft spectra.
 
     The instantaneous phase of harmonic k is read off the frame's DFT at
     k*f0 by interpolating the angle between the two neighbouring bins, and
     the linear-in-k time reference is removed by theta_k = phi_k - k*phi_1.
     Harmonics are taken strictly below Nyquist. Angles are wrapped to
     (-pi, pi].
+
+    Returns (theta, counts): row i of theta holds the counts[i] harmonics
+    of f0s[i], then zeros.
     """
-    if f0 <= 0:
+    f0s = np.asarray(f0s, dtype=np.float64)
+    if not np.all(f0s > 0):
         raise ValueError("f0 must be positive")
     nyquist = sample_rate / 2.0
-    k_max = int(np.floor((nyquist - 1e-9) / f0))
-    if k_max < 1:
-        return np.zeros(0)
-    ks = np.arange(1, k_max + 1)
-    pos = ks * f0 * dft_size / sample_rate
+    counts = np.floor((nyquist - 1e-9) / f0s).astype(int)
+    ks = np.arange(1, max(counts.max(initial=0), 1) + 1)
+    valid = ks <= counts[:, None]
+    pos = ks * f0s[:, None] * dft_size / sample_rate
     i0 = np.floor(pos).astype(int)
     frac = pos - i0
-    a0 = np.angle(spectrum_row[i0])
-    a1 = np.angle(spectrum_row[i0 + 1])
+    at = np.arange(f0s.size)[:, None]
+    i0 = np.where(valid, i0, 0)          # padding reads bin 0
+    a0 = np.angle(spectra[at, i0])
+    a1 = np.angle(spectra[at, i0 + 1])
     a1 = a1 + 2.0 * np.pi * np.round((a0 - a1) / (2.0 * np.pi))
     phi = (1.0 - frac) * a0 + frac * a1
-    theta = phi - ks * phi[0]
-    return (theta + np.pi) % (2.0 * np.pi) - np.pi
+    theta = phi - ks * phi[:, :1]
+    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(valid, theta, 0.0), counts
 
 
-def rps_band_row(theta, f0, bank) -> np.ndarray:
-    """Unwrap theta over harmonic index, differentiate, interpolate onto the
-    DFT bin grid and integrate with the triangular bank."""
+def rps_bands(theta, counts, f0s, bank) -> np.ndarray:
+    """Per row of relative_phases' output: unwrap theta over harmonic index,
+    differentiate, interpolate onto the DFT bin grid and integrate with the
+    triangular bank.  A row with fewer than 2 harmonics integrates zeros.
+
+    The steps are np.unwrap, np.diff and np.interp, row by row over each
+    row's own harmonics, as the same scalar operations on the padded rows:
+    a row-wise cumsum of the phase corrections, and np.interp's formula with
+    its clamping to the end values outside the harmonic midpoints.
+    """
     n_bins = bank.weights.shape[1]
     bin_freqs = np.arange(n_bins) * bank.sample_rate / bank.dft_size
-    if theta.size >= 2:
-        un = np.unwrap(theta)
-        deriv = np.diff(un)
-        mid = (np.arange(1, theta.size) + 0.5) * f0
-        values = np.interp(bin_freqs, mid, deriv)
-    else:
-        values = np.zeros(n_bins)
-    return bank.weights @ values
+    c = counts[:, None]
+    # two zero columns past the longest row, so every row has a slope
+    p = np.zeros((c.size, theta.shape[1] + 2))
+    p[:, :-2] = theta
+    # np.unwrap (period 2 pi)
+    dd = np.diff(p, axis=1)
+    ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+    ddmod[(ddmod == -np.pi) & (dd > 0)] = np.pi
+    correct = ddmod - dd
+    correct[np.abs(dd) < np.pi] = 0
+    p[:, 1:] = p[:, 1:] + np.cumsum(correct, axis=1)
+    deriv = np.diff(p, axis=1)
+    mid = (np.arange(1, p.shape[1]) + 0.5) * f0s[:, None]
+    slopes = (deriv[:, 1:] - deriv[:, :-1]) / (mid[:, 1:] - mid[:, :-1])
+    # j: the last of a row's c - 1 midpoints at or below each bin
+    first = np.searchsorted(bin_freqs, mid)
+    first[np.arange(mid.shape[1]) >= c - 1] = n_bins
+    at = np.arange(c.size)[:, None]
+    starts = np.zeros((c.size, n_bins + 1), dtype=int)
+    np.add.at(starts, (at, first), 1)
+    j = np.cumsum(starts[:, :n_bins], axis=1) - 1
+    inner = (j >= 0) & (j < c - 2)
+    jj = np.where(inner, j, 0)
+    xj, yj = mid[at, jj], deriv[at, jj]
+    line = np.where(xj == bin_freqs, yj, slopes[at, jj] * (bin_freqs - xj) + yj)
+    ends = np.where(j < 0, deriv[:, :1], deriv[at, np.maximum(c - 2, 0)])
+    values = np.where(c >= 2, np.where(inner, line, ends), 0.0)
+    # one matrix-vector product per row, as a row at a time: one product
+    # over all rows would round differently
+    return np.matmul(bank.weights, values[:, :, None])[:, :, 0]
 
 
 def _rps(signal, fm, config):
@@ -365,10 +420,10 @@ def _rps(signal, fm, config):
         raise EmptyFeaturesError("no voiced frames for RPS")
     bank = _bank(filterbanks.mel_filterbank, config.n_filters,
                  config.dft_size, signal.sample_rate)
-    bands = [rps_band_row(relative_phase_row(spec[t], f0s[t], signal.sample_rate,
-                                             config.dft_size), f0s[t], bank)
-             for t in np.flatnonzero(voiced)]
-    return dsp.dct_features(np.vstack(bands), config.n_coeffs), voiced
+    theta, counts = relative_phases(spec[voiced], f0s[voiced],
+                                    signal.sample_rate, config.dft_size)
+    bands = rps_bands(theta, counts, f0s[voiced], bank)
+    return dsp.dct_features(bands, config.n_coeffs), voiced
 
 
 # --- group delay and phase cepstra ---------------------------------------------

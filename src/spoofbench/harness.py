@@ -28,6 +28,7 @@ only from the cache.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import secrets
@@ -53,13 +54,15 @@ from .manifest import Manifest
 from .noiselab import make_noise, mix_at_snr
 from .scores import HUMAN, NO_ATTACK, SPOOF, ScoreSet, write_scores
 
-# salt of every feature and model cache key: bump it whenever a change
-# alters the bytes an extractor writes, so an old work dir re-extracts
-# instead of mixing old and new features (2: blocked-GEMM constant-Q
-# transform, sosfilt gammatone bank; 3: MHEC's Hilbert envelope as a
-# circular convolution at a fast FFT length, which moves MHEC features at
-# rounding level)
-CACHE_VERSION = 3
+# salt of each feature kind's feature and model cache keys: bump a kind's
+# entry whenever a change alters the bytes its extractor writes, so an old
+# work dir re-extracts that kind (and retrains its models) instead of mixing
+# old and new features, and keeps the other kinds (2: blocked-GEMM
+# constant-Q transform, sosfilt gammatone bank; 3: MHEC's Hilbert envelope
+# as a circular convolution at a fast FFT length, which moves MHEC features
+# at rounding level; every kind went through both)
+CACHE_VERSIONS = {"mfcc": 3, "imfcc": 3, "scmc": 3, "cqcc": 3, "mhec": 3,
+                  "rps": 3, "mgd": 3, "cosphase": 3}
 
 # the file in which every model directory lists the utterances its models
 # were trained on; it is written last, so it also marks the directory
@@ -84,7 +87,8 @@ def _stage_hash(*parts) -> str:
 
 def _feature_text(cfg: features.FeatureConfig) -> str:
     d = asdict(cfg)
-    return f"cache_version={CACHE_VERSION}," + ",".join(f"{k}={d[k]}" for k in sorted(d))
+    return (f"cache_version={CACHE_VERSIONS[cfg.kind]},"
+            + ",".join(f"{k}={d[k]}" for k in sorted(d)))
 
 
 def condition_tag(cell: GridCell, enhancement: str | None) -> str:
@@ -166,6 +170,34 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, len(cpus) or 1)
 
 
+# glibc mallopt parameters (malloc.h), and the values a worker sets: the
+# largest mmap threshold glibc accepts on 64-bit, and a trim threshold above
+# any heap a worker reaches
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_WORKER_MMAP_THRESHOLD = 32 << 20
+_WORKER_TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_heap():
+    """Pool initializer: make this worker's malloc keep the memory it frees.
+
+    Extraction allocates and frees multi-MB FFT and filter temporaries per
+    block; by default glibc returns those to the system (mmap above its
+    threshold, heap trim below), so the next block faults them back in.
+    Both thresholds are set explicitly, because a forked worker otherwise
+    inherits whatever dynamic threshold its parent reached.  Where there is
+    no mallopt this does nothing; it never raises, since a raising
+    initializer breaks the pool."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+    except (AttributeError, OSError, TypeError):   # no mallopt to call
+        pass
+
+
 def _run_jobs(jobs):
     """Run jobs, each (function, args, after, context): function(*args),
     once the jobs at plan-order indices after, all earlier in the plan, are
@@ -173,13 +205,15 @@ def _run_jobs(jobs):
     in plan order cancels the jobs not yet started and is re-raised once the
     pool has shut down.  A worker that dies breaks the pool, which is
     re-raised with the context of the first job in plan order that did not
-    finish."""
+    finish.  Only the workers set a heap policy (_keep_freed_heap); jobs run
+    in this process keep its allocator as it is."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
         for function, args, _, _ in jobs:
             function(*args)
         return
-    pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
+    pool = ProcessPoolExecutor(n, mp_context=get_context("fork"),
+                               initializer=_keep_freed_heap)
     futures = []
     try:
         for function, args, after, _ in jobs:

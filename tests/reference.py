@@ -13,7 +13,8 @@ import numpy as np
 import scipy.signal
 
 from spoofbench.dsp import (analytic_envelope, frame_length_samples, frame_shift_samples,
-                            n_frames_for, window_function)
+                            frame_signal, n_frames_for, window_function)
+from spoofbench.features import F0Track, FeatureConfig
 from spoofbench.scores import HEADER, ScoreSet
 
 
@@ -298,3 +299,94 @@ def lower_hull_loop(points):
                 break
         hull.append(p)
     return hull
+
+
+def pitch_decisions_loop(corr, rate, lag_min, lag_max, threshold):
+    """(f0, voiced) of each autocorrelation row, one row at a time: peak
+    lag, submultiple checks, parabolic refinement."""
+    f0 = np.zeros(corr.shape[0])
+    voiced = np.zeros(corr.shape[0], dtype=bool)
+    for t in range(corr.shape[0]):
+        r = corr[t]
+        if r[0] <= 0:
+            continue
+        seg = r[lag_min:lag_max + 1] / r[0]
+        best = lag_min + int(np.argmax(seg))
+        strength = r[best] / r[0]
+        if strength < threshold:
+            continue
+        # prefer the shortest submultiple lag that is nearly as strong
+        lag = best
+        for div in (2, 3, 4):
+            cand = best / div
+            if cand < lag_min:
+                break
+            lo = max(lag_min, int(round(cand)) - 2)
+            hi = min(lag_max, int(round(cand)) + 2)
+            local = lo + int(np.argmax(r[lo:hi + 1]))
+            if r[local] / r[0] >= 0.9 * strength:
+                lag = min(lag, local)
+        y0, y1, y2 = r[lag - 1] / r[0], r[lag] / r[0], r[lag + 1] / r[0]
+        denom = y0 - 2.0 * y1 + y2
+        delta = 0.0 if denom == 0 else np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0)
+        voiced[t] = True
+        f0[t] = rate / (lag + delta)
+    return f0, voiced
+
+
+def estimate_f0_loop(signal, config=None):
+    """features.estimate_f0 with its pitch decisions made frame by frame."""
+    config = config or FeatureConfig("rps")
+    rate = signal.sample_rate
+    cutoff = min(1500.0, 0.45 * rate)
+    b, a = scipy.signal.butter(4, cutoff / (rate / 2.0))
+    lowpassed = scipy.signal.lfilter(b, a, signal.samples)
+    fm = frame_signal(lowpassed, rate, config.f0_frame_ms, config.shift_ms,
+                      window="rect")
+    lag_min = max(2, int(np.floor(rate / config.f0_max)))
+    lag_max = int(np.ceil(rate / config.f0_min))
+    n = fm.frame_length
+    if lag_max >= n:
+        raise ValueError("pitch window too short for f0_min")
+    size = int(2 ** np.ceil(np.log2(2 * n)))
+    spec = np.fft.rfft(fm.frames, n=size, axis=1)
+    corr = np.fft.irfft(np.abs(spec) ** 2, n=size, axis=1)[:, :lag_max + 2]
+    f0, voiced = pitch_decisions_loop(corr, rate, lag_min, lag_max,
+                                      config.f0_voicing_threshold)
+    return F0Track(f0, voiced, config.f0_frame_ms, config.shift_ms)
+
+
+def relative_phase_row(spectrum_row, f0, sample_rate, dft_size):
+    """Relative phase shift theta_k of each harmonic of f0 below Nyquist
+    (theta_1 = 0), from one frame's rfft spectrum, wrapped to (-pi, pi]."""
+    if f0 <= 0:
+        raise ValueError("f0 must be positive")
+    nyquist = sample_rate / 2.0
+    k_max = int(np.floor((nyquist - 1e-9) / f0))
+    if k_max < 1:
+        return np.zeros(0)
+    ks = np.arange(1, k_max + 1)
+    pos = ks * f0 * dft_size / sample_rate
+    i0 = np.floor(pos).astype(int)
+    frac = pos - i0
+    a0 = np.angle(spectrum_row[i0])
+    a1 = np.angle(spectrum_row[i0 + 1])
+    a1 = a1 + 2.0 * np.pi * np.round((a0 - a1) / (2.0 * np.pi))
+    phi = (1.0 - frac) * a0 + frac * a1
+    theta = phi - ks * phi[0]
+    return (theta + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def rps_band_row(theta, f0, bank):
+    """One frame's RPS band values: np.unwrap, np.diff and np.interp of
+    theta onto the DFT bin grid, integrated with the bank."""
+    n_bins = bank.weights.shape[1]
+    bin_freqs = np.arange(n_bins) * bank.sample_rate / bank.dft_size
+    if theta.size >= 2:
+        un = np.unwrap(theta)
+        deriv = np.diff(un)
+        mid = (np.arange(1, theta.size) + 0.5) * f0
+        values = np.interp(bin_freqs, mid, deriv)
+    else:
+        values = np.zeros(n_bins)
+    return bank.weights @ values

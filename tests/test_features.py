@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spoofbench import dsp, features
+from spoofbench import dsp, features, filterbanks
 from spoofbench.audio import AudioSignal
 from spoofbench.config import ExperimentConfig
 from spoofbench.errors import AlignmentError, EmptyFeaturesError
 
-from reference import (mhec_energies_whole_matrix, naive_dct, naive_dft_matrix,
-                       synth_harmonic)
+from reference import (estimate_f0_loop, mhec_energies_whole_matrix, naive_dct,
+                       naive_dft_matrix, pitch_decisions_loop, relative_phase_row,
+                       rps_band_row, synth_harmonic)
 
 RATE = 16000
 
@@ -325,15 +326,13 @@ def recover_relative_phases(sig: AudioSignal, n_harmonics: int) -> np.ndarray:
     track = features.estimate_f0(sig)
     f0s, voiced = features._f0_on_analysis_grid(track, features.FeatureConfig("rps"),
                                                 fm.n_frames, RATE)
-    rows = []
-    for t in range(3, fm.n_frames - 3):
-        if not voiced[t]:
-            continue
-        theta = features.relative_phase_row(spec[t], f0s[t], RATE, 512)
-        if theta.size >= n_harmonics:
-            rows.append(theta[:n_harmonics])
-    assert rows, "no voiced frames"
-    rows = np.array(rows)
+    interior = np.zeros(fm.n_frames, dtype=bool)
+    interior[3:-3] = True
+    frames = voiced & interior
+    theta, counts = features.relative_phases(spec[frames], f0s[frames], RATE,
+                                             512)
+    rows = theta[counts >= n_harmonics, :n_harmonics]
+    assert rows.size, "no voiced frames"
     # wrap-aware aggregation: median of the wrapped deviations from frame 0
     ref = rows[0]
     dev = (rows - ref + np.pi) % (2 * np.pi) - np.pi
@@ -371,7 +370,134 @@ def test_rps_unvoiced_only_signal_raises():
 
 def test_relative_phase_row_rejects_bad_f0():
     with pytest.raises(ValueError):
-        features.relative_phase_row(np.ones(257, dtype=complex), 0.0, RATE, 512)
+        features.relative_phases(np.ones((2, 257), dtype=complex),
+                                 np.array([100.0, 0.0]), RATE, 512)
+
+
+# --- vectorised RPS and pitch steps against their frame-by-frame oracles -------
+
+def _pitch_test_signal(case, f0, seed, rate):
+    """0.4 s of a voiced, unvoiced, octave-ambiguous or near-Nyquist signal
+    after a leading silence longer than one pitch window, whose frames have
+    an autocorrelation of exactly 0."""
+    rng = np.random.default_rng(seed)
+    n = int(0.4 * rate)
+    t = np.arange(n) / rate
+    nyquist = rate / 2.0
+    if case == "unvoiced":
+        x = rng.standard_normal(n)
+    else:
+        ks = np.arange(1, int((nyquist - 1.0) // f0) + 1)
+        if case == "voiced":
+            amps = 1.0 / ks
+        elif case == "octave":
+            # weak odd harmonics: the autocorrelation at half the period is
+            # nearly as strong as at the period
+            amps = np.where(ks % 2 == 0, 1.0, rng.uniform(0.1, 0.3))
+        else:   # near-nyquist: the fundamental and the top 3 harmonics
+            amps = ((ks == 1) | (ks > ks.size - 3)).astype(float)
+        phases = rng.uniform(-np.pi, np.pi, ks.size)
+        x = (amps[:, None] * np.cos(2 * np.pi * f0 * ks[:, None] * t
+                                    + phases[:, None])).sum(axis=0)
+        x += 0.01 * rng.standard_normal(n)
+    x = np.concatenate([np.zeros(int(0.12 * rate)), x])
+    return AudioSignal(0.3 * x / np.max(np.abs(x)), rate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["voiced", "unvoiced", "octave", "near-nyquist"]),
+       f0=st.floats(60.0, 480.0), seed=st.integers(0, 2 ** 16),
+       rate=st.sampled_from([8000, 16000]))
+def test_vectorised_rps_matches_frame_by_frame_oracles(case, f0, seed, rate):
+    """The pitch track, each voiced frame's relative phases and its band
+    values are equal, not close, to the frame-by-frame computation."""
+    sig = _pitch_test_signal(case, f0, seed, rate)
+    cfg = features.FeatureConfig("rps")
+    track = features.estimate_f0(sig, cfg)
+    oracle = estimate_f0_loop(sig, cfg)
+    assert np.array_equal(track.f0, oracle.f0)
+    assert np.array_equal(track.voiced, oracle.voiced)
+    assert not track.voiced[0]
+    fm = dsp.frame_signal(sig.samples, rate, cfg.frame_ms, cfg.shift_ms,
+                          cfg.window)
+    spec = np.fft.rfft(fm.frames, n=cfg.dft_size, axis=1)
+    f0s, voiced = features._f0_on_analysis_grid(track, cfg, fm.n_frames, rate)
+    if not voiced.any():
+        return
+    bank = features._bank(filterbanks.mel_filterbank, cfg.n_filters,
+                          cfg.dft_size, rate)
+    theta, counts = features.relative_phases(spec[voiced], f0s[voiced], rate,
+                                             cfg.dft_size)
+    rows = [relative_phase_row(spec[t], f0s[t], rate, cfg.dft_size)
+            for t in np.flatnonzero(voiced)]
+    for row, want, count in zip(theta, rows, counts):
+        assert count == want.size
+        assert np.array_equal(row[:count], want)
+        assert not row[count:].any()
+    assert np.array_equal(
+        features.rps_bands(theta, counts, f0s[voiced], bank),
+        np.vstack([rps_band_row(want, f, bank)
+                   for want, f in zip(rows, f0s[voiced])]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_rows=st.integers(1, 12),
+       rate=st.sampled_from([8000, 16000]), dft_size=st.sampled_from([256, 512]),
+       f0_kinds=st.lists(st.sampled_from(["speech", "under-nyquist", "one",
+                                          "none", "at-nyquist"]),
+                         min_size=1, max_size=12))
+def test_rps_steps_match_oracles_on_any_spectrum(seed, n_rows, rate, dft_size,
+                                                 f0_kinds):
+    """Random spectra (phase wraps everywhere) and pitches that put the top
+    harmonic just under Nyquist or leave fewer than 2 harmonics."""
+    rng = np.random.default_rng(seed)
+    nyquist = rate / 2.0
+    f0s = []
+    for i in range(n_rows):
+        kind = f0_kinds[i % len(f0_kinds)]
+        k = int(rng.integers(1, 40))
+        f0s.append({"speech": rng.uniform(50.0, 520.0),
+                    "under-nyquist": (nyquist - 2e-9) / k,
+                    "at-nyquist": nyquist / k,
+                    "one": rng.uniform(nyquist / 2.0 + 1.0, nyquist - 1.0),
+                    "none": rng.uniform(nyquist, 2.0 * nyquist)}[kind])
+    f0s = np.array(f0s)
+    spectra = (rng.standard_normal((n_rows, dft_size // 2 + 1))
+               + 1j * rng.standard_normal((n_rows, dft_size // 2 + 1)))
+    bank = features._bank(filterbanks.mel_filterbank, 32, dft_size, rate)
+    theta, counts = features.relative_phases(spectra, f0s, rate, dft_size)
+    bands = features.rps_bands(theta, counts, f0s, bank)
+    for i in range(n_rows):
+        want = relative_phase_row(spectra[i], f0s[i], rate, dft_size)
+        assert np.array_equal(theta[i, :counts[i]], want)
+        assert np.array_equal(bands[i], rps_band_row(want, f0s[i], bank))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_rows=st.integers(1, 30),
+       lag_min=st.integers(2, 40), span=st.integers(1, 300),
+       threshold=st.sampled_from([0.0, 0.3, 0.6]))
+def test_pitch_decisions_match_the_loop(seed, n_rows, lag_min, span,
+                                        threshold):
+    """Autocorrelation rows with r[0] <= 0, flat rows (a zero parabola
+    denominator) and peaks at a lag and its submultiples."""
+    rng = np.random.default_rng(seed)
+    lag_max = lag_min + span
+    corr = rng.uniform(-0.5, 1.0, (n_rows, lag_max + 2))
+    corr[:, 0] = rng.choice([-1.0, 0.0, 1.0, 2.0], n_rows)
+    for row in corr:
+        lag = int(rng.integers(lag_min, lag_max + 1))
+        row[lag] = rng.uniform(0.5, 1.0) * row[0]
+        for div in (2, 3, 4):
+            if lag // div >= 1 and rng.random() < 0.5:
+                row[lag // div] = rng.uniform(0.85, 1.0) * row[lag]
+        if rng.random() < 0.2:
+            row[1:] = 0.5 * row[0]
+    for got, want in zip(features._pitch_decisions(corr, 16000, lag_min,
+                                                   lag_max, threshold),
+                         pitch_decisions_loop(corr, 16000, lag_min, lag_max,
+                                              threshold)):
+        assert np.array_equal(got, want)
 
 
 # --- MGD -------------------------------------------------------------------------

@@ -304,9 +304,56 @@ class TestCacheVersion:
         assert cold > 0
         run_experiment(cfg, man, work, wav_root=root)
         assert len(calls) == cold
-        monkeypatch.setattr(harness, "CACHE_VERSION", harness.CACHE_VERSION + 1)
+        monkeypatch.setitem(harness.CACHE_VERSIONS, "mfcc",
+                            harness.CACHE_VERSIONS["mfcc"] + 1)
         run_experiment(cfg, man, work, wav_root=root)
         assert len(calls) == 2 * cold
+
+    def test_every_kind_has_a_salt(self):
+        assert tuple(harness.CACHE_VERSIONS) == features.FEATURE_KINDS
+        # the key text of a kind at salt 3 is the text every salt-3 work
+        # dir was keyed by
+        text = harness._feature_text(features.FeatureConfig("rps"))
+        assert text.startswith("cache_version=3,add_delta=None,")
+
+    def test_bumped_kind_changes_only_its_own_directories(
+            self, corpus, tmp_path, monkeypatch, in_process):
+        root, man = corpus
+        cfg = _config(features=("mfcc", "cosphase"),
+                      backends=("gmm", "ivector-cosine"),
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        cache = work / "cache"
+
+        def dirs():
+            return {p.relative_to(cache): _tree_bytes(p)
+                    for p in cache.glob("*/*") if p.is_dir()}
+
+        def own_dirs(kind):
+            runner = harness._Runner(cfg, man, work, root)
+            return ({runner._feature_dir(kind, cell, None).relative_to(cache)
+                     for cell in cfg.grid}
+                    | {p.parent.relative_to(cache)
+                       for p in runner._model_files(kind).values()})
+
+        before = dirs()
+        assert set(before) == own_dirs("mfcc") | own_dirs("cosphase")
+        old_cosphase = own_dirs("cosphase")
+        monkeypatch.setitem(harness.CACHE_VERSIONS, "cosphase",
+                            harness.CACHE_VERSIONS["cosphase"] + 1)
+        extracted = _counting(monkeypatch, features, "extract")
+        trained = _counting(monkeypatch, harness, "train_model")
+        run_experiment(cfg, man, work, wav_root=root)
+        after = dirs()
+        assert {args[1].kind for args in extracted} == {"cosphase"}
+        assert sorted((args[0], args[6]) for args in trained) == [
+            ("gmm", "cosphase"), ("ivector", "cosphase")]
+        new_cosphase = own_dirs("cosphase")
+        assert not new_cosphase & old_cosphase
+        assert set(after) == set(before) | new_cosphase
+        # every directory of the salt-3 run, mfcc's included, is as it was
+        assert {rel: after[rel] for rel in before} == before
 
 
 class TestNonFiniteScores:
@@ -684,7 +731,7 @@ class TestExtractionStage:
 
         class Recording(harness.ProcessPoolExecutor):
             def __init__(self, n_workers, **kwargs):
-                pools.append(n_workers)
+                pools.append((n_workers, kwargs.get("initializer")))
                 super().__init__(n_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
@@ -697,8 +744,9 @@ class TestExtractionStage:
             run_experiment(cfg, man, tmp_path / str(workers), wav_root=root)
             trees.append(_tree_bytes(tmp_path / str(workers)))
             trained_here.append(len(trained))
-        # one pool per cold run, which trains the models too
-        assert pools == [2]
+        # one pool per cold run, which trains the models too, and whose
+        # workers set the heap policy
+        assert pools == [(2, harness._keep_freed_heap)]
         assert trained_here == [3 * 3, 0]
         scored = len([r for r in man if r.subset != "train"])
         assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
@@ -757,6 +805,69 @@ class TestExtractionStage:
         assert len(trained) == 2
         assert (gmm_dir / harness.TRAIN_IDS).is_file()
         assert _score_bytes(work) == before
+
+
+class _Libc:
+    """A stand-in for ctypes.CDLL(None) that records mallopt calls, or has
+    no mallopt when built with calls None."""
+
+    def __init__(self, calls):
+        if calls is not None:
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+
+class TestWorkerHeap:
+    """Pool workers keep the memory they free; the run process and the
+    one-worker path keep the allocator as it is."""
+
+    def test_initializer_sets_both_thresholds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(calls))
+        harness._keep_freed_heap()
+        # glibc's M_MMAP_THRESHOLD (-3) at its 64-bit ceiling, then
+        # M_TRIM_THRESHOLD (-1)
+        assert calls == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
+
+    def test_without_mallopt_the_initializer_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(None))
+        assert harness._keep_freed_heap() is None
+
+        def no_library(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
+        assert harness._keep_freed_heap() is None
+
+    def test_without_mallopt_two_workers_write_the_bytes_of_one(
+            self, corpus, tmp_path, monkeypatch):
+        root, man = corpus
+        cfg = _config(features=("mfcc", "rps"),
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(None))
+        trees = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_worker_count",
+                                lambda n_jobs: min(n_jobs, workers))
+            run_experiment(cfg, man, tmp_path / str(workers), wav_root=root)
+            trees.append(_tree_bytes(tmp_path / str(workers)))
+        assert trees[0] == trees[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_pool_workers_run_the_initializer(self, corpus, tmp_path,
+                                                   monkeypatch, workers):
+        root, man = corpus
+        ran = tmp_path / "ran"
+        ran.mkdir()
+
+        def recording():
+            (ran / str(os.getpid())).touch()
+        monkeypatch.setattr(harness, "_keep_freed_heap", recording)
+        monkeypatch.setattr(harness, "_worker_count",
+                            lambda n_jobs: min(n_jobs, workers))
+        run_experiment(_config(), man, tmp_path / "w", wav_root=root)
+        pids = {int(p.name) for p in ran.iterdir()}
+        assert len(pids) == (0 if workers == 1 else 2)
+        assert os.getpid() not in pids
 
 
 class TestTrainingStage:

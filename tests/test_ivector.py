@@ -1,6 +1,7 @@
 """Tests for the i-vector back-end."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -482,3 +483,64 @@ class TestSerialization:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
             iv.load_ivectors(path)
+
+
+# ---------------------------------------------------------------------------
+# degenerate training and test frames through every back-end step
+
+def _edge_utterances(case, rng, n_utts=8, dim=3):
+    """n_utts feature matrices of one degenerate kind."""
+    if case == "one-frame":
+        return [rng.standard_normal((1, dim)) for _ in range(n_utts)]
+    if case == "constant":
+        return [np.full((20, dim), 0.7) for _ in range(n_utts)]
+    # duplicated frames: each utterance is one short matrix repeated
+    return [np.repeat(rng.standard_normal((3, dim)), 7, axis=0)
+            for _ in range(n_utts)]
+
+
+def _backend_step(step, utts, labels):
+    from spoofbench import gmm
+
+    pooled = np.vstack(utts)
+    ubm, history = gmm.train_gmm(pooled, 4, n_iterations=3, seed=1)
+    if step == "train_gmm":
+        # and on one utterance alone: a single frame for "one-frame"
+        alone, alone_history = gmm.train_gmm(utts[0], 4, n_iterations=3,
+                                             seed=1)
+        return [ubm.weights, ubm.means, ubm.variances, history,
+                alone.weights, alone.means, alone.variances, alone_history]
+    if step == "llr_score":
+        other, _ = gmm.train_gmm(pooled[::-1] + 0.5, 4, n_iterations=3, seed=2)
+        return [[gmm.llr_score(u, ubm, other) for u in utts]]
+    stats = [iv.baum_welch_stats(u, ubm) for u in utts]
+    if step == "baum_welch_stats":
+        return [x for pair in stats for x in pair]
+    tv, tv_history = iv.train_tv(stats, ubm, rank=2, n_iterations=2, seed=3)
+    raw = iv.ivectors_from_stats(stats, ubm, tv)
+    b = iv.train_wccn(raw, labels)
+    normed = iv.length_normalize(iv.apply_wccn(b, raw))
+    plda = iv.train_plda(normed, labels, latent_rank=1, n_iterations=2,
+                         seed=4)
+    return [tv.matrix, tv_history, raw, b, normed, plda.mu, plda.factors,
+            plda.sigma]
+
+
+@pytest.mark.parametrize("step", ["train_gmm", "llr_score",
+                                  "baum_welch_stats", "train_tv->plda"])
+@pytest.mark.parametrize("case", ["one-frame", "constant", "duplicated"])
+def test_degenerate_frames_end_finite_or_in_value_errors(case, step):
+    """One-frame, constant and duplicated-frame feature matrices end in
+    finite output or in a ValueError-family error, never in a numpy warning
+    or a non-finite number."""
+    rng = np.random.default_rng(12)
+    utts = _edge_utterances(case, rng)
+    labels = ["human", "spoof"] * (len(utts) // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            outputs = _backend_step(step, utts, labels)
+        except ValueError:
+            return
+    for out in outputs:
+        assert np.all(np.isfinite(np.asarray(out, dtype=np.float64)))
