@@ -21,6 +21,7 @@ and exits nonzero; on success it exits zero.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -63,8 +64,20 @@ def _manifest_rows(args, subset):
     return manifest.rows, manifest.resolve_paths(_wav_root(args))
 
 
+def _one_blas_thread(command):
+    """command, run as a run runs its stages: with every loaded BLAS at one
+    thread, and the caller's count given back after (`run` gets this from
+    run_experiment itself)."""
+    @functools.wraps(command)
+    def pinned(args):
+        with harness.one_blas_thread():
+            return command(args)
+    return pinned
+
+
 # -- subcommand bodies ------------------------------------------------------
 
+@_one_blas_thread
 def cmd_extract(args):
     cfg = _config(args).feature_config(args.kind)
     signal = read_wav(args.wav)
@@ -96,6 +109,7 @@ def cmd_prepare(args):
     print(f"{out_dir}\t{len(rows)}")
 
 
+@_one_blas_thread
 def cmd_train(args):
     """Train --model of --kind with the config's settings and write it into
     --models under the name a run caches it by: the GMM pair or the
@@ -120,6 +134,7 @@ def cmd_train(args):
     print(marker)
 
 
+@_one_blas_thread
 def cmd_score(args):
     """Score the chosen subset with --backend in the --noise-kind/--snr/
     --enhance condition, prepared as a run prepares it, and write the score

@@ -91,14 +91,26 @@ class GmmModel:
         cross = frames @ scaled_means.T                              # (T, C)
         return const[None, :] + cross - 0.5 * quad
 
-    def frame_log_likelihoods(self, frames) -> np.ndarray:
-        return _logsumexp_rows(self.component_log_likelihoods(frames))
-
-    def avg_log_likelihood(self, frames) -> float:
-        frame_ll = self.frame_log_likelihoods(frames)
-        if frame_ll.size == 0:
-            raise ValueError("no frames to score")
-        return float(np.mean(frame_ll))
+    def stacked_log_likelihoods(self, utterances) -> np.ndarray:
+        """component_log_likelihoods of each of a list of frame matrices,
+        stacked into one (sum T, C) array with the same bits.  The two
+        GEMMs stay one pair per utterance, since BLAS rounds a row
+        differently at other row counts; they write into the stack, and the
+        rest runs once over it."""
+        inv, scaled_means, const = self._likelihood_terms
+        quad = np.empty((sum(len(u) for u in utterances), self.n_components))
+        cross = np.empty_like(quad)
+        lo = 0
+        for u in utterances:
+            hi = lo + len(u)
+            np.matmul(u ** 2, inv.T, out=quad[lo:hi])
+            np.matmul(u, scaled_means.T, out=cross[lo:hi])
+            lo = hi
+        # const + cross - 0.5 * quad, in place
+        cross += const[None, :]
+        quad *= 0.5
+        cross -= quad
+        return cross
 
 
 def kmeans_pp_centers(frames, k, rng) -> np.ndarray:
@@ -167,10 +179,19 @@ def train_gmm(frames, n_components, n_iterations=10, seed=0,
     return model, history
 
 
-def llr_score(frames, natural_model: GmmModel, synthetic_model: GmmModel) -> float:
-    """Average per-frame log-likelihood ratio, natural over synthetic."""
-    return (natural_model.avg_log_likelihood(frames)
-            - synthetic_model.avg_log_likelihood(frames))
+def llr_scores(utterances, natural_model: GmmModel,
+               synthetic_model: GmmModel) -> np.ndarray:
+    """Average per-frame log-likelihood ratio, natural over synthetic, of
+    each of a list of (T, D) float64 frame matrices.  The log-sum-exp runs
+    once per model over the stacked frames, and every score keeps the bytes
+    of scoring its utterance alone."""
+    if not all(len(u) for u in utterances):
+        raise ValueError("no frames to score")
+    bounds = np.cumsum([0] + [len(u) for u in utterances])
+    nat, syn = (_logsumexp_rows(model.stacked_log_likelihoods(utterances))
+                for model in (natural_model, synthetic_model))
+    return np.array([float(np.mean(nat[lo:hi])) - float(np.mean(syn[lo:hi]))
+                     for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def save_gmm(path, model: GmmModel):

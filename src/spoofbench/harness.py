@@ -34,6 +34,7 @@ import os
 import secrets
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from multiprocessing import get_all_start_methods, get_context
@@ -46,7 +47,7 @@ from .audio import (AudioSignal, read_features, read_wav, to_pcm16,
                     write_features)
 from .config import BACKENDS, ExperimentConfig, GridCell
 from .enhancement import enhance
-from .errors import HygieneError
+from .errors import DegenerateVectorError, HygieneError
 from .evaluation import EvalReport, compute_eer_rocch, per_attack_eers
 from .fusion import (apply_fusion, fuse_average, save_fusion,
                      train_logistic_fusion)
@@ -63,6 +64,23 @@ from .scores import HUMAN, NO_ATTACK, SPOOF, ScoreSet, write_scores
 # at rounding level; every kind went through both)
 CACHE_VERSIONS = {"mfcc": 3, "imfcc": 3, "scmc": 3, "cqcc": 3, "mhec": 3,
                   "rps": 3, "mgd": 3, "cosphase": 3}
+
+# salt of the i-vector stack's model key: bump it whenever a change alters
+# the bytes of a trained stack or of its PLDA scorer, so an old work dir
+# retrains its stacks instead of mixing old models with new code (2: the
+# training i-vectors come from one batched posterior solve, which moves
+# them, WCCN, the class means and PLDA at rounding level)
+IVECTOR_STACK_VERSION = 2
+
+# the most frames score_utterances stacks into one chunk; an utterance
+# with more makes a chunk of its own.  Scoring score-warm's eight (condition,
+# subset, feature) sets of 24 utterances, about 2,900 frames each, on one
+# BLAS thread took 0.80, 0.75, 0.73 and 0.74 of the per-utterance time at
+# 512, 768, 1,024 and 1,536 frames; at 2,048 and 4,096 the stacked arrays
+# outgrow glibc's dynamic heap thresholds, and a pass took 6.7k and 11.4k
+# minor faults against none at 1,024.  A chunk's component log-likelihoods
+# take 256 KB per model at 32 components and 4 MB at the paper's 512
+_SCORE_CHUNK_FRAMES = 1024
 
 # the file in which every model directory lists the utterances its models
 # were trained on; it is written last, so it also marks the directory
@@ -159,10 +177,11 @@ def _extract_job(wav_path, utt_id, cell: GridCell, enhancement, root_seed,
                                               enhancement)) from exc
 
 
-def _read_features(feature_dir: Path, rows, kind: str) -> dict:
-    """Per-utterance features of rows, from one cache directory."""
-    return {r.utt_id: read_features(feature_dir / f"{r.utt_id}.{kind}.spbf")
-            for r in rows}
+def _read_features(feature_dir: Path, rows, kind: str):
+    """Per-utterance features of rows, in row order, from one cache
+    directory: a generator, which reads each file as it is consumed."""
+    return (read_features(feature_dir / f"{r.utt_id}.{kind}.spbf")
+            for r in rows)
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -198,6 +217,68 @@ def _keep_freed_heap():
         pass
 
 
+# (get, set) thread-count functions of the OpenBLAS builds that numpy and
+# scipy ship; each library keeps a thread pool of its own
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
+_BLAS_THREADS = []   # what _blas_threads found, kept for the process
+
+
+def _blas_threads() -> list:
+    """(get, set) of every OpenBLAS this process has loaded, looked up
+    through /proc/self/maps on first use and kept once found (forked workers
+    inherit them); empty where there is none to find."""
+    if _BLAS_THREADS:
+        return _BLAS_THREADS
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return _BLAS_THREADS
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get = getattr(handle, get_name, None)
+            set_ = getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                _BLAS_THREADS.append((get, set_))
+                break
+    return _BLAS_THREADS
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread, then give
+    each its caller's count back.  A multi-threaded GEMM rounds differently
+    from a single-threaded one, so this keeps model and score bytes from
+    depending on OPENBLAS_NUM_THREADS; where no thread count can be set,
+    this does nothing."""
+    controls = _blas_threads()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+
+def _init_worker():
+    """Pool initializer: the heap policy (_keep_freed_heap) and one BLAS
+    thread (one_blas_thread), kept for the worker's life."""
+    _keep_freed_heap()
+    for _, set_ in _blas_threads():
+        set_(1)
+
+
 def _run_jobs(jobs):
     """Run jobs, each (function, args, after, context): function(*args),
     once the jobs at plan-order indices after, all earlier in the plan, are
@@ -205,7 +286,7 @@ def _run_jobs(jobs):
     in plan order cancels the jobs not yet started and is re-raised once the
     pool has shut down.  A worker that dies breaks the pool, which is
     re-raised with the context of the first job in plan order that did not
-    finish.  Only the workers set a heap policy (_keep_freed_heap); jobs run
+    finish.  Only the workers set a heap policy (_init_worker); jobs run
     in this process keep its allocator as it is."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
@@ -213,7 +294,7 @@ def _run_jobs(jobs):
             function(*args)
         return
     pool = ProcessPoolExecutor(n, mp_context=get_context("fork"),
-                               initializer=_keep_freed_heap)
+                               initializer=_init_worker)
     futures = []
     try:
         for function, args, after, _ in jobs:
@@ -280,7 +361,9 @@ def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
              for r in rows]
     tv, _ = ivector.train_tv(stats, ubm, tv_rank, tv_iterations,
                              seed=derive_seed(seed, "tv"))
-    raw = ivector.ivectors_from_stats(stats, ubm, tv)
+    n, f = (np.array(x) for x in zip(*stats))
+    raw = ivector.ivectors_from_stats(n, f, ubm, tv,
+                                      ivector.gram_blocks(tv.matrix, ubm))
     labels = [r.label for r in rows]
     b = ivector.train_wccn(raw, labels)
     normed = ivector.length_normalize(ivector.apply_wccn(b, raw))
@@ -430,18 +513,13 @@ def _train_job(todo, rows, feature_dir, labels, cfg: ExperimentConfig,
     once if a GMM pair or an i-vector stack is among them."""
     frames = None
     if any(name in FRAME_MODELS for name, _ in todo):
-        frames = _read_features(feature_dir, rows, kind)
+        frames = dict(zip((r.utt_id for r in rows),
+                          _read_features(feature_dir, rows, kind)))
     for name, marker in todo:
         train_model(name, marker, rows, frames, labels, cfg, kind)
 
 
 # -- scoring ----------------------------------------------------------------
-
-def embed_ivector(stack: IvectorStack, frames) -> np.ndarray:
-    w = ivector.extract_ivector(frames, stack.ubm, stack.tv, stack.gram)
-    return ivector.length_normalize(ivector.apply_wccn(stack.wccn,
-                                                       w[None, :]))[0]
-
 
 def check_hygiene(train_utt_ids, scored_utt_ids):
     """Refuse to score any utterance the model was trained on."""
@@ -458,30 +536,63 @@ def score_utterances(rows, frames, models, backends, kind,
     load_model returns them by name.  frames holds each row's features, in
     row order; it is read only after every model's training list has been
     checked against rows, so a generator extracts nothing for a refused
-    subset.  Each utterance is embedded once for every i-vector back-end.
-    A score set's error, such as a non-finite score naming its utterance,
-    is re-raised naming the feature, back-end and condition."""
+    subset, and then in chunks of consecutive utterances holding at most
+    _SCORE_CHUNK_FRAMES frames (or one longer utterance), each scored by
+    every back-end at once.  An utterance without frames, of the wrong
+    dimension or with a zero i-vector, the first in row order, and a score
+    set's error, such as a non-finite score naming its utterance, are
+    raised naming the feature, back-end and condition."""
     needed = {name for b in backends for name in BACKENDS[b]}
     utt_ids = [r.utt_id for r in rows]
-    if "gmm" in needed:
-        nat, syn, train_ids = models["gmm"]
-        check_hygiene(train_ids, utt_ids)
+    for name in ("gmm", "ivector"):
+        if name in needed:
+            check_hygiene(models[name][-1], utt_ids)
     if "ivector" in needed:
-        stack, train_ids = models["ivector"]
-        check_hygiene(train_ids, utt_ids)
-    frames = list(frames)
-    scores = {}
-    if "gmm" in needed:
-        scores["gmm"] = [gmm.llr_score(f, nat, syn) for f in frames]
-    if "ivector" in needed:
-        embedded = [embed_ivector(stack, f) for f in frames]
+        stack = models["ivector"][0]
         means = stack.class_means[HUMAN], stack.class_means[SPOOF]
-        if "ivector-cosine" in backends:
-            scores["ivector-cosine"] = [ivector.detection_score(w, *means)
-                                        for w in embedded]
-        if "ivector-plda" in backends:
-            scores["ivector-plda"] = [ivector.plda_detection_score(
-                models["plda"], w, *means) for w in embedded]
+    dim = (models["gmm"][0] if "gmm" in needed else stack.ubm).dim
+    scores = {backend: [] for backend in backends}
+
+    def context(backend, i=None):
+        utt = "" if i is None else f"utterance {utt_ids[i]}, "
+        return f"{utt}feature {kind}, back-end {backend}, condition {condition}"
+
+    def score(chunk, first):
+        if "gmm" in needed:
+            scores["gmm"].extend(gmm.llr_scores(chunk, *models["gmm"][:2]))
+        if "ivector" in needed:
+            w = ivector.apply_wccn(stack.wccn, ivector.ivectors_from_stats(
+                *ivector.batch_stats(chunk, stack.ubm), stack.ubm, stack.tv,
+                stack.gram))
+            norms = np.linalg.norm(w, axis=1, keepdims=True)
+            if (zero := np.flatnonzero(norms < ivector.MIN_NORM)).size:
+                backend = next(b for b in backends if b != "gmm")
+                raise DegenerateVectorError(
+                    f"cannot length-normalize a zero i-vector "
+                    f"({context(backend, first + zero[0])})")
+            w /= norms
+            if "ivector-cosine" in backends:
+                scores["ivector-cosine"].extend(
+                    ivector.detection_scores(w, *means))
+            if "ivector-plda" in backends:
+                scores["ivector-plda"].extend(ivector.plda_detection_scores(
+                    models["plda"], w, *means))
+
+    chunk, n_frames = [], 0
+    for i, f in enumerate(frames):
+        f = np.atleast_2d(np.asarray(f, dtype=np.float64))
+        problem = ("no frames to score" if not len(f) else
+                   f"feature dim {f.shape[1]} != model dim {dim}"
+                   if f.shape[1] != dim else None)
+        if chunk and (problem or n_frames + len(f) > _SCORE_CHUNK_FRAMES):
+            score(chunk, i - len(chunk))
+            chunk, n_frames = [], 0
+        if problem:
+            raise ValueError(f"{problem} ({context(backends[0], i)})")
+        chunk.append(f)
+        n_frames += len(f)
+    if chunk:
+        score(chunk, i + 1 - len(chunk))
     sets = {}
     for backend in backends:
         try:
@@ -490,8 +601,7 @@ def score_utterances(rows, frames, models, backends, kind,
                                      [r.attack_id for r in rows],
                                      [condition] * len(rows))
         except ValueError as exc:
-            raise _with_context(exc, f"feature {kind}, back-end {backend}, "
-                                f"condition {condition}") from exc
+            raise _with_context(exc, context(backend)) from exc
     return sets
 
 
@@ -630,7 +740,8 @@ class _Runner:
         pair = models / _stage_hash("gmm", *key, cfg.gmm_components,
                                     cfg.gmm_iterations)
         stack = models / _stage_hash("ivector", *key, cfg.ubm_components,
-                                     cfg.tv_rank, cfg.tv_iterations)
+                                     cfg.tv_rank, cfg.tv_iterations,
+                                     f"stack_version={IVECTOR_STACK_VERSION}")
         dirs = {"gmm": pair, "ivector": stack, "plda": stack}
         needed = {name for b in cfg.backends for name in BACKENDS[b]}
         return {name: path / marker_name(name, cfg)
@@ -673,6 +784,10 @@ class _Runner:
     # -- the full grid -----------------------------------------------------
 
     def run(self) -> ExperimentResult:
+        with one_blas_thread():
+            return self._run()
+
+    def _run(self) -> ExperimentResult:
         cfg = self.config
         subsets = {name: rows for name in ("dev", "eval")
                    if (rows := self.manifest.subset(name).rows)}
@@ -694,12 +809,12 @@ class _Runner:
         for cell in cfg.grid:
             cond = condition_tag(cell, cfg.enhancement)
             # every back-end is scored from one pass over each (subset,
-            # feature), which holds one subset's frames at a time
+            # feature), which reads one chunk's frames at a time
             sets = {}
             for subset, rows in subsets.items():
                 for kind in cfg.features:
                     frames = _read_features(self._feature_dir(
-                        kind, cell, cfg.enhancement), rows, kind).values()
+                        kind, cell, cfg.enhancement), rows, kind)
                     for backend, scores in score_utterances(
                             rows, frames, models[kind], cfg.backends, kind,
                             cond).items():

@@ -23,6 +23,9 @@ from .gmm import GmmModel
 _TV_MAGIC = b"SPTV1"
 _WCCN_MAGIC = b"SPWC1"
 _PLDA_MAGIC = b"SPPL1"
+# norm below which a vector counts as zero for length normalization and
+# cosine scoring
+MIN_NORM = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +34,24 @@ _PLDA_MAGIC = b"SPPL1"
 def baum_welch_stats(frames, ubm: GmmModel):
     """Zeroth (N, per component) and first (F, component x dim) order
     statistics of the frames under the UBM posteriors."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    comp_ll = ubm.component_log_likelihoods(frames)
-    comp_ll -= comp_ll.max(axis=1, keepdims=True)
-    resp = np.exp(comp_ll)
+    n, f = batch_stats([np.atleast_2d(np.asarray(frames, dtype=np.float64))],
+                       ubm)
+    return n[0], f[0]
+
+
+def batch_stats(utterances, ubm: GmmModel):
+    """baum_welch_stats of each of a list of (T, D) float64 frame
+    matrices, as (B, C) and (B, C, D) arrays.  The responsibilities are
+    computed row by row over the stacked frames, and each utterance sums
+    its own rows, so each keeps the bits of its statistics alone."""
+    resp = ubm.stacked_log_likelihoods(utterances)
+    resp -= resp.max(axis=1, keepdims=True)
+    np.exp(resp, out=resp)
     resp /= resp.sum(axis=1, keepdims=True)
-    n = resp.sum(axis=0)
-    f = resp.T @ frames
-    return n, f
+    bounds = np.cumsum([0] + [len(u) for u in utterances])
+    parts = [resp[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return (np.array([part.sum(axis=0) for part in parts]),
+            np.array([part.T @ u for part, u in zip(parts, utterances)]))
 
 
 def centered_stats(n, f, ubm: GmmModel):
@@ -137,31 +150,22 @@ def train_tv(stats, ubm: GmmModel, rank, n_iterations=10, seed=0):
     return TvMatrix(tv_mat, ubm.means.ravel()), history
 
 
-def extract_ivector(frames, ubm: GmmModel, tv: TvMatrix,
-                    gram) -> np.ndarray:
-    """Posterior mean of the total-variability latent for one utterance;
-    gram is gram_blocks(tv.matrix, ubm)."""
-    n, f = baum_welch_stats(frames, ubm)
-    return ivector_from_stats(n, f, ubm, tv, gram)
-
-
-def ivector_from_stats(n, f, ubm: GmmModel, tv: TvMatrix,
-                       gram) -> np.ndarray:
+def ivectors_from_stats(n, f, ubm: GmmModel, tv: TvMatrix,
+                        gram) -> np.ndarray:
+    """Posterior means of the total-variability latent, one row per
+    utterance, from zeroth (B, C) and first (B, C, D) order statistics;
+    gram is gram_blocks(tv.matrix, ubm).  Every utterance's precision
+    I + sum_c N_c G_c comes from one product, and one batched solve gives
+    every mean (Glembek et al., ICASSP 2011)."""
     n = np.asarray(n, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     c, d = ubm.means.shape
-    ftilde = (f - n[:, None] * tv.mean.reshape(c, d)).ravel()
-    inv_var = (1.0 / ubm.variances).ravel()
-    _, mean_w, _, _ = _posterior(n, ftilde, tv.matrix, inv_var, gram)
-    return mean_w
-
-
-def ivectors_from_stats(stats, ubm: GmmModel, tv: TvMatrix) -> np.ndarray:
-    """One i-vector row per (N, F) pair of stats, sharing one Gram
-    computation."""
-    gram = gram_blocks(tv.matrix, ubm)
-    return np.array([ivector_from_stats(n, f, ubm, tv, gram)
-                     for n, f in stats])
+    rank = tv.rank
+    ftilde = (f - n[:, :, None] * tv.mean.reshape(c, d)).reshape(-1, c * d)
+    b = (ftilde * (1.0 / ubm.variances).ravel()) @ tv.matrix
+    precision = np.eye(rank) + (n @ gram.reshape(c, rank * rank)).reshape(
+        -1, rank, rank)
+    return np.linalg.solve(precision, b[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +208,22 @@ def apply_wccn(b, ivectors) -> np.ndarray:
 def length_normalize(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
-    if np.any(norm < 1e-12):
+    if np.any(norm < MIN_NORM):
         raise DegenerateVectorError("cannot length-normalize a zero vector")
     return w / norm
 
 
-def cosine_score(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
+def cosine_scores(w, reference) -> np.ndarray:
+    """Cosine of each row of w with the vector reference: one
+    matrix-vector product."""
+    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
+    reference = np.asarray(reference, dtype=np.float64)
+    norms = np.linalg.norm(w, axis=1)
+    # the rows' reduction, so that swapping two vectors keeps the bits
+    norm_ref = np.linalg.norm(reference, axis=-1)
+    if norm_ref < MIN_NORM or np.any(norms < MIN_NORM):
         raise DegenerateVectorError("cosine of a zero vector is undefined")
-    return float(a @ b / (na * nb))
+    return w @ reference / (norms * norm_ref)
 
 
 def class_mean_ivectors(ivectors, labels) -> dict:
@@ -229,9 +237,10 @@ def class_mean_ivectors(ivectors, labels) -> dict:
     return means
 
 
-def detection_score(w, mean_natural, mean_synthetic) -> float:
-    """Cosine to the natural-class mean minus cosine to the synthetic one."""
-    return cosine_score(w, mean_natural) - cosine_score(w, mean_synthetic)
+def detection_scores(w, mean_natural, mean_synthetic) -> np.ndarray:
+    """Cosine to the natural-class mean minus cosine to the synthetic one,
+    for each row of w."""
+    return cosine_scores(w, mean_natural) - cosine_scores(w, mean_synthetic)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +257,12 @@ class PldaModel:
         return self.mu.shape[0]
 
     @cached_property
-    def pair_covariances(self):
-        """(same, logdet same, diff, logdet diff): the covariances of a
-        stacked pair [w1 - mu; w2 - mu] under the same-class and the
-        different-class hypotheses, with their log-determinants.  They
-        depend on the model alone, so they are built on first use and kept
+    def pair_inverses(self):
+        """(same^-1, logdet same, diff^-1, logdet diff): the inverse
+        covariances of a stacked pair [w1 - mu; w2 - mu] under the
+        same-class and the different-class hypotheses, with their
+        log-determinants.  They depend on the model alone, so they are
+        built on first use and kept, and a pair LLR is two quadratic forms
         (Sizov, Lee & Kinnunen, S+SSPR 2014)."""
         r = self.rank
         between = self.factors @ self.factors.T
@@ -262,7 +272,8 @@ class PldaModel:
                          [np.zeros((r, r)), total]])
         _, logdet_same = np.linalg.slogdet(same)
         _, logdet_diff = np.linalg.slogdet(diff)
-        return same, logdet_same, diff, logdet_diff
+        return (np.linalg.inv(same), logdet_same, np.linalg.inv(diff),
+                logdet_diff)
 
 
 def train_plda(ivectors, labels, latent_rank=None, n_iterations=10, seed=0):
@@ -328,20 +339,25 @@ def train_plda(ivectors, labels, latent_rank=None, n_iterations=10, seed=0):
     return PldaModel(mu, factors, sigma)
 
 
-def plda_llr(model: PldaModel, w1, w2) -> float:
-    """log p(w1, w2 | same class) - log p(w1, w2 | different classes)."""
-    same, logdet_same, diff, logdet_diff = model.pair_covariances
-    u = np.concatenate([np.asarray(w1) - model.mu, np.asarray(w2) - model.mu])
-    same_ll = -0.5 * (logdet_same + u @ np.linalg.solve(same, u))
-    diff_ll = -0.5 * (logdet_diff + u @ np.linalg.solve(diff, u))
-    return float(same_ll - diff_ll)
+def plda_llrs(model: PldaModel, w1, w2) -> np.ndarray:
+    """log p(w1, w2 | same class) - log p(w1, w2 | different classes) for
+    each row pair of w1 and w2; a single vector on one side is paired with
+    every row of the other."""
+    same_inv, logdet_same, diff_inv, logdet_diff = model.pair_inverses
+    w1, w2 = np.broadcast_arrays(np.atleast_2d(w1), np.atleast_2d(w2))
+    u = np.concatenate([w1 - model.mu, w2 - model.mu], axis=1)
+    same_ll = -0.5 * (logdet_same + np.einsum("ij,ij->i", u @ same_inv, u))
+    diff_ll = -0.5 * (logdet_diff + np.einsum("ij,ij->i", u @ diff_inv, u))
+    return same_ll - diff_ll
 
 
-def plda_detection_score(model: PldaModel, w, mean_natural, mean_synthetic):
-    """PLDA analog of the cosine detection score: pair LLR against the
-    natural-class representative minus the synthetic one."""
-    return (plda_llr(model, mean_natural, w)
-            - plda_llr(model, mean_synthetic, w))
+def plda_detection_scores(model: PldaModel, w, mean_natural,
+                          mean_synthetic) -> np.ndarray:
+    """PLDA analog of the cosine detection score, for each row of w: pair
+    LLR against the natural-class representative minus the synthetic
+    one."""
+    return (plda_llrs(model, mean_natural, w)
+            - plda_llrs(model, mean_synthetic, w))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ import math
 import numpy as np
 import scipy.signal
 
+from spoofbench import ivector
 from spoofbench.dsp import (analytic_envelope, frame_length_samples, frame_shift_samples,
                             frame_signal, n_frames_for, window_function)
+from spoofbench.errors import DegenerateVectorError
 from spoofbench.features import F0Track, FeatureConfig
+from spoofbench.gmm import _logsumexp_rows
 from spoofbench.scores import HEADER, ScoreSet
 
 
@@ -225,6 +228,64 @@ def plda_llr_oracle(model, w1, w2):
         return -0.5 * (logdet + u @ np.linalg.solve(cov, u))
 
     return float(_logpdf(same) - _logpdf(diff))
+
+
+def baum_welch_stats_oracle(frames, ubm):
+    """Zeroth and first order statistics of one utterance alone, from its
+    own (T, C) component log-likelihoods."""
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    comp_ll = ubm.component_log_likelihoods(frames)
+    comp_ll -= comp_ll.max(axis=1, keepdims=True)
+    resp = np.exp(comp_ll)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return resp.sum(axis=0), resp.T @ frames
+
+
+def avg_log_likelihood_oracle(model, frames):
+    """Average frame log-likelihood of one utterance scored alone."""
+    frame_ll = _logsumexp_rows(model.component_log_likelihoods(frames))
+    if frame_ll.size == 0:
+        raise ValueError("no frames to score")
+    return float(np.mean(frame_ll))
+
+
+def llr_score_oracle(frames, natural_model, synthetic_model):
+    """GMM detection score of one utterance scored alone: average per-frame
+    log-likelihood ratio, natural over synthetic."""
+    return (avg_log_likelihood_oracle(natural_model, frames)
+            - avg_log_likelihood_oracle(synthetic_model, frames))
+
+
+def embed_ivector_oracle(stack, frames):
+    """Length-normalised, WCCN-projected i-vector of one utterance alone,
+    its posterior mean taken by inverting the precision."""
+    n, f = baum_welch_stats_oracle(frames, stack.ubm)
+    w = ivector_from_stats_oracle(n, f, stack.ubm, stack.tv)
+    return ivector.length_normalize(ivector.apply_wccn(stack.wccn,
+                                                       w[None, :]))[0]
+
+
+def cosine_score_oracle(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        raise DegenerateVectorError("cosine of a zero vector is undefined")
+    return float(a @ b / (na * nb))
+
+
+def detection_score_oracle(w, mean_natural, mean_synthetic):
+    """Cosine to the natural-class mean minus cosine to the synthetic one,
+    for one vector."""
+    return (cosine_score_oracle(w, mean_natural)
+            - cosine_score_oracle(w, mean_synthetic))
+
+
+def plda_detection_score_oracle(model, w, mean_natural, mean_synthetic):
+    """PLDA detection score of one vector: pair LLR against the natural
+    mean minus the synthetic one, each LLR with two 2R x 2R solves."""
+    return (plda_llr_oracle(model, mean_natural, w)
+            - plda_llr_oracle(model, mean_synthetic, w))
 
 
 def component_log_likelihoods_oracle(model, frames):

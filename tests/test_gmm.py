@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import component_log_likelihoods_oracle
 from spoofbench.gmm import (GmmModel, _logsumexp_rows, kmeans_pp_centers,
-                            llr_score, load_gmm, save_gmm, train_gmm)
+                            llr_scores, load_gmm, save_gmm, train_gmm)
 
 
 def naive_avg_loglik(frames, weights, means, variances):
@@ -39,16 +39,20 @@ class TestLikelihood:
     def test_matches_naive_mixture_density(self):
         rng = np.random.default_rng(0)
         model = _random_model(rng)
+        other = _random_model(rng)
         frames = rng.standard_normal((25, 4))
-        expected = naive_avg_loglik(frames, model.weights, model.means,
-                                    model.variances)
-        assert abs(model.avg_log_likelihood(frames) - expected) < 1e-10
+        expected = (naive_avg_loglik(frames, model.weights, model.means,
+                                     model.variances)
+                    - naive_avg_loglik(frames, other.weights, other.means,
+                                       other.variances))
+        assert abs(llr_scores([frames], model, other)[0] - expected) < 1e-10
 
     def test_single_gaussian_closed_form(self):
         model = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
+        shifted = GmmModel(np.array([1.0]), np.ones((1, 2)), np.ones((1, 2)))
         x = np.array([[0.0, 0.0]])
-        assert abs(model.avg_log_likelihood(x)
-                   - (-math.log(2 * math.pi))) < 1e-12
+        # log N(0; 0, I) - log N(0; 1, I) = |1|^2 / 2
+        assert abs(llr_scores([x], model, shifted)[0] - 1.0) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 12),
@@ -64,12 +68,29 @@ class TestLikelihood:
                                   component_log_likelihoods_oracle(model,
                                                                    frames))
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 40),
+           d=st.integers(1, 40),
+           lengths=st.lists(st.one_of(st.just(1), st.integers(1, 300)),
+                            min_size=1, max_size=8))
+    def test_stacked_terms_have_each_utterances_bits(self, seed, c, d,
+                                                     lengths):
+        """Stacking utterances leaves every row's bits as scoring its
+        utterance alone gives them, one-frame utterances included."""
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, c=c, d=d)
+        utts = [rng.standard_normal((t, d)) * 3.0 for t in lengths]
+        assert np.array_equal(
+            model.stacked_log_likelihoods(utts),
+            np.concatenate([model.component_log_likelihoods(u)
+                            for u in utts]))
+
     def test_no_frames_raises(self):
         model = _random_model(np.random.default_rng(3))
         with pytest.raises(ValueError, match="no frames to score"):
-            model.avg_log_likelihood(np.empty((0, 4)))
+            llr_scores([np.empty((0, 4))], model, model)
         with pytest.raises(ValueError, match="no frames to score"):
-            llr_score(np.empty((0, 4)), model, model)
+            llr_scores([np.zeros((3, 4)), np.empty((0, 4))], model, model)
 
     def test_model_is_frozen(self):
         model = _random_model(np.random.default_rng(2))
@@ -79,7 +100,9 @@ class TestLikelihood:
     def test_dim_mismatch_raises(self):
         model = _random_model(np.random.default_rng(1))
         with pytest.raises(ValueError):
-            model.avg_log_likelihood(np.zeros((5, 7)))
+            model.component_log_likelihoods(np.zeros((5, 7)))
+        with pytest.raises(ValueError):
+            llr_scores([np.zeros((5, 7))], model, model)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -189,8 +212,8 @@ class TestScoring:
         syn = GmmModel(np.array([1.0]), np.full((1, 2), -2.0), np.ones((1, 2)))
         from_nat = rng.standard_normal((100, 2)) + 2.0
         from_syn = rng.standard_normal((100, 2)) - 2.0
-        assert llr_score(from_nat, nat, syn) > 0
-        assert llr_score(from_syn, nat, syn) < 0
+        on_nat, on_syn = llr_scores([from_nat, from_syn], nat, syn)
+        assert on_nat > 0 > on_syn
 
 
 class TestSerialization:

@@ -8,7 +8,11 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings, strategies as st
 
+from reference import (baum_welch_stats_oracle, detection_score_oracle,
+                       embed_ivector_oracle, ivector_from_stats_oracle,
+                       llr_score_oracle, plda_detection_score_oracle)
 from spoofbench import features, gmm, harness, ivector
 from spoofbench.audio import AudioSignal, read_wav, write_wav
 from spoofbench.config import ExperimentConfig, GridCell
@@ -255,7 +259,7 @@ class TestBuildingBlocks:
         assert np.allclose(np.linalg.norm(normed, axis=1), 1.0)
         plda = ivector.train_plda(normed, [r.label for r in rows],
                                   latent_rank=2, n_iterations=2)
-        w = harness.embed_ivector(stack, feats[rows[0].utt_id])
+        w = embed_ivector_oracle(stack, feats[rows[0].utt_id])
         assert w.shape == (4,)
         assert np.isclose(np.linalg.norm(w), 1.0)
         test_rows = man.subset("eval").rows
@@ -270,9 +274,10 @@ class TestBuildingBlocks:
             assert scores.utt_ids == [r.utt_id for r in test_rows]
             assert np.isfinite(scores.scores).all()
         means = stack.class_means["human"], stack.class_means["spoof"]
-        assert list(sets["ivector-cosine"].scores) == [
-            ivector.detection_score(harness.embed_ivector(stack, f), *means)
-            for f in frames]
+        want = [detection_score_oracle(embed_ivector_oracle(stack, f), *means)
+                for f in frames]
+        assert np.abs(sets["ivector-cosine"].scores - want).max() <= (
+            1e-12 * np.abs(want).max())
         with pytest.raises(KeyError):
             harness.score_utterances(test_rows, frames,
                                      {"ivector": models["ivector"]},
@@ -360,22 +365,216 @@ class TestNonFiniteScores:
     def test_error_names_utterance_feature_backend_and_condition(
             self, corpus, tmp_path, monkeypatch):
         root, man = corpus
-        llr_score = gmm.llr_score
+        llr_scores = gmm.llr_scores
         calls = []
 
-        def nan_on_third(frames, nat, syn):
+        def nan_on_third(utterances, nat, syn):
             calls.append(None)
-            return np.nan if len(calls) == 3 else llr_score(frames, nat, syn)
+            scores = llr_scores(utterances, nat, syn)
+            if len(calls) == 1:
+                scores[2] = np.nan
+            return scores
 
-        monkeypatch.setattr(gmm, "llr_score", nan_on_third)
+        monkeypatch.setattr(gmm, "llr_scores", nan_on_third)
         cfg = _config(grid=(GridCell("white", 0.0),))
         with pytest.raises(ValueError) as err:
             run_experiment(cfg, man, tmp_path / "w", wav_root=root)
         message = str(err.value)
-        # the first scored subset is dev, so the third call is its third row
+        # the first scored subset is dev, so the first chunk's third score
+        # is its third row
         for part in (man.subset("dev").rows[2].utt_id, "feature mfcc",
                      "back-end gmm", "condition white_0dB"):
             assert part in message
+
+
+class TestModelKeys:
+    """The i-vector stack's key carries its own salt; GMM pair and feature
+    keys are those every earlier work dir was keyed by."""
+
+    def _runner(self, corpus, tmp_path):
+        root, man = corpus
+        cfg = _config(features=("mfcc", "cosphase"),
+                      backends=("gmm", "ivector-cosine", "ivector-plda"),
+                      grid=(GridCell(), GridCell("white", 0.0)))
+        return harness._Runner(cfg, man, tmp_path / "w", root)
+
+    def test_gmm_and_feature_keys_are_pinned(self, corpus, tmp_path):
+        runner = self._runner(corpus, tmp_path)
+        keys = {kind: (runner._model_files(kind)["gmm"].parent.name,
+                       [runner._feature_dir(kind, cell, None).name
+                        for cell in runner.config.grid])
+                for kind in runner.config.features}
+        assert keys == {
+            "mfcc": ("d4a29a138bd1", ["23242a85ae4b", "37bbbc7342c3"]),
+            "cosphase": ("4fc87dd7cd72", ["68d22fa9c293", "97e2ed3389aa"])}
+
+    def test_stack_key_moves_with_its_salt(self, corpus, tmp_path,
+                                           monkeypatch):
+        runner = self._runner(corpus, tmp_path)
+        files = runner._model_files("mfcc")
+        assert files["ivector"].parent == files["plda"].parent
+        assert files["ivector"].parent.name != "70ebb6917013"   # unsalted
+        monkeypatch.setattr(harness, "IVECTOR_STACK_VERSION",
+                            harness.IVECTOR_STACK_VERSION + 1)
+        bumped = runner._model_files("mfcc")
+        assert bumped["gmm"] == files["gmm"]
+        assert bumped["ivector"].parent != files["ivector"].parent
+
+    def test_bumped_stack_salt_retrains_only_stacks_and_plda(
+            self, corpus, tmp_path, monkeypatch, in_process):
+        root, man = corpus
+        cfg = self._runner(corpus, tmp_path).config
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        monkeypatch.setattr(harness, "IVECTOR_STACK_VERSION",
+                            harness.IVECTOR_STACK_VERSION + 1)
+        extracted = _counting(monkeypatch, features, "extract")
+        trained = _counting(monkeypatch, harness, "train_model")
+        run_experiment(cfg, man, work, wav_root=root)
+        assert extracted == []
+        assert sorted((args[0], args[6]) for args in trained) == [
+            ("ivector", "cosphase"), ("ivector", "mfcc"),
+            ("plda", "cosphase"), ("plda", "mfcc")]
+
+
+def _scoring_models(seed, dim=3, n_components=4, rank=3):
+    """Random models for score_utterances: a GMM pair, an i-vector stack
+    and a PLDA scorer, none trained, each with an empty training list."""
+    rng = np.random.default_rng(seed)
+
+    def mixture():
+        w = rng.random(n_components) + 0.5
+        return gmm.GmmModel(w / w.sum(),
+                            rng.uniform(-2.0, 2.0, (n_components, dim)),
+                            rng.uniform(0.5, 1.5, (n_components, dim)))
+
+    ubm = mixture()
+    size = n_components * dim
+    stack = harness.IvectorStack(
+        ubm, ivector.TvMatrix(rng.standard_normal((size, rank)),
+                              ubm.means.ravel()),
+        np.tril(rng.standard_normal((rank, rank))) + 3.0 * np.eye(rank),
+        {label: ivector.length_normalize(rng.standard_normal(rank))
+         for label in ("human", "spoof")})
+    root = rng.standard_normal((rank, rank))
+    plda = ivector.PldaModel(rng.standard_normal(rank),
+                             rng.standard_normal((rank, 2)),
+                             root @ root.T + 0.5 * np.eye(rank))
+    return {"gmm": (mixture(), mixture(), []), "ivector": (stack, []),
+            "plda": plda}
+
+
+def _scored_rows(n):
+    return tuple(ManifestRow(f"u{i}", f"u{i}.wav",
+                             "human" if i % 2 else "spoof",
+                             "-" if i % 2 else "A1", "eval")
+                 for i in range(n))
+
+
+ALL_BACKENDS = ("gmm", "ivector-cosine", "ivector-plda")
+
+
+class TestBatchedScoring:
+    """Scoring a subset in chunks gives each utterance the scores of
+    scoring it alone: the GMM scores to the bit, the i-vectors and the
+    cosine and PLDA scores to 1e-12 of the largest |value|."""
+
+    BUDGET = 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.one_of(
+               st.sampled_from([1, BUDGET - 1, BUDGET, BUDGET + 1,
+                                3 * BUDGET]),
+               st.integers(1, BUDGET)), min_size=1, max_size=12))
+    @example(seed=0, lengths=[1, BUDGET - 1, BUDGET, 1, BUDGET + 1, 1,
+                              3 * BUDGET, 2, 7])
+    def test_chunks_match_per_utterance_oracles(self, seed, lengths):
+        models = _scoring_models(seed)
+        nat, syn, _ = models["gmm"]
+        stack, _ = models["ivector"]
+        rng = np.random.default_rng(seed)
+        utts = [rng.standard_normal((t, 3)) * 2.0 for t in lengths]
+        rows = _scored_rows(len(utts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_SCORE_CHUNK_FRAMES", self.BUDGET)
+            chunks = _counting(mp, ivector, "batch_stats")
+            sets = harness.score_utterances(rows, iter(utts), models,
+                                            ALL_BACKENDS, "mfcc", "clean")
+        # consecutive utterances, at most BUDGET frames a chunk unless one
+        # utterance alone has more
+        sizes = [[len(u) for u in args[0]] for args in chunks]
+        assert sum(sizes, []) == lengths
+        assert all(sum(s) <= self.BUDGET or len(s) == 1 for s in sizes)
+
+        gmm_want = [llr_score_oracle(u, nat, syn) for u in utts]
+        assert sets["gmm"].scores.tolist() == gmm_want
+        # statistics keep their bits, so only the posterior solve moves
+        stats = [ivector.batch_stats(args[0], stack.ubm) for args in chunks]
+        n, f = (np.concatenate(x) for x in zip(*stats))
+        for i, u in enumerate(utts):
+            n_alone, f_alone = baum_welch_stats_oracle(u, stack.ubm)
+            assert np.array_equal(n[i], n_alone)
+            assert np.array_equal(f[i], f_alone)
+        raw = ivector.ivectors_from_stats(n, f, stack.ubm, stack.tv,
+                                          stack.gram)
+        want = np.array([ivector_from_stats_oracle(n_i, f_i, stack.ubm,
+                                                   stack.tv)
+                         for n_i, f_i in zip(n, f)])
+        assert np.abs(raw - want).max() <= 1e-12 * np.abs(want).max()
+        embedded = np.array([embed_ivector_oracle(stack, u) for u in utts])
+        means = stack.class_means["human"], stack.class_means["spoof"]
+        cosine = [detection_score_oracle(w, *means) for w in embedded]
+        assert np.abs(sets["ivector-cosine"].scores - cosine).max() <= (
+            1e-12 * np.abs(cosine).max())
+        # a PLDA score is a difference of log-densities and keeps their
+        # rounding however small it is
+        plda = [plda_detection_score_oracle(models["plda"], w, *means)
+                for w in embedded]
+        assert np.abs(sets["ivector-plda"].scores - plda).max() <= (
+            1e-12 * max(1.0, np.abs(plda).max()))
+
+    def _raises(self, utts, models, backends, error):
+        with pytest.raises(error) as err:
+            harness.score_utterances(_scored_rows(len(utts)), iter(utts),
+                                     models, backends, "mfcc", "white_0dB")
+        return str(err.value)
+
+    def test_utterance_without_frames_is_named(self):
+        models = _scoring_models(1)
+        utts = [np.ones((4, 3)), np.ones((2, 3)), np.empty((0, 3)),
+                np.empty((0, 3))]
+        message = self._raises(utts, models, ALL_BACKENDS, ValueError)
+        assert message == ("no frames to score (utterance u2, feature mfcc, "
+                           "back-end gmm, condition white_0dB)")
+
+    def test_wrong_dimension_is_named_before_stacking(self):
+        models = _scoring_models(2)
+        utts = [np.ones((4, 3)), np.ones((5, 4)), np.ones((5, 2))]
+        message = self._raises(utts, models, ("ivector-plda",), ValueError)
+        assert message == ("feature dim 4 != model dim 3 (utterance u1, "
+                           "feature mfcc, back-end ivector-plda, "
+                           "condition white_0dB)")
+
+    def test_zero_ivector_is_named(self):
+        models = _scoring_models(3)
+        stack, _ = models["ivector"]
+        # every UBM mean at zero: an all-zero utterance has zero centred
+        # statistics and so a zero i-vector
+        ubm = gmm.GmmModel(stack.ubm.weights, np.zeros_like(stack.ubm.means),
+                           stack.ubm.variances)
+        models["ivector"] = (harness.IvectorStack(
+            ubm, ivector.TvMatrix(stack.tv.matrix, ubm.means.ravel()),
+            stack.wccn, stack.class_means), [])
+        utts = [np.ones((4, 3)), np.zeros((3, 3)), np.zeros((2, 3))]
+        want = ("cannot length-normalize a zero i-vector (utterance u1, "
+                "feature mfcc, back-end ivector-cosine, condition white_0dB)")
+        assert self._raises(utts, models, ALL_BACKENDS,
+                            DegenerateVectorError) == want
+        # the first bad utterance in row order, though a later one in the
+        # same chunk fails its frame check before the chunk is scored
+        assert self._raises(utts + [np.empty((0, 3))], models, ALL_BACKENDS,
+                            DegenerateVectorError) == want
 
 
 class TestTempFiles:
@@ -529,13 +728,13 @@ class TestSharedStack:
         work = tmp_path / "w"
         cold = run_experiment(cfg, man, work, wav_root=root)
         reads = _counting(monkeypatch, harness, "read_features")
-        embeds = _counting(monkeypatch, harness, "embed_ivector")
+        embeds = _counting(monkeypatch, ivector, "batch_stats")
         warm = run_experiment(cfg, man, work, wav_root=root)
         scored = len(man.subset("dev").rows) + len(man.subset("eval").rows)
         per_pass = len(cfg.grid) * len(kinds) * scored
         assert len(reads) == per_pass
         assert len({str(a[0]) for a in reads}) == per_pass
-        assert len(embeds) == per_pass
+        assert sum(len(a[0]) for a in embeds) == per_pass
         for a, b in zip(cold.rows, warm.rows):
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
 
@@ -745,8 +944,8 @@ class TestExtractionStage:
             trees.append(_tree_bytes(tmp_path / str(workers)))
             trained_here.append(len(trained))
         # one pool per cold run, which trains the models too, and whose
-        # workers set the heap policy
-        assert pools == [(2, harness._keep_freed_heap)]
+        # workers set the heap policy and one BLAS thread
+        assert pools == [(2, harness._init_worker)]
         assert trained_here == [3 * 3, 0]
         scored = len([r for r in man if r.subset != "train"])
         assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
@@ -870,6 +1069,71 @@ class TestWorkerHeap:
         assert os.getpid() not in pids
 
 
+class TestBlasThreads:
+    """A run sets every loaded OpenBLAS to one thread and then gives the
+    caller's count back, so its bytes do not depend on the caller's BLAS
+    threads."""
+
+    @pytest.fixture
+    def restore_threads(self):
+        before = [get() for get, _ in harness._blas_threads()]
+        yield
+        for (_, set_), count in zip(harness._blas_threads(), before):
+            set_(count)
+
+    @staticmethod
+    def _set(count):
+        for _, set_ in harness._blas_threads():
+            set_(count)
+
+    @staticmethod
+    def _counts():
+        return [get() for get, _ in harness._blas_threads()]
+
+    def test_numpy_and_scipy_blas_are_found(self):
+        assert len(harness._blas_threads()) == 2
+
+    def test_one_thread_inside_and_the_callers_count_after(
+            self, restore_threads):
+        self._set(2)
+        with harness.one_blas_thread():
+            assert self._counts() == [1, 1]
+        assert self._counts() == [2, 2]
+        with pytest.raises(KeyError):
+            with harness.one_blas_thread():
+                raise KeyError("a failing body")
+        assert self._counts() == [2, 2]
+
+    def test_two_threads_write_the_bytes_of_one(self, corpus, tmp_path,
+                                                monkeypatch, restore_threads):
+        root, man = corpus
+        cfg = _config(gmm_components=32, gmm_iterations=1, ubm_components=32,
+                      tv_rank=8, tv_iterations=1, backends=ALL_BACKENDS)
+        # the control: at two threads, this config's GMM training GEMMs
+        # round differently, so a run that did not pin would move bytes
+        fcfg = cfg.feature_config("mfcc")
+        frames = np.vstack([features.extract(read_wav(root / r.wav_path),
+                                             fcfg)
+                            for r in man.subset("train").rows])
+        means = []
+        for count in (1, 2):
+            self._set(count)
+            means.append(gmm.train_gmm(frames, 32, 1, seed=0)[0].means)
+        assert not np.array_equal(*means)
+
+        trees = []
+        for count, workers in ((1, 1), (2, 1), (2, 2)):
+            self._set(count)
+            monkeypatch.setattr(harness, "_worker_count",
+                                lambda n_jobs, w=workers: min(n_jobs, w))
+            work = tmp_path / f"{count}x{workers}"
+            run_experiment(cfg, man, work, wav_root=root)
+            assert self._counts() == [count, count]
+            trees.append(_tree_bytes(work))
+        assert trees[1] == trees[0]
+        assert trees[2] == trees[0]
+
+
 class TestTrainingStage:
     """Every missing model is trained, in one job per feature, before any
     utterance is scored; scoring reads models only from the cache."""
@@ -884,8 +1148,8 @@ class TestTrainingStage:
         events = []
         for module, name in ((harness, "train_gmm_pair"),
                              (harness, "train_ivector_stack"),
-                             (ivector, "train_plda"), (gmm, "llr_score"),
-                             (harness, "embed_ivector")):
+                             (ivector, "train_plda"), (gmm, "llr_scores"),
+                             (ivector, "detection_scores")):
             original = getattr(module, name)
 
             def recording(*args, _name=name, _original=original, **kwargs):
@@ -895,7 +1159,7 @@ class TestTrainingStage:
         run_experiment(cfg, man, tmp_path / "w", wav_root=root)
         trains = ("train_gmm_pair", "train_ivector_stack", "train_plda")
         first_score = min(events.index(name)
-                          for name in ("llr_score", "embed_ivector"))
+                          for name in ("llr_scores", "detection_scores"))
         assert [e for e in events if e in trains] == list(trains) * len(kinds)
         assert all(e not in trains for e in events[first_score:])
 

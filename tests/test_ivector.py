@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ivector_from_stats_oracle, plda_llr_oracle
+from reference import (cosine_score_oracle, detection_score_oracle,
+                       ivector_from_stats_oracle, plda_llr_oracle)
 from spoofbench.errors import DegenerateVectorError
 from spoofbench.gmm import GmmModel
 from spoofbench import ivector as iv
@@ -123,16 +124,13 @@ class TestTotalVariability:
         tv = iv.TvMatrix(0.5 * rng.standard_normal((size, 2)),
                          ubm.means.ravel())
         gram = iv.gram_blocks(tv.matrix, ubm)
-        planted, recovered = [], []
-        for _ in range(10):
-            w = rng.standard_normal(2)
-            offsets = (tv.matrix @ w).reshape(ubm.n_components, ubm.dim)
-            frames = _sample_utterance(rng, ubm, offsets, 3000)
-            w_hat = iv.extract_ivector(frames, ubm, tv, gram)
-            planted.append(w)
-            recovered.append(w_hat)
-        planted = np.concatenate(planted)
-        recovered = np.concatenate(recovered)
+        planted = rng.standard_normal((10, 2))
+        utts = [_sample_utterance(
+            rng, ubm, (tv.matrix @ w).reshape(ubm.n_components, ubm.dim),
+            3000) for w in planted]
+        recovered = iv.ivectors_from_stats(*iv.batch_stats(utts, ubm), ubm,
+                                           tv, gram)
+        planted, recovered = planted.ravel(), recovered.ravel()
         corr = np.corrcoef(planted, recovered)[0, 1]
         assert corr > 0.9
 
@@ -141,9 +139,9 @@ class TestTotalVariability:
         ubm = _toy_ubm(rng)
         tv = iv.TvMatrix(rng.standard_normal((ubm.n_components * ubm.dim, 3)),
                          ubm.means.ravel())
-        w = iv.ivector_from_stats(np.zeros(ubm.n_components),
-                                  np.zeros_like(ubm.means), ubm, tv,
-                                  iv.gram_blocks(tv.matrix, ubm))
+        w = iv.ivectors_from_stats(np.zeros((1, ubm.n_components)),
+                                   np.zeros((1, *ubm.means.shape)), ubm, tv,
+                                   iv.gram_blocks(tv.matrix, ubm))
         assert np.allclose(w, 0.0, atol=1e-12)
 
     def test_extraction_linear_in_centered_stats(self):
@@ -156,10 +154,10 @@ class TestTotalVariability:
         d1 = rng.standard_normal((c, d))
         d2 = rng.standard_normal((c, d))
         gram = iv.gram_blocks(tv.matrix, ubm)
-        w1 = iv.ivector_from_stats(n, base + d1, ubm, tv, gram)
-        w2 = iv.ivector_from_stats(n, base + d2, ubm, tv, gram)
-        combo = iv.ivector_from_stats(n, base + 2.0 * d1 - 0.5 * d2, ubm, tv,
-                                      gram)
+        w1, w2, combo = iv.ivectors_from_stats(
+            np.stack([n] * 3), np.stack([base + d1, base + d2,
+                                         base + 2.0 * d1 - 0.5 * d2]),
+            ubm, tv, gram)
         assert np.allclose(combo, 2.0 * w1 - 0.5 * w2, atol=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -168,8 +166,9 @@ class TestTotalVariability:
            n_utts=st.integers(1, 4))
     def test_shared_gram_blocks_match_per_call_oracle(self, seed, c, d, rank,
                                                       n_utts):
-        """One Gram computation per model gives exactly the i-vectors of
-        rebuilding it for every utterance."""
+        """One Gram computation per model and one batched solve give the
+        i-vectors of rebuilding the Gram blocks and inverting the precision
+        for every utterance, to 1e-12 of the largest |value|."""
         rng = np.random.default_rng(seed)
         ubm = _toy_ubm(rng, c=c, d=d)
         rank = min(rank, c * d - 1)
@@ -179,7 +178,10 @@ class TestTotalVariability:
                   rng.standard_normal((c, d)) * 10.0) for _ in range(n_utts)]
         want = np.array([ivector_from_stats_oracle(n, f, ubm, tv)
                          for n, f in stats])
-        assert np.array_equal(iv.ivectors_from_stats(stats, ubm, tv), want)
+        n, f = (np.array(x) for x in zip(*stats))
+        got = iv.ivectors_from_stats(n, f, ubm, tv, iv.gram_blocks(tv.matrix,
+                                                                   ubm))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_invalid_rank_raises(self):
         rng = np.random.default_rng(9)
@@ -268,26 +270,30 @@ class TestCompensation:
 
 class TestScoring:
     def test_cosine_exact_values(self):
-        assert iv.cosine_score([1.0, 0.0], [0.0, 1.0]) == 0.0
-        assert abs(iv.cosine_score([1.0, 1.0], [2.0, 2.0]) - 1.0) < 1e-15
-        assert abs(iv.cosine_score([1.0, 0.0], [-1.0, 0.0]) + 1.0) < 1e-15
+        assert iv.cosine_scores([[1.0, 0.0]], [0.0, 1.0])[0] == 0.0
+        got = iv.cosine_scores([[1.0, 1.0], [1.0, 0.0]], [2.0, 2.0])
+        assert abs(got[0] - 1.0) < 1e-15
+        assert abs(iv.cosine_scores([[1.0, 0.0]], [-1.0, 0.0])[0]
+                   + 1.0) < 1e-15
         rng = np.random.default_rng(13)
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        expected = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert abs(iv.cosine_score(a, b) - expected) < 1e-12
+        a, b = rng.standard_normal((5, 8)), rng.standard_normal(8)
+        want = [cosine_score_oracle(row, b) for row in a]
+        assert np.abs(iv.cosine_scores(a, b) - want).max() < 1e-12
 
     def test_cosine_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(27)
         for _ in range(10):
             a, b = rng.standard_normal(6), rng.standard_normal(6)
             s, t = rng.random() * 5 + 0.1, rng.random() * 5 + 0.1
-            assert abs(iv.cosine_score(a, b) - iv.cosine_score(b, a)) < 1e-12
-            assert abs(iv.cosine_score(s * a, t * b)
-                       - iv.cosine_score(a, b)) < 1e-12
+            ab = iv.cosine_scores(a, b)[0]
+            assert abs(ab - iv.cosine_scores(b, a)[0]) < 1e-12
+            assert abs(iv.cosine_scores(s * a, t * b)[0] - ab) < 1e-12
 
     def test_cosine_zero_vector_raises(self):
         with pytest.raises(DegenerateVectorError):
-            iv.cosine_score([0.0, 0.0], [1.0, 0.0])
+            iv.cosine_scores([[0.0, 0.0]], [1.0, 0.0])
+        with pytest.raises(DegenerateVectorError):
+            iv.cosine_scores([[1.0, 0.0]], [0.0, 0.0])
 
     def test_class_means_are_unit_norm(self):
         rng = np.random.default_rng(14)
@@ -305,20 +311,23 @@ class TestScoring:
         mean_syn = iv.length_normalize(-np.ones(4))
         near_nat = np.ones(4) + 0.1 * rng.standard_normal(4)
         near_syn = -np.ones(4) + 0.1 * rng.standard_normal(4)
-        assert iv.detection_score(near_nat, mean_nat, mean_syn) > 0
-        assert iv.detection_score(near_syn, mean_nat, mean_syn) < 0
+        on_nat, on_syn = iv.detection_scores([near_nat, near_syn], mean_nat,
+                                             mean_syn)
+        assert on_nat > 0 > on_syn
 
     def test_detection_score_antisymmetric_in_class_means(self):
         rng = np.random.default_rng(31)
-        w = rng.standard_normal(5)
+        w = rng.standard_normal((3, 5))
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
-        assert abs(iv.detection_score(w, a, b)
-                   + iv.detection_score(w, b, a)) < 1e-12
+        assert np.abs(iv.detection_scores(w, a, b)
+                      + iv.detection_scores(w, b, a)).max() < 1e-12
+        want = [detection_score_oracle(row, a, b) for row in w]
+        assert np.abs(iv.detection_scores(w, a, b) - want).max() < 1e-12
 
     def test_equal_class_means_score_zero(self):
         m = np.array([1.0, 2.0, 3.0])
-        assert iv.detection_score(np.array([0.5, -1.0, 2.0]), m, m) == 0.0
+        assert iv.detection_scores(np.array([0.5, -1.0, 2.0]), m, m)[0] == 0.0
 
 
 class TestPlda:
@@ -337,14 +346,10 @@ class TestPlda:
         vecs, labels, centers = self._two_class_data(rng)
         model = iv.train_plda(vecs, labels, latent_rank=4, n_iterations=12,
                               seed=17)
-        same, diff = [], []
-        for _ in range(60):
-            a = rng.standard_normal(8) + centers["a"]
-            a2 = rng.standard_normal(8) + centers["a"]
-            b = rng.standard_normal(8) + centers["b"]
-            same.append(iv.plda_llr(model, a, a2))
-            diff.append(iv.plda_llr(model, a, b))
-        same, diff = np.array(same), np.array(diff)
+        a = rng.standard_normal((60, 8)) + centers["a"]
+        a2 = rng.standard_normal((60, 8)) + centers["a"]
+        b = rng.standard_normal((60, 8)) + centers["b"]
+        same, diff = iv.plda_llrs(model, a, a2), iv.plda_llrs(model, a, b)
         auc = np.mean(same[:, None] > diff[None, :])
         assert auc > 0.95
 
@@ -354,17 +359,26 @@ class TestPlda:
     def test_cached_pair_covariances_match_per_call_oracle(self, seed, r, q,
                                                            n_pairs):
         """Every call on one model, the first (which builds the cached
-        covariances) and the later ones, equals the per-call rebuild."""
+        inverse covariances) and the later ones, gives the LLRs of
+        rebuilding both covariances and solving with them per pair, to
+        1e-12 x max(1, largest |LLR|): an LLR is the difference of two
+        log-densities, whose rounding it keeps however small it is."""
         rng = np.random.default_rng(seed)
         q = min(q, r)
         root = rng.standard_normal((r, r))
         model = iv.PldaModel(rng.standard_normal(r),
                              rng.standard_normal((r, q)),
                              root @ root.T + 0.1 * np.eye(r))
-        for _ in range(n_pairs):
-            w1, w2 = rng.standard_normal(r), rng.standard_normal(r)
-            assert iv.plda_llr(model, w1, w2) == plda_llr_oracle(model, w1,
-                                                                 w2)
+        for _ in range(2):
+            w1, w2 = rng.standard_normal((2, n_pairs, r))
+            # row pairs, and one vector paired with every row of the other
+            for a, got in ((w1, iv.plda_llrs(model, w1, w2)),
+                           ([w1[0]] * n_pairs, iv.plda_llrs(model, w1[0],
+                                                            w2))):
+                want = np.array([plda_llr_oracle(model, x, y)
+                                 for x, y in zip(a, w2)])
+                assert np.abs(got - want).max() <= (
+                    1e-12 * max(1.0, np.abs(want).max()))
 
     def test_recovers_planted_covariance_eigenspectra(self):
         rng = np.random.default_rng(32)
@@ -414,8 +428,8 @@ class TestPlda:
         model = iv.train_plda(vecs, labels, latent_rank=2, seed=23)
         probe_a = centers["a"] + 0.1 * rng.standard_normal(8)
         probe_b = centers["b"] + 0.1 * rng.standard_normal(8)
-        s_a = iv.plda_detection_score(model, probe_a, centers["a"], centers["b"])
-        s_b = iv.plda_detection_score(model, probe_b, centers["a"], centers["b"])
+        s_a, s_b = iv.plda_detection_scores(model, [probe_a, probe_b],
+                                            centers["a"], centers["b"])
         assert s_a > 0 > s_b
 
 
@@ -512,12 +526,13 @@ def _backend_step(step, utts, labels):
                 alone.weights, alone.means, alone.variances, alone_history]
     if step == "llr_score":
         other, _ = gmm.train_gmm(pooled[::-1] + 0.5, 4, n_iterations=3, seed=2)
-        return [[gmm.llr_score(u, ubm, other) for u in utts]]
+        return [gmm.llr_scores(utts, ubm, other)]
     stats = [iv.baum_welch_stats(u, ubm) for u in utts]
     if step == "baum_welch_stats":
         return [x for pair in stats for x in pair]
     tv, tv_history = iv.train_tv(stats, ubm, rank=2, n_iterations=2, seed=3)
-    raw = iv.ivectors_from_stats(stats, ubm, tv)
+    raw = iv.ivectors_from_stats(*(np.array(x) for x in zip(*stats)), ubm, tv,
+                                 iv.gram_blocks(tv.matrix, ubm))
     b = iv.train_wccn(raw, labels)
     normed = iv.length_normalize(iv.apply_wccn(b, raw))
     plda = iv.train_plda(normed, labels, latent_rank=1, n_iterations=2,
