@@ -21,7 +21,6 @@ and exits nonzero; on success it exits zero.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -64,20 +63,8 @@ def _manifest_rows(args, subset):
     return manifest.rows, manifest.resolve_paths(_wav_root(args))
 
 
-def _one_blas_thread(command):
-    """command, run as a run runs its stages: with every loaded BLAS at one
-    thread, and the caller's count given back after (`run` gets this from
-    run_experiment itself)."""
-    @functools.wraps(command)
-    def pinned(args):
-        with harness.one_blas_thread():
-            return command(args)
-    return pinned
-
-
 # -- subcommand bodies ------------------------------------------------------
 
-@_one_blas_thread
 def cmd_extract(args):
     cfg = _config(args).feature_config(args.kind)
     signal = read_wav(args.wav)
@@ -109,7 +96,6 @@ def cmd_prepare(args):
     print(f"{out_dir}\t{len(rows)}")
 
 
-@_one_blas_thread
 def cmd_train(args):
     """Train --model of --kind with the config's settings and write it into
     --models under the name a run caches it by: the GMM pair or the
@@ -134,7 +120,6 @@ def cmd_train(args):
     print(marker)
 
 
-@_one_blas_thread
 def cmd_score(args):
     """Score the chosen subset with --backend in the --noise-kind/--snr/
     --enhance condition, prepared as a run prepares it, and write the score
@@ -360,7 +345,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with harness.one_blas_thread():   # as a run pins its own stages
+            args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary
         message = " ".join(str(exc).split())
         sys.stderr.write(f"error\t{type(exc).__name__}\t{message}\n")

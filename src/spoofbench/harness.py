@@ -222,21 +222,19 @@ def _keep_freed_heap():
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
-_BLAS_THREADS = []   # what _blas_threads found, kept for the process
 
 
-def _blas_threads() -> list:
-    """(get, set) of every OpenBLAS this process has loaded, looked up
-    through /proc/self/maps on first use and kept once found (forked workers
-    inherit them); empty where there is none to find."""
-    if _BLAS_THREADS:
-        return _BLAS_THREADS
+def _find_blas_threads() -> tuple:
+    """(get, set) of every OpenBLAS that numpy and scipy.linalg load, looked
+    up through /proc/self/maps; empty where there is none to find."""
+    import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS before the scan
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh
                            if "openblas" in line.lower() and ".so" in line})
     except OSError:
-        return _BLAS_THREADS
+        return ()
+    found = []
     for lib in libs:
         try:
             handle = ctypes.CDLL(lib)
@@ -248,9 +246,12 @@ def _blas_threads() -> list:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = (), ctypes.c_int
                 set_.argtypes, set_.restype = (ctypes.c_int,), None
-                _BLAS_THREADS.append((get, set_))
+                found.append((get, set_))
                 break
-    return _BLAS_THREADS
+    return tuple(found)
+
+
+_BLAS_THREADS = _find_blas_threads()   # once per process; workers inherit it
 
 
 @contextmanager
@@ -260,23 +261,14 @@ def one_blas_thread():
     from a single-threaded one, so this keeps model and score bytes from
     depending on OPENBLAS_NUM_THREADS; where no thread count can be set,
     this does nothing."""
-    controls = _blas_threads()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
+    before = [get() for get, _ in _BLAS_THREADS]
+    for _, set_ in _BLAS_THREADS:
         set_(1)
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, before):
+        for (_, set_), count in zip(_BLAS_THREADS, before):
             set_(count)
-
-
-def _init_worker():
-    """Pool initializer: the heap policy (_keep_freed_heap) and one BLAS
-    thread (one_blas_thread), kept for the worker's life."""
-    _keep_freed_heap()
-    for _, set_ in _blas_threads():
-        set_(1)
 
 
 def _run_jobs(jobs):
@@ -286,15 +278,16 @@ def _run_jobs(jobs):
     in plan order cancels the jobs not yet started and is re-raised once the
     pool has shut down.  A worker that dies breaks the pool, which is
     re-raised with the context of the first job in plan order that did not
-    finish.  Only the workers set a heap policy (_init_worker); jobs run
-    in this process keep its allocator as it is."""
+    finish.  Only the workers set a heap policy (_keep_freed_heap); jobs
+    run in this process keep its allocator as it is.  Workers are forked
+    from a run's one_blas_thread body, so they inherit its one BLAS thread."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
         for function, args, _, _ in jobs:
             function(*args)
         return
     pool = ProcessPoolExecutor(n, mp_context=get_context("fork"),
-                               initializer=_init_worker)
+                               initializer=_keep_freed_heap)
     futures = []
     try:
         for function, args, after, _ in jobs:
@@ -361,8 +354,7 @@ def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
              for r in rows]
     tv, _ = ivector.train_tv(stats, ubm, tv_rank, tv_iterations,
                              seed=derive_seed(seed, "tv"))
-    n, f = (np.array(x) for x in zip(*stats))
-    raw = ivector.ivectors_from_stats(n, f, ubm, tv,
+    raw = ivector.ivectors_from_stats(*zip(*stats), ubm, tv,
                                       ivector.gram_blocks(tv.matrix, ubm))
     labels = [r.label for r in rows]
     b = ivector.train_wccn(raw, labels)

@@ -26,6 +26,9 @@ _PLDA_MAGIC = b"SPPL1"
 # norm below which a vector counts as zero for length normalization and
 # cosine scoring
 MIN_NORM = 1e-12
+# bytes of (R, R) precision matrices that one batched i-vector solve holds:
+# about 50 utterances at rank 400, thousands at this repo's ranks
+_SOLVE_BYTES = 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +156,27 @@ def train_tv(stats, ubm: GmmModel, rank, n_iterations=10, seed=0):
 def ivectors_from_stats(n, f, ubm: GmmModel, tv: TvMatrix,
                         gram) -> np.ndarray:
     """Posterior means of the total-variability latent, one row per
-    utterance, from zeroth (B, C) and first (B, C, D) order statistics;
-    gram is gram_blocks(tv.matrix, ubm).  Every utterance's precision
-    I + sum_c N_c G_c comes from one product, and one batched solve gives
-    every mean (Glembek et al., ICASSP 2011)."""
-    n = np.asarray(n, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
+    utterance, from zeroth (B, C) and first (B, C, D) order statistics,
+    arrays or sequences of per-utterance rows; gram is
+    gram_blocks(tv.matrix, ubm).  A slice of utterances gets its
+    precisions I + sum_c N_c G_c from one product, and one batched solve
+    gives their means (Glembek et al., ICASSP 2011).  A slice holds at most
+    _SOLVE_BYTES of precisions, so memory does not grow with B."""
     c, d = ubm.means.shape
     rank = tv.rank
-    ftilde = (f - n[:, :, None] * tv.mean.reshape(c, d)).reshape(-1, c * d)
-    b = (ftilde * (1.0 / ubm.variances).ravel()) @ tv.matrix
-    precision = np.eye(rank) + (n @ gram.reshape(c, rank * rank)).reshape(
-        -1, rank, rank)
-    return np.linalg.solve(precision, b[:, :, None])[:, :, 0]
+    inv_var = (1.0 / ubm.variances).ravel()
+    step = max(1, _SOLVE_BYTES // (8 * rank * rank))
+    out = np.empty((len(n), rank))
+    for lo in range(0, len(n), step):
+        nb = np.asarray(n[lo:lo + step], dtype=np.float64)
+        fb = np.asarray(f[lo:lo + step], dtype=np.float64)
+        ftilde = (fb - nb[:, :, None] * tv.mean.reshape(c, d)).reshape(
+            -1, c * d)
+        precision = np.eye(rank) + (nb @ gram.reshape(c, rank * rank)
+                                    ).reshape(-1, rank, rank)
+        out[lo:lo + step] = np.linalg.solve(
+            precision, ((ftilde * inv_var) @ tv.matrix)[:, :, None])[:, :, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ def naive_avg_loglik(frames, weights, means, variances):
     return total / len(frames)
 
 
+def _avg_log_likelihood(model, frames):
+    """Average per-frame log-density of frames under model, as the LLR
+    scorer computes it for one side."""
+    return _logsumexp_rows(model.stacked_log_likelihoods([frames])).mean()
+
+
 def _random_model(rng, c=3, d=4):
     w = rng.random(c) + 0.2
     w /= w.sum()
@@ -41,16 +47,20 @@ class TestLikelihood:
         model = _random_model(rng)
         other = _random_model(rng)
         frames = rng.standard_normal((25, 4))
-        expected = (naive_avg_loglik(frames, model.weights, model.means,
-                                     model.variances)
-                    - naive_avg_loglik(frames, other.weights, other.means,
-                                       other.variances))
+        own = naive_avg_loglik(frames, model.weights, model.means,
+                               model.variances)
+        expected = own - naive_avg_loglik(frames, other.weights, other.means,
+                                          other.variances)
+        assert abs(_avg_log_likelihood(model, frames) - own) < 1e-10
         assert abs(llr_scores([frames], model, other)[0] - expected) < 1e-10
 
     def test_single_gaussian_closed_form(self):
         model = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
         shifted = GmmModel(np.array([1.0]), np.ones((1, 2)), np.ones((1, 2)))
         x = np.array([[0.0, 0.0]])
+        # log N(0; 0, I) = -log(2 pi) in two dimensions
+        assert abs(_avg_log_likelihood(model, x)
+                   - (-math.log(2 * math.pi))) < 1e-12
         # log N(0; 0, I) - log N(0; 1, I) = |1|^2 / 2
         assert abs(llr_scores([x], model, shifted)[0] - 1.0) < 1e-12
 

@@ -944,8 +944,8 @@ class TestExtractionStage:
             trees.append(_tree_bytes(tmp_path / str(workers)))
             trained_here.append(len(trained))
         # one pool per cold run, which trains the models too, and whose
-        # workers set the heap policy and one BLAS thread
-        assert pools == [(2, harness._init_worker)]
+        # workers set the heap policy
+        assert pools == [(2, harness._keep_freed_heap)]
         assert trained_here == [3 * 3, 0]
         scored = len([r for r in man if r.subset != "train"])
         assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
@@ -1076,22 +1076,22 @@ class TestBlasThreads:
 
     @pytest.fixture
     def restore_threads(self):
-        before = [get() for get, _ in harness._blas_threads()]
+        before = [get() for get, _ in harness._BLAS_THREADS]
         yield
-        for (_, set_), count in zip(harness._blas_threads(), before):
+        for (_, set_), count in zip(harness._BLAS_THREADS, before):
             set_(count)
 
     @staticmethod
     def _set(count):
-        for _, set_ in harness._blas_threads():
+        for _, set_ in harness._BLAS_THREADS:
             set_(count)
 
     @staticmethod
     def _counts():
-        return [get() for get, _ in harness._blas_threads()]
+        return [get() for get, _ in harness._BLAS_THREADS]
 
     def test_numpy_and_scipy_blas_are_found(self):
-        assert len(harness._blas_threads()) == 2
+        assert len(harness._BLAS_THREADS) == 2
 
     def test_one_thread_inside_and_the_callers_count_after(
             self, restore_threads):

@@ -183,6 +183,34 @@ class TestTotalVariability:
                                                                    ubm))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_solves_in_slices_of_bounded_bytes(self, monkeypatch):
+        """Utterances are solved a bounded slice at a time, so memory does
+        not grow with their number; statistics given as sequences of rows
+        give the bytes of stacked arrays, and sliced i-vectors stay within
+        1e-12 of the largest |value| of the per-utterance oracle."""
+        rng = np.random.default_rng(31)
+        ubm = _toy_ubm(rng, c=4, d=3)
+        tv = iv.TvMatrix(rng.standard_normal((12, 5)), ubm.means.ravel())
+        gram = iv.gram_blocks(tv.matrix, ubm)
+        stats = [(rng.random(4) * 50.0, rng.standard_normal((4, 3)) * 10.0)
+                 for _ in range(7)]
+        n, f = zip(*stats)
+        assert np.array_equal(
+            iv.ivectors_from_stats(n, f, ubm, tv, gram),
+            iv.ivectors_from_stats(np.array(n), np.array(f), ubm, tv, gram))
+        batches, solve = [], np.linalg.solve
+
+        def recording(a, b):
+            batches.append(len(a))
+            return solve(a, b)
+        monkeypatch.setattr(iv.np.linalg, "solve", recording)
+        monkeypatch.setattr(iv, "_SOLVE_BYTES", 3 * 8 * 5 * 5)
+        got = iv.ivectors_from_stats(n, f, ubm, tv, gram)
+        assert batches == [3, 3, 1]
+        want = np.array([ivector_from_stats_oracle(a, b, ubm, tv)
+                         for a, b in stats])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_invalid_rank_raises(self):
         rng = np.random.default_rng(9)
         ubm = _toy_ubm(rng)
