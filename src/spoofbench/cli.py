@@ -344,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    harness._keep_freed_heap()
     try:
         with harness.one_blas_thread():   # as a run pins its own stages
             args.func(args)

@@ -10,7 +10,6 @@ where the step ROC has tens of thousands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -28,8 +27,9 @@ class EvalReport:
 
 
 def _roc_vertices(target_scores, nontarget_scores):
-    """Step-ROC operating points (p_fa, p_miss) swept from the accept-all
-    threshold to the reject-all one; tied scores collapse to one vertex."""
+    """Step-ROC operating points swept from the accept-all threshold to the
+    reject-all one, as two arrays (p_fa, p_miss); tied scores collapse to
+    one vertex."""
     tar = np.sort(np.asarray(target_scores, dtype=np.float64))
     non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     if tar.size == 0 or non.size == 0:
@@ -46,16 +46,16 @@ def _roc_vertices(target_scores, nontarget_scores):
     # both coordinates are monotone, so repeated points are adjacent
     keep = np.ones(p_fa.size, dtype=bool)
     keep[1:] = (p_fa[1:] != p_fa[:-1]) | (p_miss[1:] != p_miss[:-1])
-    return list(zip(p_fa[keep].tolist(), p_miss[keep].tolist()))
+    return p_fa[keep], p_miss[keep]
 
 
-def _lower_hull(points):
-    """Lower-left convex frontier of step-ROC points in sweep order,
-    returned with p_fa ascending.  Walking with p_fa ascending, a point
-    entered horizontally or left vertically lies on or above its
-    neighbours' chord, which the chain would pop; only corners enter it."""
-    x, y = np.fromiter(chain.from_iterable(points), np.float64,
-                       2 * len(points)).reshape(-1, 2)[::-1].T
+def _lower_hull(vertices):
+    """Lower-left convex frontier of the step-ROC vertices (p_fa, p_miss)
+    in sweep order, returned as points with p_fa ascending.  Walking with
+    p_fa ascending, a point entered horizontally or left vertically lies on
+    or above its neighbours' chord, which the chain would pop; only corners
+    enter it."""
+    x, y = (coord[::-1] for coord in vertices)
     corner = np.ones(x.size, dtype=bool)
     corner[1:-1] = (y[:-2] != y[1:-1]) & (x[2:] != x[1:-1])
     pts = sorted(zip(x[corner].tolist(), y[corner].tolist()))

@@ -16,6 +16,31 @@ from .audio import load_arrays, save_arrays
 _GMM_MAGIC = b"SPGM1"
 VAR_FLOOR_FRAC = 1e-4
 _LOG_2PI = np.log(2.0 * np.pi)
+# np.exp is fast and its result normal at and above _EXP_FAST; below
+# _EXP_ZERO its result is exactly 0.0 (it underflows below -745.13)
+_EXP_FAST = -700.0
+_EXP_ZERO = -746.0
+
+
+def _exp(a, out=None) -> np.ndarray:
+    """np.exp(a), bit for bit, for a real float64 array.
+
+    numpy's SIMD exp takes a slow path for every argument whose result is
+    subnormal or zero, and the terms of a log-sum-exp or of responsibilities
+    often lie hundreds of nats below their row maximum.  So np.exp runs on
+    the arguments clipped at _EXP_FAST, the clipped ones are set to 0.0, and
+    only those in (_EXP_ZERO, _EXP_FAST) are passed to np.exp on their own.
+    out may be a itself.
+    """
+    with np.errstate(under="ignore"):
+        low = a < _EXP_FAST
+        band = low & (a > _EXP_ZERO)
+        tiny = np.exp(a[band])
+        out = np.maximum(a, _EXP_FAST, out=out)
+        np.exp(out, out=out)
+        out *= ~low          # 0.0 where clipped; x * 1.0 keeps x's bits
+        out[band] = tiny
+    return out
 
 
 def _logsumexp_rows(a) -> np.ndarray:
@@ -31,7 +56,8 @@ def _logsumexp_rows(a) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=1, keepdims=True)
         mask = a == a_max
-        e = np.exp(a - a_max)
+        e = a - a_max
+        _exp(e, out=e)
         np.putmask(e, mask, 0.0)
         s = e.sum(axis=1)
         m = mask.sum(axis=1, dtype=np.float64)
@@ -166,7 +192,7 @@ def train_gmm(frames, n_components, n_iterations=10, seed=0,
             comp_ll = model.component_log_likelihoods(block)
             frame_ll = _logsumexp_rows(comp_ll)
             total_ll += float(frame_ll.sum())
-            resp = np.exp(comp_ll - frame_ll[:, None])
+            resp = _exp(comp_ll - frame_ll[:, None])
             nk += resp.sum(axis=0)
             sum_x += resp.T @ block
             sum_x2 += resp.T @ (block ** 2)

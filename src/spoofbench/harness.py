@@ -76,10 +76,14 @@ IVECTOR_STACK_VERSION = 2
 # with more makes a chunk of its own.  Scoring score-warm's eight (condition,
 # subset, feature) sets of 24 utterances, about 2,900 frames each, on one
 # BLAS thread took 0.80, 0.75, 0.73 and 0.74 of the per-utterance time at
-# 512, 768, 1,024 and 1,536 frames; at 2,048 and 4,096 the stacked arrays
-# outgrow glibc's dynamic heap thresholds, and a pass took 6.7k and 11.4k
-# minor faults against none at 1,024.  A chunk's component log-likelihoods
-# take 256 KB per model at 32 components and 4 MB at the paper's 512
+# 512, 768, 1,024 and 1,536 frames.  1,024 was chosen under glibc's default
+# allocator, whose dynamic thresholds a larger chunk outgrew (a pass took
+# 6.7k and 11.4k minor faults at 2,048 and 4,096 frames, none at 1,024).
+# With the run's heap policy (_keep_freed_heap) 4,096 frames gave no gain
+# on score-warm (0.209, 0.248, 0.203 s against 0.213, 0.208, 0.209) and
+# 2.3-2.8 MB more peak RSS, so the budget stays at 1,024.  A chunk's
+# component log-likelihoods take 256 KB per model at 32 components and
+# 4 MB at the paper's 512
 _SCORE_CHUNK_FRAMES = 1024
 
 # the file in which every model directory lists the utterances its models
@@ -189,30 +193,32 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, len(cpus) or 1)
 
 
-# glibc mallopt parameters (malloc.h), and the values a worker sets: the
-# largest mmap threshold glibc accepts on 64-bit, and a trim threshold above
-# any heap a worker reaches
+# glibc mallopt parameters (malloc.h), and the values a run or a CLI
+# command sets: the largest mmap threshold glibc accepts on 64-bit, and a
+# trim threshold above any heap a process here reaches
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_WORKER_MMAP_THRESHOLD = 32 << 20
-_WORKER_TRIM_THRESHOLD = 1 << 30
+_KEEP_MMAP_THRESHOLD = 32 << 20
+_KEEP_TRIM_THRESHOLD = 1 << 30
 
 
 def _keep_freed_heap():
-    """Pool initializer: make this worker's malloc keep the memory it frees.
+    """Make this process's malloc keep the memory it frees.
 
     Extraction allocates and frees multi-MB FFT and filter temporaries per
-    block; by default glibc returns those to the system (mmap above its
-    threshold, heap trim below), so the next block faults them back in.
-    Both thresholds are set explicitly, because a forked worker otherwise
-    inherits whatever dynamic threshold its parent reached.  Where there is
-    no mallopt this does nothing; it never raises, since a raising
-    initializer breaks the pool."""
+    block, and scoring its chunk temporaries per chunk; by default glibc
+    returns those to the system (mmap above its dynamic threshold, heap
+    trim below), so the next block or chunk faults them back in.  Both
+    thresholds are set explicitly, so the policy does not depend on the
+    dynamic threshold the process has reached.  Pool workers forked
+    afterwards inherit it.  mallopt has no getter, so the caller's policy
+    cannot be given back.  Where there is no mallopt this does nothing, and
+    it never raises."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt.restype = ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
-        mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _KEEP_MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_TRIM_THRESHOLD)
     except (AttributeError, OSError, TypeError):   # no mallopt to call
         pass
 
@@ -278,16 +284,14 @@ def _run_jobs(jobs):
     in plan order cancels the jobs not yet started and is re-raised once the
     pool has shut down.  A worker that dies breaks the pool, which is
     re-raised with the context of the first job in plan order that did not
-    finish.  Only the workers set a heap policy (_keep_freed_heap); jobs
-    run in this process keep its allocator as it is.  Workers are forked
-    from a run's one_blas_thread body, so they inherit its one BLAS thread."""
+    finish.  Workers are forked from a run's body, so they inherit its heap
+    policy and its one BLAS thread."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
         for function, args, _, _ in jobs:
             function(*args)
         return
-    pool = ProcessPoolExecutor(n, mp_context=get_context("fork"),
-                               initializer=_keep_freed_heap)
+    pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
     futures = []
     try:
         for function, args, after, _ in jobs:
@@ -776,6 +780,7 @@ class _Runner:
     # -- the full grid -----------------------------------------------------
 
     def run(self) -> ExperimentResult:
+        _keep_freed_heap()
         with one_blas_thread():
             return self._run()
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import load_arrays, save_arrays
 from .errors import DegenerateVectorError
-from .gmm import GmmModel
+from .gmm import GmmModel, _exp
 
 _TV_MAGIC = b"SPTV1"
 _WCCN_MAGIC = b"SPWC1"
@@ -49,7 +49,7 @@ def batch_stats(utterances, ubm: GmmModel):
     its own rows, so each keeps the bits of its statistics alone."""
     resp = ubm.stacked_log_likelihoods(utterances)
     resp -= resp.max(axis=1, keepdims=True)
-    np.exp(resp, out=resp)
+    _exp(resp, out=resp)
     resp /= resp.sum(axis=1, keepdims=True)
     bounds = np.cumsum([0] + [len(u) for u in utterances])
     parts = [resp[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

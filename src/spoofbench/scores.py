@@ -18,6 +18,8 @@ HEADER = ("utt_id", "score", "label", "attack_id", "condition")
 HUMAN = "human"
 SPOOF = "spoof"
 NO_ATTACK = "-"
+# the columns that name a trial; a ScoreSet holds each as a list
+_METADATA = ("utt_ids", "labels", "attack_ids", "conditions")
 
 
 @dataclass
@@ -29,6 +31,9 @@ class ScoreSet:
     conditions: list
 
     def __post_init__(self):
+        for column in _METADATA:
+            if not isinstance(getattr(self, column), list):
+                setattr(self, column, list(getattr(self, column)))
         self.scores = np.asarray(self.scores, dtype=np.float64)
         n = len(self.utt_ids)
         if not (len(self.labels) == len(self.attack_ids)
@@ -71,9 +76,8 @@ def check_aligned(score_sets):
         raise ValueError("no score sets given")
     first = score_sets[0]
     for other in score_sets[1:]:
-        if any(list(getattr(other, column)) != list(getattr(first, column))
-               for column in ("utt_ids", "labels", "attack_ids",
-                              "conditions")):
+        if any(getattr(other, column) != getattr(first, column)
+               for column in _METADATA):
             raise AlignmentError("score sets cover different trial lists")
 
 

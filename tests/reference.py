@@ -11,13 +11,13 @@ import math
 
 import numpy as np
 import scipy.signal
+import scipy.special
 
 from spoofbench import ivector
 from spoofbench.dsp import (analytic_envelope, frame_length_samples, frame_shift_samples,
                             frame_signal, n_frames_for, window_function)
 from spoofbench.errors import DegenerateVectorError
 from spoofbench.features import F0Track, FeatureConfig
-from spoofbench.gmm import _logsumexp_rows
 from spoofbench.scores import HEADER, ScoreSet
 
 
@@ -242,8 +242,10 @@ def baum_welch_stats_oracle(frames, ubm):
 
 
 def avg_log_likelihood_oracle(model, frames):
-    """Average frame log-likelihood of one utterance scored alone."""
-    frame_ll = _logsumexp_rows(model.component_log_likelihoods(frames))
+    """Average frame log-likelihood of one utterance scored alone, through
+    scipy's log-sum-exp (and so plain np.exp)."""
+    frame_ll = scipy.special.logsumexp(
+        model.component_log_likelihoods(frames), axis=1)
     if frame_ll.size == 0:
         raise ValueError("no frames to score")
     return float(np.mean(frame_ll))

@@ -17,6 +17,17 @@ from test_scores import make_scores
 RATE = 16000
 
 
+def _points(vertices):
+    """The sweep's (p_fa, p_miss) arrays as a list of point tuples."""
+    p_fa, p_miss = vertices
+    return list(zip(p_fa.tolist(), p_miss.tolist()))
+
+
+def _arrays(points):
+    """A list of (p_fa, p_miss) tuples as the sweep's two arrays."""
+    return tuple(np.array(coord, dtype=np.float64) for coord in zip(*points))
+
+
 class TestRocchEer:
     def test_hand_enumerated_fixture(self):
         # targets {2, 0}, non-targets {1, -1}: hull runs (0,.5)->(.5,0),
@@ -62,8 +73,7 @@ class TestRocchEer:
             tar = rng.standard_normal(20)
             non = rng.standard_normal(20) - 0.5
             eer = ev.rocch_eer(tar, non)
-            verts = ev._roc_vertices(tar, non)
-            best_vertex = min(max(p_fa, p_miss) for p_fa, p_miss in verts)
+            best_vertex = np.maximum(*ev._roc_vertices(tar, non)).min()
             assert eer <= best_vertex + 1e-12
 
     def test_range_bounded_by_half(self):
@@ -113,8 +123,8 @@ class TestVertexOracle:
     def test_sweep_equals_scalar_walk_exactly(self, pair):
         tar, non = pair
         want = roc_vertices_oracle(tar, non)
-        assert ev._roc_vertices(tar, non) == want
-        assert ev.rocch_eer(tar, non) == ev._hull_eer(want)
+        assert _points(ev._roc_vertices(tar, non)) == want
+        assert ev.rocch_eer(tar, non) == ev._hull_eer(_arrays(want))
 
 
 # tie-heavy score lists: integer multiples of a coarse step, one class all
@@ -136,7 +146,8 @@ class TestCornerHull:
     @settings(max_examples=500, deadline=None)
     @given(_TIE_HEAVY, _TIE_HEAVY)
     def test_equals_hull_over_every_vertex(self, tar, non):
-        with mock.patch.object(ev, "_lower_hull", lower_hull_loop):
+        with mock.patch.object(ev, "_lower_hull",
+                               lambda v: lower_hull_loop(_points(v))):
             want = ev.rocch_eer(tar, non)
         assert ev.rocch_eer(tar, non) == want
 
@@ -146,7 +157,7 @@ class TestDetPoints:
     plots."""
 
     def test_fixture_points(self):
-        pts = ev._roc_vertices([2.0, 0.0], [1.0, -1.0])
+        pts = _points(ev._roc_vertices([2.0, 0.0], [1.0, -1.0]))
         expected = [(1.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 1.0)]
         assert pts == expected
 
@@ -154,7 +165,7 @@ class TestDetPoints:
         rng = np.random.default_rng(5)
         tar = rng.standard_normal(12)
         non = rng.standard_normal(9)
-        pts = ev._roc_vertices(tar, non)
+        pts = _points(ev._roc_vertices(tar, non))
         assert pts[0] == (1.0, 0.0)
         assert pts[-1] == (0.0, 1.0)
         p_fa = [fa for fa, _ in pts]

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reference import component_log_likelihoods_oracle
-from spoofbench.gmm import (GmmModel, _logsumexp_rows, kmeans_pp_centers,
-                            llr_scores, load_gmm, save_gmm, train_gmm)
+from reference import component_log_likelihoods_oracle, llr_score_oracle
+from spoofbench.gmm import (GmmModel, _exp, _logsumexp_rows,
+                            kmeans_pp_centers, llr_scores, load_gmm,
+                            save_gmm, train_gmm)
 
 
 def naive_avg_loglik(frames, weights, means, variances):
@@ -33,6 +35,29 @@ def _avg_log_likelihood(model, frames):
     """Average per-frame log-density of frames under model, as the LLR
     scorer computes it for one side."""
     return _logsumexp_rows(model.stacked_log_likelihoods([frames])).mean()
+
+
+# nats by which each component of far_components_case's model lies below
+# the first at the origin: np.exp of minus these is 1, normal, tiny,
+# subnormal and zero, the last either side of the underflow edge
+_FAR_GAPS = (0.0, 3.0, 701.0, 705.0, 712.0, 720.0, 731.0, 740.0, 744.0,
+             745.0, 745.5, 760.0, 900.0)
+
+
+def far_components_case(seed):
+    """A unit-variance GMM and utterances of frames near the origin, where
+    its components lie 0 to 900 nats below the best one; a one-frame
+    utterance at the origin gets responsibilities that are subnormal or
+    zero."""
+    rng = np.random.default_rng(seed)
+    c, d = len(_FAR_GAPS), 3
+    means = np.zeros((c, d))
+    means[:, 0] = np.sqrt(2.0 * np.asarray(_FAR_GAPS))
+    means[:, 1:] = rng.uniform(-0.01, 0.01, (c, d - 1))
+    model = GmmModel(np.full(c, 1.0 / c), means, np.ones((c, d)))
+    utts = [np.zeros((1, d))] + [rng.uniform(-0.3, 0.3, (t, d))
+                                 for t in (1, 7, 60)]
+    return model, utts
 
 
 def _random_model(rng, c=3, d=4):
@@ -122,19 +147,63 @@ class TestLikelihood:
                      np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
+# the largest argument whose np.exp is 0.0: exp underflows below
+# log(2 ** -1075) = -745.13321910194122...
+_UNDERFLOW = -745.1332191019412
+_EDGES = [_UNDERFLOW, np.nextafter(_UNDERFLOW, np.inf),
+          np.nextafter(_UNDERFLOW, -np.inf), -746.0, -745.0, -708.4,
+          -708.3964185322641, -700.0, np.nextafter(-700.0, -np.inf),
+          np.nextafter(-700.0, np.inf), 709.79, np.inf, -np.inf, np.nan,
+          -0.0, 0.0]
+
+
+class TestExp:
+    @settings(max_examples=300, deadline=None)
+    @given(a=hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                         max_side=40),
+                        elements=st.one_of(st.floats(-750.0, -695.0),
+                                           st.sampled_from(_EDGES),
+                                           st.floats(width=64))),
+           in_place=st.booleans())
+    def test_same_bytes_as_numpy(self, a, in_place):
+        """_exp gives np.exp's bytes: results that are subnormal, tiny or
+        zero, the underflow edge, infinities, NaNs and -0.0 included, in
+        place too."""
+        with np.errstate(all="ignore"):
+            want = np.exp(a)
+            got = _exp(a, out=a) if in_place else _exp(a)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if in_place:
+            assert got is a
+
+
 class TestLogSumExp:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(0, 300),
            c=st.integers(1, 64), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
            n_ties=st.integers(0, 5), n_neg_inf=st.integers(0, 5),
-           n_neg_inf_rows=st.integers(0, 3), n_pos_inf=st.integers(0, 2))
+           n_neg_inf_rows=st.integers(0, 3), n_pos_inf=st.integers(0, 2),
+           n_far=st.integers(0, 40), n_far_rows=st.integers(0, 3))
     def test_same_bits_as_scipy(self, seed, t, c, scale, n_ties, n_neg_inf,
-                                n_neg_inf_rows, n_pos_inf):
+                                n_neg_inf_rows, n_pos_inf, n_far, n_far_rows):
         """The row-wise log-sum-exp is bit-identical to scipy's, ties at the
-        row maximum and infinite entries included."""
+        row maximum, infinite entries and entries 700-750 below the row
+        maximum (whose exp is tiny, subnormal or zero) included."""
         rng = np.random.default_rng(seed)
         a = rng.uniform(-scale, scale, (t, c))
         if t:
+            for _ in range(n_far):
+                row = rng.integers(t)
+                a[row, rng.integers(c)] = a[row].max() - rng.uniform(700, 750)
+            for _ in range(n_far_rows):
+                # every entry but the maximum far below it; at a maximum
+                # of 0.0 the sum of their exps is the result
+                row = rng.integers(t)
+                top = 0.0 if rng.random() < 0.5 else a[row].max()
+                a[row] = top - rng.uniform(700, 750, c)
+                a[row, rng.integers(c)] = top
             for _ in range(n_ties):
                 row = rng.integers(t)
                 a[row, rng.integers(c)] = a[row].max()
@@ -216,6 +285,15 @@ class TestTraining:
 
 
 class TestScoring:
+    def test_far_components_keep_the_oracle_bits(self):
+        """Frames for which some components lie more than 745 nats below
+        the best one (their exp is zero) and some 700-745 below (subnormal
+        or tiny) score as the plain np.exp oracle scores them."""
+        natural, utts = far_components_case(16)
+        synthetic, _ = far_components_case(17)
+        want = [llr_score_oracle(u, natural, synthetic) for u in utts]
+        assert llr_scores(utts, natural, synthetic).tolist() == want
+
     def test_llr_sign_reflects_source(self):
         rng = np.random.default_rng(15)
         nat = GmmModel(np.array([1.0]), np.full((1, 2), 2.0), np.ones((1, 2)))

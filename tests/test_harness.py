@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference import (baum_welch_stats_oracle, detection_score_oracle,
                        embed_ivector_oracle, ivector_from_stats_oracle,
                        llr_score_oracle, plda_detection_score_oracle)
-from spoofbench import features, gmm, harness, ivector
+from spoofbench import cli, features, gmm, harness, ivector
 from spoofbench.audio import AudioSignal, read_wav, write_wav
 from spoofbench.config import ExperimentConfig, GridCell
 from spoofbench.errors import (DegenerateVectorError, EmptyFeaturesError,
@@ -943,9 +943,9 @@ class TestExtractionStage:
             run_experiment(cfg, man, tmp_path / str(workers), wav_root=root)
             trees.append(_tree_bytes(tmp_path / str(workers)))
             trained_here.append(len(trained))
-        # one pool per cold run, which trains the models too, and whose
-        # workers set the heap policy
-        assert pools == [(2, harness._keep_freed_heap)]
+        # one pool per cold run, which trains the models too; its workers
+        # inherit the run's heap policy, so it has no initializer
+        assert pools == [(2, None)]
         assert trained_here == [3 * 3, 0]
         scored = len([r for r in man if r.subset != "train"])
         assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
@@ -1016,8 +1016,8 @@ class _Libc:
 
 
 class TestWorkerHeap:
-    """Pool workers keep the memory they free; the run process and the
-    one-worker path keep the allocator as it is."""
+    """A run and a CLI command make their process keep the memory it frees,
+    before any job runs; pool workers inherit that heap policy."""
 
     def test_initializer_sets_both_thresholds(self, monkeypatch):
         calls = []
@@ -1052,21 +1052,47 @@ class TestWorkerHeap:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_only_pool_workers_run_the_initializer(self, corpus, tmp_path,
-                                                   monkeypatch, workers):
+    def test_run_sets_the_policy_before_any_job(self, corpus, tmp_path,
+                                                monkeypatch, workers):
         root, man = corpus
-        ran = tmp_path / "ran"
-        ran.mkdir()
+        events, pools = [], []
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(events))
+        run_jobs = harness._run_jobs
 
-        def recording():
-            (ran / str(os.getpid())).touch()
-        monkeypatch.setattr(harness, "_keep_freed_heap", recording)
+        def recording_jobs(jobs):
+            events.append(("jobs", len(jobs)))
+            run_jobs(jobs)
+
+        class Recording(harness.ProcessPoolExecutor):
+            def __init__(self, n_workers, **kwargs):
+                pools.append(kwargs.get("initializer"))
+                super().__init__(n_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_jobs", recording_jobs)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(harness, "_worker_count",
                             lambda n_jobs: min(n_jobs, workers))
         run_experiment(_config(), man, tmp_path / "w", wav_root=root)
-        pids = {int(p.name) for p in ran.iterdir()}
-        assert len(pids) == (0 if workers == 1 else 2)
-        assert os.getpid() not in pids
+        assert events[:2] == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
+        assert events[2][0] == "jobs" and events[2][1] > 0
+        assert len(events) == 3
+        assert pools == ([] if workers == 1 else [None])
+
+    def test_cli_sets_the_policy_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(calls))
+        assert cli.main(["toy-corpus", "--out-dir", str(tmp_path / "c"),
+                         "--train", "2", "--dev", "2", "--eval", "2"]) == 0
+        assert calls == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
+        assert capsys.readouterr().err == ""
+
+    def test_without_mallopt_a_command_succeeds_silently(self, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(None))
+        assert cli.main(["toy-corpus", "--out-dir", str(tmp_path / "c"),
+                         "--train", "2", "--dev", "2", "--eval", "2"]) == 0
+        assert (tmp_path / "c" / "manifest.tsv").is_file()
+        assert capsys.readouterr().err == ""
 
 
 class TestBlasThreads:

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import (cosine_score_oracle, detection_score_oracle,
-                       ivector_from_stats_oracle, plda_llr_oracle)
+from reference import (baum_welch_stats_oracle, cosine_score_oracle,
+                       detection_score_oracle, ivector_from_stats_oracle,
+                       plda_llr_oracle)
 from spoofbench.errors import DegenerateVectorError
 from spoofbench.gmm import GmmModel
 from spoofbench import ivector as iv
+from test_gmm import far_components_case
 
 
 def _toy_ubm(rng, c=4, d=3, spread=3.0):
@@ -76,6 +78,17 @@ class TestStats:
         n_ref, f_ref = naive_stats(frames, ubm)
         assert np.allclose(n, n_ref, atol=1e-10)
         assert np.allclose(f, f_ref, atol=1e-10)
+
+    def test_far_components_keep_the_oracle_bits(self):
+        """Frames for which some components lie more than 745 nats below
+        the best one (a zero responsibility) and some 700-745 below
+        (subnormal or tiny) get the plain np.exp oracle's statistics."""
+        ubm, utts = far_components_case(31)
+        n, f = iv.batch_stats(utts, ubm)
+        for i, u in enumerate(utts):
+            n_alone, f_alone = baum_welch_stats_oracle(u, ubm)
+            assert n[i].tobytes() == n_alone.tobytes()
+            assert f[i].tobytes() == f_alone.tobytes()
 
     def test_centering_removes_ubm_means(self):
         rng = np.random.default_rng(2)

@@ -68,6 +68,12 @@ class TestScoreSet:
         c = make_scores([1.0, 2.0], ["spoof", "human"])
         with pytest.raises(AlignmentError):
             check_aligned([a, c])
+        # a tuple column holds the same trials as a list column
+        d = ScoreSet(tuple(a.utt_ids), [0.0, 0.0], tuple(a.labels),
+                     tuple(a.attack_ids), tuple(a.conditions))
+        assert d.utt_ids == a.utt_ids and isinstance(d.labels, list)
+        check_aligned([a, d])
+        check_aligned([d, a])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.tuples(st.sampled_from(["u0", "u1"]),
