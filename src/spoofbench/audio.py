@@ -27,10 +27,6 @@ class AudioSignal:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def __len__(self):
         return len(self.samples)
 

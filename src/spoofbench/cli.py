@@ -106,8 +106,7 @@ def cmd_train(args):
     if args.model in harness.FRAME_MODELS:
         rows, paths = _manifest_rows(args, "train")
         feature_cfg = cfg.feature_config(args.kind)
-        frames = {r.utt_id: features.extract(read_wav(p), feature_cfg)
-                  for r, p in zip(rows, paths)}
+        frames = [features.extract(read_wav(p), feature_cfg) for p in paths]
     labels = {r.utt_id: r.label for r in read_manifest(args.manifest)}
     marker = Path(args.models) / harness.marker_name(args.model, cfg)
     try:

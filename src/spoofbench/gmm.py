@@ -106,22 +106,12 @@ class GmmModel:
                           + (self.means ** 2 * inv).sum(axis=1)))    # (C,)
         return inv, self.means * inv, const
 
-    def component_log_likelihoods(self, frames) -> np.ndarray:
-        """log(w_c N(x; m_c, diag v_c)) for every frame/component, (T, C)."""
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        if frames.shape[1] != self.dim:
-            raise ValueError(
-                f"feature dim {frames.shape[1]} != model dim {self.dim}")
-        inv, scaled_means, const = self._likelihood_terms
-        quad = (frames ** 2) @ inv.T                                 # (T, C)
-        cross = frames @ scaled_means.T                              # (T, C)
-        return const[None, :] + cross - 0.5 * quad
-
     def stacked_log_likelihoods(self, utterances) -> np.ndarray:
-        """component_log_likelihoods of each of a list of frame matrices,
-        stacked into one (sum T, C) array with the same bits.  The two
-        GEMMs stay one pair per utterance, since BLAS rounds a row
-        differently at other row counts; they write into the stack, and the
+        """log(w_c N(x; m_c, diag v_c)) for every frame and component of
+        each of a list of (T, D) float64 frame matrices, stacked into one
+        (sum T, C) array.  The two GEMMs stay one pair per utterance, since
+        BLAS rounds a row differently at other row counts, so each row has
+        the bits of its utterance alone; they write into the stack, and the
         rest runs once over it."""
         inv, scaled_means, const = self._likelihood_terms
         quad = np.empty((sum(len(u) for u in utterances), self.n_components))
@@ -189,7 +179,7 @@ def train_gmm(frames, n_components, n_iterations=10, seed=0,
         total_ll = 0.0
         for start in range(0, t, chunk_size):
             block = frames[start:start + chunk_size]
-            comp_ll = model.component_log_likelihoods(block)
+            comp_ll = model.stacked_log_likelihoods([block])
             frame_ll = _logsumexp_rows(comp_ll)
             total_ll += float(frame_ll.sum())
             resp = _exp(comp_ll - frame_ll[:, None])

@@ -313,14 +313,13 @@ def _run_jobs(jobs):
 
 # -- models -----------------------------------------------------------------
 
-def train_gmm_pair(feats_by_utt, rows, n_components, n_iterations,
-                   root_seed, kind):
-    """Class-conditional GMMs (human, spoof) from per-utterance features."""
+def train_gmm_pair(frames, rows, n_components, n_iterations, root_seed,
+                   kind):
+    """Class-conditional GMMs (human, spoof) from frames, the training
+    rows' features in row order."""
     seed = derive_seed(root_seed, "gmm", kind)
-    nat = np.vstack([feats_by_utt[r.utt_id] for r in rows
-                     if r.label == HUMAN])
-    syn = np.vstack([feats_by_utt[r.utt_id] for r in rows
-                     if r.label != HUMAN])
+    nat = np.vstack([u for u, r in zip(frames, rows) if r.label == HUMAN])
+    syn = np.vstack([u for u, r in zip(frames, rows) if r.label != HUMAN])
     nat_model, _ = gmm.train_gmm(nat, n_components, n_iterations, seed=seed)
     syn_model, _ = gmm.train_gmm(syn, n_components, n_iterations,
                                  seed=derive_seed(seed, "spoof-class"))
@@ -343,22 +342,25 @@ class IvectorStack:
         return ivector.gram_blocks(self.tv.matrix, self.ubm)
 
 
-def train_ivector_stack(feats_by_utt, rows, *, ubm_components, tv_rank,
+def train_ivector_stack(frames, rows, *, ubm_components, tv_rank,
                         tv_iterations, root_seed, kind):
-    """UBM, TV matrix, WCCN and class means from the training rows.
+    """UBM, TV matrix, WCCN and class means from frames, the training rows'
+    features in row order.
 
     Returns (stack, normed): normed holds the length-normalised training
     i-vectors, one row per training row, that the class means are taken
     from and that a PLDA scorer is trained on.
     """
     seed = derive_seed(root_seed, "ivector", kind)
-    pooled = np.vstack([feats_by_utt[r.utt_id] for r in rows])
-    ubm, _ = gmm.train_gmm(pooled, ubm_components, n_iterations=10, seed=seed)
-    stats = [ivector.baum_welch_stats(feats_by_utt[r.utt_id], ubm)
-             for r in rows]
-    tv, _ = ivector.train_tv(stats, ubm, tv_rank, tv_iterations,
+    ubm, _ = gmm.train_gmm(np.vstack(frames), ubm_components,
+                           n_iterations=10, seed=seed)
+    # one utterance a call, so the stacked responsibilities never hold more
+    # than one utterance's frames
+    n, f = (np.concatenate(x) for x in zip(*(ivector.batch_stats([u], ubm)
+                                              for u in frames)))
+    tv, _ = ivector.train_tv(n, f, ubm, tv_rank, tv_iterations,
                              seed=derive_seed(seed, "tv"))
-    raw = ivector.ivectors_from_stats(*zip(*stats), ubm, tv,
+    raw = ivector.ivectors_from_stats(n, f, ubm, tv,
                                       ivector.gram_blocks(tv.matrix, ubm))
     labels = [r.label for r in rows]
     b = ivector.train_wccn(raw, labels)
@@ -465,7 +467,7 @@ def train_model(name: str, marker, rows, frames, labels,
                 cfg: ExperimentConfig, kind: str):
     """Train model `name` of feature `kind` with cfg's settings and write it
     so that marker appears last: the GMM pair or the i-vector stack from
-    frames (the features of the training rows, by utterance), or the PLDA
+    frames (the training rows' features, in row order), or the PLDA
     scorer of the stack in marker's directory, with labels mapping its
     training utterances to their classes.  An error is re-raised naming the
     feature and the model."""
@@ -509,8 +511,7 @@ def _train_job(todo, rows, feature_dir, labels, cfg: ExperimentConfig,
     once if a GMM pair or an i-vector stack is among them."""
     frames = None
     if any(name in FRAME_MODELS for name, _ in todo):
-        frames = dict(zip((r.utt_id for r in rows),
-                          _read_features(feature_dir, rows, kind)))
+        frames = list(_read_features(feature_dir, rows, kind))
     for name, marker in todo:
         train_model(name, marker, rows, frames, labels, cfg, kind)
 

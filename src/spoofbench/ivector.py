@@ -34,19 +34,12 @@ _SOLVE_BYTES = 64 * 2 ** 20
 # ---------------------------------------------------------------------------
 # sufficient statistics
 
-def baum_welch_stats(frames, ubm: GmmModel):
-    """Zeroth (N, per component) and first (F, component x dim) order
-    statistics of the frames under the UBM posteriors."""
-    n, f = batch_stats([np.atleast_2d(np.asarray(frames, dtype=np.float64))],
-                       ubm)
-    return n[0], f[0]
-
-
 def batch_stats(utterances, ubm: GmmModel):
-    """baum_welch_stats of each of a list of (T, D) float64 frame
-    matrices, as (B, C) and (B, C, D) arrays.  The responsibilities are
-    computed row by row over the stacked frames, and each utterance sums
-    its own rows, so each keeps the bits of its statistics alone."""
+    """Zeroth (N, per component) and first (F, component x dim) order
+    statistics under the UBM posteriors of each of a list of (T, D) float64
+    frame matrices, as (B, C) and (B, C, D) arrays.  The responsibilities
+    are computed row by row over the stacked frames, and each utterance
+    sums its own rows, so each keeps the bits of its statistics alone."""
     resp = ubm.stacked_log_likelihoods(utterances)
     resp -= resp.max(axis=1, keepdims=True)
     _exp(resp, out=resp)
@@ -55,11 +48,6 @@ def batch_stats(utterances, ubm: GmmModel):
     parts = [resp[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     return (np.array([part.sum(axis=0) for part in parts]),
             np.array([part.T @ u for part, u in zip(parts, utterances)]))
-
-
-def centered_stats(n, f, ubm: GmmModel):
-    """First-order stats re-centered on the UBM means: F_c - N_c m_c."""
-    return f - n[:, None] * ubm.means
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +98,23 @@ def gram_blocks(tv_mat, ubm):
     return np.einsum("cdr,cd,cds->crs", blocks, ubm.variances ** -1.0, blocks)
 
 
-def train_tv(stats, ubm: GmmModel, rank, n_iterations=10, seed=0):
+def train_tv(n, f, ubm: GmmModel, rank, n_iterations=10, seed=0):
     """EM for the total-variability matrix.
 
-    stats: list of (N, F) pairs from baum_welch_stats. Returns
-    (TvMatrix, history) where history holds the per-iteration marginal
-    log-likelihood terms that depend on T (non-decreasing).
+    n, f: zeroth (B, C) and first (B, C, D) order statistics, as
+    batch_stats gives them; the first-order ones are re-centred on the UBM
+    means, F_c - N_c m_c.  Returns (TvMatrix, history) where history holds
+    the per-iteration marginal log-likelihood terms that depend on T
+    (non-decreasing).
     """
     c, d = ubm.means.shape
     if rank < 1 or rank >= c * d:
         raise ValueError("rank must satisfy 1 <= R < n_components * dim")
-    if not stats:
+    if len(n) == 0:
         raise ValueError("no statistics to train on")
-    n_all = np.stack([np.asarray(n, dtype=np.float64) for n, _ in stats])
-    ft_all = np.stack([centered_stats(np.asarray(n), np.asarray(f), ubm).ravel()
-                       for n, f in stats])
+    n_all = np.asarray(n, dtype=np.float64)
+    ft_all = (np.asarray(f, dtype=np.float64)
+              - n_all[:, :, None] * ubm.means).reshape(len(n_all), c * d)
     inv_var = (1.0 / ubm.variances).ravel()
 
     rng = np.random.default_rng(seed)

@@ -30,7 +30,6 @@ class ActiveLevel:
 @dataclass(frozen=True)
 class MixResult:
     signal: AudioSignal
-    noise_gain: float     # gain applied to the noise before adding
     scale: float          # post-mix attenuation (1.0 unless it would clip)
     snr_db: float         # target SNR actually realized (pre-scale)
     noise_offset: int     # start index into the noise record
@@ -125,7 +124,7 @@ def mix_at_snr(speech: AudioSignal, noise, snr_db: float, seed=None) -> MixResul
     noise = np.asarray(noise, dtype=np.float64)
     if snr_db == np.inf:
         return MixResult(AudioSignal(speech.samples.copy(), speech.sample_rate),
-                         0.0, 1.0, np.inf, 0, 0)
+                         1.0, np.inf, 0, 0)
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     if noise.ndim != 1 or len(noise) == 0 or not np.any(noise):
@@ -146,7 +145,7 @@ def mix_at_snr(speech: AudioSignal, noise, snr_db: float, seed=None) -> MixResul
     clipped = int(np.count_nonzero(np.abs(mixed) > 1.0))
     scale = 1.0 / peak if peak > 1.0 else 1.0
     return MixResult(AudioSignal(mixed * scale, speech.sample_rate),
-                     gain, scale, float(snr_db), offset, clipped)
+                     scale, float(snr_db), offset, clipped)
 
 
 def white_noise(n: int, seed=None) -> np.ndarray:

@@ -56,14 +56,6 @@ class ScoreSet:
         """True for each human (target) trial; every other trial is spoof."""
         return np.array(self.labels, dtype=object) == HUMAN
 
-    @property
-    def target_scores(self) -> np.ndarray:
-        return self.scores[self.target_mask]
-
-    @property
-    def nontarget_scores(self) -> np.ndarray:
-        return self.scores[~self.target_mask]
-
     def with_scores(self, new_scores) -> "ScoreSet":
         """Same trial list, different scores."""
         return ScoreSet(list(self.utt_ids), new_scores, list(self.labels),

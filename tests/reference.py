@@ -234,7 +234,7 @@ def baum_welch_stats_oracle(frames, ubm):
     """Zeroth and first order statistics of one utterance alone, from its
     own (T, C) component log-likelihoods."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    comp_ll = ubm.component_log_likelihoods(frames)
+    comp_ll = component_log_likelihoods_oracle(ubm, frames)
     comp_ll -= comp_ll.max(axis=1, keepdims=True)
     resp = np.exp(comp_ll)
     resp /= resp.sum(axis=1, keepdims=True)
@@ -245,7 +245,7 @@ def avg_log_likelihood_oracle(model, frames):
     """Average frame log-likelihood of one utterance scored alone, through
     scipy's log-sum-exp (and so plain np.exp)."""
     frame_ll = scipy.special.logsumexp(
-        model.component_log_likelihoods(frames), axis=1)
+        component_log_likelihoods_oracle(model, frames), axis=1)
     if frame_ll.size == 0:
         raise ValueError("no frames to score")
     return float(np.mean(frame_ll))

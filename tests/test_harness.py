@@ -244,12 +244,58 @@ class TestCleanVad:
 
 
 class TestBuildingBlocks:
+    def test_stack_has_the_bits_of_per_utterance_oracle_stats(self, corpus,
+                                                             tmp_path):
+        """The i-vector stack a training job writes has the bits of one
+        trained on statistics computed one utterance at a time by the
+        oracle and stacked row by row: UBM, TV matrix, WCCN, class means
+        and normed training i-vectors.  Every third utterance is cut to
+        one frame, whose GEMM rows BLAS rounds differently."""
+        root, man = corpus
+        rows = man.subset("train").rows
+        cfg = _config(backends=("ivector-cosine",))
+        feats = [features.extract(read_wav(root / r.wav_path),
+                                  cfg.feature_config("mfcc"))
+                 for r in rows]
+        feats = [u[:1] if i % 3 == 0 else u for i, u in enumerate(feats)]
+        marker = tmp_path / "m" / harness.TRAIN_IDS
+        harness.train_model("ivector", marker, rows, feats, None, cfg,
+                            "mfcc")
+        stack, train_ids = harness.load_ivector_stack(marker.parent)
+        ids, normed = ivector.load_ivectors(marker.parent /
+                                            "train_ivectors.txt")
+        assert train_ids == ids == [r.utt_id for r in rows]
+
+        seed = derive_seed(cfg.seed, "ivector", "mfcc")
+        ubm, _ = gmm.train_gmm(np.vstack(feats), cfg.ubm_components,
+                               n_iterations=10, seed=seed)
+        n, f = (np.array(x) for x in zip(*(baum_welch_stats_oracle(u, ubm)
+                                            for u in feats)))
+        tv, _ = ivector.train_tv(n, f, ubm, cfg.tv_rank, cfg.tv_iterations,
+                                 seed=derive_seed(seed, "tv"))
+        raw = ivector.ivectors_from_stats(n, f, ubm, tv,
+                                          ivector.gram_blocks(tv.matrix, ubm))
+        labels = [r.label for r in rows]
+        wccn = ivector.train_wccn(raw, labels)
+        want = ivector.length_normalize(ivector.apply_wccn(wccn, raw))
+        means = ivector.class_mean_ivectors(want, labels)
+        for got, exp in ((stack.ubm.weights, ubm.weights),
+                         (stack.ubm.means, ubm.means),
+                         (stack.ubm.variances, ubm.variances),
+                         (stack.tv.matrix, tv.matrix),
+                         (stack.tv.mean, tv.mean), (stack.wccn, wccn),
+                         (normed, want)):
+            assert got.tobytes() == exp.tobytes()
+        assert stack.class_means.keys() == means.keys()
+        for label, mean in means.items():
+            assert stack.class_means[label].tobytes() == mean.tobytes()
+
     def test_train_gmm_pair_and_stack(self, corpus):
         root, man = corpus
         rows = man.subset("train").rows
         cfg = features.FeatureConfig("mfcc")
-        feats = {r.utt_id: features.extract(read_wav(root / r.wav_path),
-                                            cfg) for r in rows}
+        feats = [features.extract(read_wav(root / r.wav_path), cfg)
+                 for r in rows]
         nat, syn = harness.train_gmm_pair(feats, rows, 4, 3, 0, "mfcc")
         assert nat.means.shape == syn.means.shape
         stack, normed = harness.train_ivector_stack(
@@ -259,7 +305,7 @@ class TestBuildingBlocks:
         assert np.allclose(np.linalg.norm(normed, axis=1), 1.0)
         plda = ivector.train_plda(normed, [r.label for r in rows],
                                   latent_rank=2, n_iterations=2)
-        w = embed_ivector_oracle(stack, feats[rows[0].utt_id])
+        w = embed_ivector_oracle(stack, feats[0])
         assert w.shape == (4,)
         assert np.isclose(np.linalg.norm(w), 1.0)
         test_rows = man.subset("eval").rows

@@ -58,7 +58,7 @@ class TestStats:
         ubm = _toy_ubm(rng)
         for t in (1, 17, 400):
             frames = rng.standard_normal((t, ubm.dim))
-            n, f = iv.baum_welch_stats(frames, ubm)
+            (n,), (f,) = iv.batch_stats([frames], ubm)
             assert abs(n.sum() - t) < 1e-9
             assert np.allclose(f.sum(axis=0), frames.sum(axis=0), atol=1e-9)
 
@@ -66,7 +66,7 @@ class TestStats:
         rng = np.random.default_rng(30)
         ubm = GmmModel(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
         frames = rng.standard_normal((40, 3))
-        n, f = iv.baum_welch_stats(frames, ubm)
+        (n,), (f,) = iv.batch_stats([frames], ubm)
         assert abs(n[0] - 40) < 1e-12
         assert np.allclose(f[0], frames.sum(axis=0), atol=1e-12)
 
@@ -74,7 +74,7 @@ class TestStats:
         rng = np.random.default_rng(1)
         ubm = _toy_ubm(rng, c=2, d=2)
         frames = rng.standard_normal((10, 2))
-        n, f = iv.baum_welch_stats(frames, ubm)
+        (n,), (f,) = iv.batch_stats([frames], ubm)
         n_ref, f_ref = naive_stats(frames, ubm)
         assert np.allclose(n, n_ref, atol=1e-10)
         assert np.allclose(f, f_ref, atol=1e-10)
@@ -91,11 +91,14 @@ class TestStats:
             assert f[i].tobytes() == f_alone.tobytes()
 
     def test_centering_removes_ubm_means(self):
+        """Statistics at the UBM means centre to zero, so TV training
+        solves for a zero matrix."""
         rng = np.random.default_rng(2)
         ubm = _toy_ubm(rng)
-        n = rng.random(ubm.n_components) * 10
-        f = n[:, None] * ubm.means
-        assert np.allclose(iv.centered_stats(n, f, ubm), 0.0, atol=1e-12)
+        n = rng.random((3, ubm.n_components)) * 10
+        f = n[:, :, None] * ubm.means
+        tv, _ = iv.train_tv(n, f, ubm, rank=2, n_iterations=1)
+        assert np.allclose(tv.matrix, 0.0, atol=1e-12)
 
 
 class TestTotalVariability:
@@ -105,23 +108,22 @@ class TestTotalVariability:
         size = ubm.n_components * ubm.dim
         tv_true = tv_scale * rng.standard_normal((size, rank))
         latents = rng.standard_normal((n_utts, rank))
-        stats = []
+        utts = []
         for w in latents:
             offsets = (tv_true @ w).reshape(ubm.n_components, ubm.dim)
-            frames = _sample_utterance(rng, ubm, offsets, frames_per)
-            stats.append(iv.baum_welch_stats(frames, ubm))
-        return ubm, tv_true, latents, stats
+            utts.append(_sample_utterance(rng, ubm, offsets, frames_per))
+        return ubm, tv_true, latents, iv.batch_stats(utts, ubm)
 
     def test_objective_nondecreasing(self):
         rng = np.random.default_rng(3)
         ubm, _, _, stats = self._planted(rng, n_utts=30, frames_per=100)
-        _, history = iv.train_tv(stats, ubm, rank=2, n_iterations=8, seed=4)
+        _, history = iv.train_tv(*stats, ubm, rank=2, n_iterations=8, seed=4)
         assert np.all(np.diff(history) >= -1e-6 * np.abs(history[0]))
 
     def test_recovers_planted_subspace(self):
         rng = np.random.default_rng(5)
         ubm, tv_true, latents, stats = self._planted(rng)
-        tv_est, _ = iv.train_tv(stats, ubm, rank=2, n_iterations=15, seed=6)
+        tv_est, _ = iv.train_tv(*stats, ubm, rank=2, n_iterations=15, seed=6)
         # projector onto the estimated column span
         q, _ = np.linalg.qr(tv_est.matrix)
         ratios = []
@@ -229,15 +231,15 @@ class TestTotalVariability:
         ubm = _toy_ubm(rng)
         size = ubm.n_components * ubm.dim
         with pytest.raises(ValueError):
-            iv.train_tv([(np.ones(4), np.zeros((4, 3)))], ubm, rank=0)
+            iv.train_tv(np.ones((1, 4)), np.zeros((1, 4, 3)), ubm, rank=0)
         with pytest.raises(ValueError):
-            iv.train_tv([(np.ones(4), np.zeros((4, 3)))], ubm, rank=size)
+            iv.train_tv(np.ones((1, 4)), np.zeros((1, 4, 3)), ubm, rank=size)
 
     def test_training_deterministic(self):
         rng = np.random.default_rng(10)
         ubm, _, _, stats = self._planted(rng, n_utts=20, frames_per=80)
-        tv1, h1 = iv.train_tv(stats, ubm, rank=2, n_iterations=4, seed=11)
-        tv2, h2 = iv.train_tv(stats, ubm, rank=2, n_iterations=4, seed=11)
+        tv1, h1 = iv.train_tv(*stats, ubm, rank=2, n_iterations=4, seed=11)
+        tv2, h2 = iv.train_tv(*stats, ubm, rank=2, n_iterations=4, seed=11)
         assert np.array_equal(tv1.matrix, tv2.matrix)
         assert h1 == h2
 
@@ -568,12 +570,11 @@ def _backend_step(step, utts, labels):
     if step == "llr_score":
         other, _ = gmm.train_gmm(pooled[::-1] + 0.5, 4, n_iterations=3, seed=2)
         return [gmm.llr_scores(utts, ubm, other)]
-    stats = [iv.baum_welch_stats(u, ubm) for u in utts]
-    if step == "baum_welch_stats":
-        return [x for pair in stats for x in pair]
-    tv, tv_history = iv.train_tv(stats, ubm, rank=2, n_iterations=2, seed=3)
-    raw = iv.ivectors_from_stats(*(np.array(x) for x in zip(*stats)), ubm, tv,
-                                 iv.gram_blocks(tv.matrix, ubm))
+    n, f = iv.batch_stats(utts, ubm)
+    if step == "batch_stats":
+        return [n, f]
+    tv, tv_history = iv.train_tv(n, f, ubm, rank=2, n_iterations=2, seed=3)
+    raw = iv.ivectors_from_stats(n, f, ubm, tv, iv.gram_blocks(tv.matrix, ubm))
     b = iv.train_wccn(raw, labels)
     normed = iv.length_normalize(iv.apply_wccn(b, raw))
     plda = iv.train_plda(normed, labels, latent_rank=1, n_iterations=2,
@@ -583,7 +584,7 @@ def _backend_step(step, utts, labels):
 
 
 @pytest.mark.parametrize("step", ["train_gmm", "llr_score",
-                                  "baum_welch_stats", "train_tv->plda"])
+                                  "batch_stats", "train_tv->plda"])
 @pytest.mark.parametrize("case", ["one-frame", "constant", "duplicated"])
 def test_degenerate_frames_end_finite_or_in_value_errors(case, step):
     """One-frame, constant and duplicated-frame feature matrices end in

@@ -121,7 +121,7 @@ class TestMixing:
         speech = _burst_fixture(seconds=1.0, seed=15)
         res = nl.mix_at_snr(speech, nl.white_noise(RATE, 0), np.inf, seed=1)
         assert np.array_equal(res.signal.samples, speech.samples)
-        assert res.noise_gain == 0.0 and res.clipped == 0
+        assert res.scale == 1.0 and res.clipped == 0
 
     def test_clipping_attenuates_whole_mixture(self):
         speech = AudioSignal(_tone(amp=0.95, seconds=2.0), RATE)

@@ -26,8 +26,8 @@ def make_scores(values, labels, attacks=None, conditions=None):
 class TestScoreSet:
     def test_selectors(self):
         s = make_scores([3.0, -1.0, 2.0], ["human", "spoof", "human"])
-        assert np.array_equal(s.target_scores, [3.0, 2.0])
-        assert np.array_equal(s.nontarget_scores, [-1.0])
+        assert np.array_equal(s.scores[s.target_mask], [3.0, 2.0])
+        assert np.array_equal(s.scores[~s.target_mask], [-1.0])
 
     def test_with_scores_keeps_metadata(self):
         s = make_scores([1.0, 2.0], ["human", "spoof"])
@@ -48,8 +48,10 @@ class TestScoreSet:
         array = np.asarray(labels)
         assert s.target_mask.dtype == bool
         assert np.array_equal(s.target_mask, array == "human")
-        assert np.array_equal(s.target_scores, s.scores[array == "human"])
-        assert np.array_equal(s.nontarget_scores, s.scores[array == "spoof"])
+        assert np.array_equal(s.scores[s.target_mask],
+                              s.scores[array == "human"])
+        assert np.array_equal(s.scores[~s.target_mask],
+                              s.scores[array == "spoof"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected_with_trial_id(self, bad):
