@@ -16,14 +16,18 @@ files a run uses and writes.
 Caching notes: every artifact lives under a directory named by a hash of
 exactly the settings that influence its bytes, so re-running a config
 reuses everything and changing one knob invalidates only what depends on
-it.  One pool of min(jobs, usable CPUs) forked workers runs every missing
-artifact before any scoring: one extraction job per (condition,
-utterance), then one training job per feature lacking a model, started once
-the jobs writing its clean training files are done.  An extraction job
-prepares its test audio in memory, rounded to 16-bit PCM at each step, so
-neither a worker count nor a warm cache changes a byte.  The run then loads
-every model back, so a cold run reads each model file once; scoring reads
-only from the cache.
+it.  A run has two stages, each run by _run_jobs in a pool of min(jobs,
+usable CPUs) forked workers.  The first makes every missing artifact: one
+extraction job per (condition, utterance), then one training job per
+feature lacking a model, started once the jobs writing its clean training
+files are done.  An extraction job prepares its test audio in memory,
+rounded to 16-bit PCM at each step, so neither a worker count nor a warm
+cache changes a byte.  The run process then loads every model back, so a
+cold run reads each model file once, and builds the terms derived from
+each model.  The second stage scores, fuses and evaluates each grid cell in
+a job of its own; its workers are forked after the loading, so they inherit
+the models and their terms, and read only features from the cache.  With
+one usable CPU or one cell, the cells run in order in the run process.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
@@ -277,22 +281,21 @@ def one_blas_thread():
             set_(count)
 
 
-def _run_jobs(jobs):
+def _run_jobs(jobs) -> list:
     """Run jobs, each (function, args, after, context): function(*args),
     once the jobs at plan-order indices after, all earlier in the plan, are
-    done; a job whose prerequisite failed is not started.  The first failure
-    in plan order cancels the jobs not yet started and is re-raised once the
-    pool has shut down.  A worker that dies breaks the pool, which is
-    re-raised with the context of the first job in plan order that did not
-    finish.  Workers are forked from a run's body, so they inherit its heap
-    policy and its one BLAS thread."""
+    done; a job whose prerequisite failed is not started.  Returns each
+    job's result, in plan order.  The first failure in plan order cancels
+    the jobs not yet started and is re-raised once the pool has shut down.
+    A worker that dies breaks the pool, which is re-raised with the context
+    of the first job in plan order that did not finish.  Workers are forked
+    from a run's body, so they inherit its heap policy, its one BLAS thread
+    and whatever it has loaded."""
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
-        for function, args, _, _ in jobs:
-            function(*args)
-        return
+        return [function(*args) for function, args, _, _ in jobs]
     pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
-    futures = []
+    futures, results = [], []
     try:
         for function, args, after, _ in jobs:
             if any(futures[i].exception() for i in after):
@@ -304,11 +307,12 @@ def _run_jobs(jobs):
                 futures[-1].set_exception(exc)
         for future, (_, _, _, context) in zip(futures, jobs):
             try:
-                future.result()
+                results.append(future.result())
             except BrokenProcessPool as exc:
                 raise _with_context(exc, context) from exc
     finally:
         pool.shutdown(cancel_futures=True)
+    return results
 
 
 # -- models -----------------------------------------------------------------
@@ -364,7 +368,13 @@ def train_ivector_stack(frames, rows, *, ubm_components, tv_rank,
                                       ivector.gram_blocks(tv.matrix, ubm))
     labels = [r.label for r in rows]
     b = ivector.train_wccn(raw, labels)
-    normed = ivector.length_normalize(ivector.apply_wccn(b, raw))
+    projected = ivector.apply_wccn(b, raw)
+    zero = np.flatnonzero(np.linalg.norm(projected, axis=1) < ivector.MIN_NORM)
+    if zero.size:
+        raise DegenerateVectorError(
+            f"cannot length-normalize a zero i-vector (training utterance "
+            f"{rows[zero[0]].utt_id})")
+    normed = ivector.length_normalize(projected)
     means = ivector.class_mean_ivectors(normed, labels)
     return IvectorStack(ubm, tv, b, means), normed
 
@@ -502,6 +512,22 @@ def load_model(name: str, marker):
     if name == "ivector":
         return load_ivector_stack(marker.parent)
     return ivector.load_plda(marker)
+
+
+def _derive_terms(models: dict):
+    """Build the terms that depend on a model alone, which each model
+    caches, for models as load_model returns them by name: the GMM terms of
+    both class GMMs and of the UBM, the stack's Gram blocks and the PLDA
+    pair inverses."""
+    if "gmm" in models:
+        for model in models["gmm"][:2]:
+            model._likelihood_terms
+    if "ivector" in models:
+        stack = models["ivector"][0]
+        stack.ubm._likelihood_terms
+        stack.gram
+    if "plda" in models:
+        models["plda"].pair_inverses
 
 
 def _train_job(todo, rows, feature_dir, labels, cfg: ExperimentConfig,
@@ -648,6 +674,18 @@ class ExperimentResult:
         return self.report(cell_tag, backend, system, subset).eer_percent
 
 
+# the cell scorer of the run whose cells are being scored: the run process
+# sets it before its pool forks, so each worker inherits the run's models and
+# their derived terms instead of unpickling them with every job
+_cell_scorer = None
+
+
+def _cell_job(cell: GridCell) -> list:
+    """One grid cell of the scoring stage: its SystemResult rows, from the
+    scorer the run set in _cell_scorer."""
+    return _cell_scorer(cell)
+
+
 class _Runner:
     def __init__(self, config: ExperimentConfig, manifest: Manifest,
                  work_dir, wav_root=None):
@@ -780,6 +818,40 @@ class _Runner:
 
     # -- the full grid -----------------------------------------------------
 
+    def _score_cell(self, models, subsets, cell: GridCell) -> list:
+        """The SystemResult rows of one grid cell: each (subset, feature)
+        scored by every back-end, each back-end's fusions, and every
+        system's score file written and evaluated."""
+        cfg = self.config
+        cond = condition_tag(cell, cfg.enhancement)
+        # every back-end is scored from one pass over each (subset, feature),
+        # which reads one chunk's frames at a time
+        sets = {}
+        for subset, rows in subsets.items():
+            for kind in cfg.features:
+                frames = _read_features(self._feature_dir(
+                    kind, cell, cfg.enhancement), rows, kind)
+                for backend, scores in score_utterances(
+                        rows, frames, models[kind], cfg.backends, kind,
+                        cond).items():
+                    sets[backend, subset, kind] = scores
+        # per back-end: each feature's systems subset by subset, then each
+        # fusion method's
+        systems = ([(subset, kind) for subset in subsets
+                    for kind in cfg.features]
+                   + [(subset, f"fusion-{method}") for method in cfg.fusion
+                      for subset in subsets])
+        results = []
+        for backend in cfg.backends:
+            for method in cfg.fusion:
+                for subset, fused in self._fuse(method, cond, backend,
+                                                sets, subsets).items():
+                    sets[backend, subset, f"fusion-{method}"] = fused
+            results += [self._result(cond, backend, system, subset,
+                                     sets[backend, subset, system])
+                        for subset, system in systems]
+        return results
+
     def run(self) -> ExperimentResult:
         _keep_freed_heap()
         with one_blas_thread():
@@ -797,34 +869,19 @@ class _Runner:
         models = {kind: {name: load_model(name, path)
                          for name, path in files.items()}
                   for kind, files in model_files.items()}
-        # per back-end: each feature's systems subset by subset, then each
-        # fusion method's
-        systems = ([(subset, kind) for subset in subsets
-                    for kind in cfg.features]
-                   + [(subset, f"fusion-{method}") for method in cfg.fusion
-                      for subset in subsets])
-        results = []
-        for cell in cfg.grid:
-            cond = condition_tag(cell, cfg.enhancement)
-            # every back-end is scored from one pass over each (subset,
-            # feature), which reads one chunk's frames at a time
-            sets = {}
-            for subset, rows in subsets.items():
-                for kind in cfg.features:
-                    frames = _read_features(self._feature_dir(
-                        kind, cell, cfg.enhancement), rows, kind)
-                    for backend, scores in score_utterances(
-                            rows, frames, models[kind], cfg.backends, kind,
-                            cond).items():
-                        sets[backend, subset, kind] = scores
-            for backend in cfg.backends:
-                for method in cfg.fusion:
-                    for subset, fused in self._fuse(method, cond, backend,
-                                                    sets, subsets).items():
-                        sets[backend, subset, f"fusion-{method}"] = fused
-                results += [self._result(cond, backend, system, subset,
-                                         sets[backend, subset, system])
-                            for subset, system in systems]
+        # once per run, in this process, so that the workers inherit them
+        for kind_models in models.values():
+            _derive_terms(kind_models)
+        global _cell_scorer
+        _cell_scorer = partial(self._score_cell, models, subsets)
+        try:
+            cells = _run_jobs([
+                (_cell_job, (cell,), (),
+                 f"condition {condition_tag(cell, cfg.enhancement)}")
+                for cell in cfg.grid])
+        finally:
+            _cell_scorer = None
+        results = [row for rows in cells for row in rows]
         self.work_dir.mkdir(parents=True, exist_ok=True)
         return ExperimentResult(self.work_dir, tuple(results),
                                 _write_tables(self.work_dir, results))

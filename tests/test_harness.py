@@ -45,8 +45,8 @@ def _config(**kwargs):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Extract and train in this process, so that call counts see every
-    extraction and every training call."""
+    """Extract, train and score in this process, so that call counts see
+    every extraction, training and scoring call."""
     monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 1)
 
 
@@ -130,7 +130,7 @@ class TestRun:
             assert a.scores_path.read_bytes() == b.scores_path.read_bytes()
 
     def test_scores_match_scipy_logsumexp(self, corpus, tmp_path,
-                                          monkeypatch):
+                                          monkeypatch, in_process):
         """GMM training and scoring write the same bytes whether frame
         log-likelihoods go through the row-wise helper or through scipy."""
         root, man = corpus
@@ -289,6 +289,27 @@ class TestBuildingBlocks:
         assert stack.class_means.keys() == means.keys()
         for label, mean in means.items():
             assert stack.class_means[label].tobytes() == mean.tobytes()
+
+    def test_zero_training_ivector_names_its_utterance(self, corpus,
+                                                       tmp_path):
+        """A one-frame training utterance that is the only frame of a UBM
+        component has zero centred statistics there, and here a zero
+        i-vector; training fails naming it, the feature and the model."""
+        root, man = corpus
+        rows = man.subset("train").rows
+        cfg = _config(backends=("ivector-cosine",))
+        feats = [features.extract(read_wav(root / r.wav_path),
+                                  cfg.feature_config("mfcc"))
+                 for r in rows]
+        feats = [u[:1] if i % 5 == 0 else u for i, u in enumerate(feats)]
+        marker = tmp_path / "m" / harness.TRAIN_IDS
+        with pytest.raises(DegenerateVectorError) as err:
+            harness.train_model("ivector", marker, rows, feats, None, cfg,
+                                "mfcc")
+        assert str(err.value) == (
+            "cannot length-normalize a zero i-vector (training utterance "
+            f"{rows[5].utt_id}) (feature mfcc, model ivector)")
+        assert not marker.exists()
 
     def test_train_gmm_pair_and_stack(self, corpus):
         root, man = corpus
@@ -765,7 +786,7 @@ class TestSharedStack:
     ALL_BACKENDS = ("gmm", "ivector-cosine", "ivector-plda")
 
     def test_warm_grid_reads_and_embeds_each_utterance_once(
-            self, corpus, tmp_path, monkeypatch):
+            self, corpus, tmp_path, monkeypatch, in_process):
         root, man = corpus
         kinds = ("mfcc", "cosphase")
         cfg = _config(features=kinds, backends=self.ALL_BACKENDS,
@@ -989,9 +1010,10 @@ class TestExtractionStage:
             run_experiment(cfg, man, tmp_path / str(workers), wav_root=root)
             trees.append(_tree_bytes(tmp_path / str(workers)))
             trained_here.append(len(trained))
-        # one pool per cold run, which trains the models too; its workers
-        # inherit the run's heap policy, so it has no initializer
-        assert pools == [(2, None)]
+        # two pools per cold run: one extracts and trains, one scores the
+        # two cells; their workers inherit the run's heap policy, so neither
+        # has an initializer
+        assert pools == [(2, None), (2, None)]
         assert trained_here == [3 * 3, 0]
         scored = len([r for r in man if r.subset != "train"])
         assert len(list((tmp_path / "2" / "cache").rglob("*.spbf"))) == 3 * (
@@ -1000,17 +1022,20 @@ class TestExtractionStage:
         for rel in trees[0]:
             assert trees[0][rel] == trees[1][rel], rel
 
-    def test_warm_run_extracts_nothing(self, corpus, tmp_path, monkeypatch):
+    def test_warm_run_extracts_nothing(self, corpus, tmp_path, monkeypatch,
+                                       in_process):
         root, man = corpus
         cfg = _config(backends=("gmm", "ivector-cosine"),
                       grid=(GridCell(), GridCell("white", 0.0)))
         work = tmp_path / "w"
         run_experiment(cfg, man, work, wav_root=root)
-        asked = _counting(monkeypatch, harness, "_worker_count")
+        planned = _counting(monkeypatch, harness, "_run_jobs")
         extracted = _counting(monkeypatch, features, "extract")
         run_experiment(cfg, man, work, wav_root=root)
         assert extracted == []
-        assert max(args[0] for args in asked) == 0
+        # an empty extraction and training plan, then one job per cell
+        jobs = [[job[0] for job in args[0]] for args in planned]
+        assert jobs == [[], [harness._cell_job] * len(cfg.grid)]
 
     def test_deleted_feature_file_is_the_only_job(self, corpus, tmp_path,
                                                   monkeypatch, in_process):
@@ -1050,6 +1075,176 @@ class TestExtractionStage:
         assert len(trained) == 2
         assert (gmm_dir / harness.TRAIN_IDS).is_file()
         assert _score_bytes(work) == before
+
+
+def _returns_after(seconds, value, log):
+    """Sleep, note value in log as the job finishes, and return it."""
+    time.sleep(seconds)
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(value + "\n")
+    return value
+
+
+def _parent_only(monkeypatch, module, name):
+    """Replace module.name by a wrapper that fails in a pool worker."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        assert os.getpid() == _PYTEST_PID, f"{name} called in a worker"
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestCellStage:
+    """Once every model is loaded, the grid's cells are scored, fused and
+    evaluated side by side, one job per cell, in workers forked from the
+    run process, which inherit its models and their derived terms."""
+
+    CELLS = (GridCell(), GridCell("white", 0.0), GridCell("babble", 10.0))
+
+    def test_same_bytes_for_one_and_two_workers(self, corpus, tmp_path,
+                                                monkeypatch):
+        root, man = corpus
+        cfg = _config(features=("mfcc", "cosphase"),
+                      backends=("gmm", "ivector-plda"),
+                      fusion=("average", "logistic"), grid=self.CELLS)
+        pools = []
+
+        class Recording(harness.ProcessPoolExecutor):
+            def __init__(self, n_workers, **kwargs):
+                pools.append(n_workers)
+                super().__init__(n_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        trees = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_worker_count",
+                                lambda n_jobs, w=workers: min(n_jobs, w))
+            work = tmp_path / str(workers)
+            run_experiment(cfg, man, work, wav_root=root)
+            trees["cold", workers] = _tree_bytes(work)
+            with monkeypatch.context() as mp:
+                # a worker neither loads a model nor rebuilds Gram blocks
+                for module, name in ((gmm, "load_gmm"), (ivector, "load_tv"),
+                                     (ivector, "load_wccn"),
+                                     (ivector, "load_plda"),
+                                     (ivector, "load_ivectors"),
+                                     (ivector, "gram_blocks")):
+                    _parent_only(mp, module, name)
+                run_experiment(cfg, man, work, wav_root=root)
+            trees["warm", workers] = _tree_bytes(work)
+        # cold at 2 workers: extraction and training, then the cells; warm
+        # at 2 workers: the cells alone
+        assert pools == [2, 2, 2]
+        fusion = {f"{c}.{b}.logistic.txt" for c in ("clean", "white_0dB",
+                                                    "babble_10dB")
+                  for b in cfg.backends}
+        tree = trees["cold", 1]
+        assert {p.name for p in tree
+                if p.parts[:2] == ("models", "fusion")} == fusion
+        assert {"summary.tsv", "per_attack.tsv"} <= {str(p) for p in tree}
+        # 3 cells x 2 back-ends x (2 features + 2 fusions) x 2 subsets
+        assert len([p for p in tree if p.parts[0] == "scores"]) == 48
+        for key, other in trees.items():
+            assert other.keys() == tree.keys(), key
+            for rel in tree:
+                assert other[rel] == tree[rel], (key, rel)
+        assert multiprocessing.active_children() == []
+
+    def _warm_failure(self, corpus, tmp_path, monkeypatch, backends, error,
+                      module, name, in_a_worker):
+        """The error of a warm 2-worker run over two cells, with module.name
+        replaced by in_a_worker(original) and the first cell, clean, scored
+        last."""
+        root, man = corpus
+        cfg = _config(backends=backends, grid=self.CELLS[:2])
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        monkeypatch.setattr(module, name, in_a_worker(getattr(module, name)))
+        score_utterances = harness.score_utterances
+
+        def clean_last(rows, frames, models, backends, kind, condition):
+            if condition == "clean":
+                time.sleep(0.5)
+            return score_utterances(rows, frames, models, backends, kind,
+                                    condition)
+        monkeypatch.setattr(harness, "score_utterances", clean_last)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
+        with pytest.raises(error) as err:
+            run_experiment(cfg, man, work, wav_root=root)
+        assert list((work / "cache").rglob("*.tmp")) == []
+        assert multiprocessing.active_children() == []
+        return str(err.value)
+
+    def test_non_finite_score_in_a_worker_names_the_first_cell(
+            self, corpus, tmp_path, monkeypatch):
+        def nan_in_a_worker(llr_scores):
+            def patched(utterances, nat, syn):
+                scores = llr_scores(utterances, nat, syn)
+                if os.getpid() != _PYTEST_PID:
+                    scores[2] = np.nan
+                return scores
+            return patched
+        message = self._warm_failure(corpus, tmp_path, monkeypatch, ("gmm",),
+                                     ValueError, gmm, "llr_scores",
+                                     nan_in_a_worker)
+        utt_id = corpus[1].subset("dev").rows[2].utt_id
+        assert message == (f"non-finite score nan for trial {utt_id} "
+                           f"(feature mfcc, back-end gmm, condition clean)")
+
+    def test_zero_ivector_in_a_worker_names_the_first_cell(
+            self, corpus, tmp_path, monkeypatch):
+        def zero_in_a_worker(ivectors_from_stats):
+            def patched(*args):
+                raw = ivectors_from_stats(*args)
+                if os.getpid() != _PYTEST_PID:
+                    raw[1] = 0.0
+                return raw
+            return patched
+        message = self._warm_failure(corpus, tmp_path, monkeypatch,
+                                     ("gmm", "ivector-cosine"),
+                                     DegenerateVectorError, ivector,
+                                     "ivectors_from_stats", zero_in_a_worker)
+        utt_id = corpus[1].subset("dev").rows[1].utt_id
+        assert message == ("cannot length-normalize a zero i-vector "
+                           f"(utterance {utt_id}, feature mfcc, back-end "
+                           "ivector-cosine, condition clean)")
+
+    def test_dead_worker_names_the_condition(self, corpus, tmp_path,
+                                             monkeypatch):
+        """A worker killed with status 137 while it scores a cell breaks
+        the pool, which is re-raised naming the first unfinished cell."""
+        root, man = corpus
+        cfg = _config(grid=self.CELLS[:2], enhancement="wiener")
+        work = tmp_path / "w"
+        run_experiment(cfg, man, work, wav_root=root)
+        score_utterances = harness.score_utterances
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != _PYTEST_PID:
+                os._exit(137)
+            return score_utterances(*args)
+        monkeypatch.setattr(harness, "score_utterances", dies_in_a_worker)
+        monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
+        with pytest.raises(BrokenProcessPool) as err:
+            run_experiment(cfg, man, work, wav_root=root)
+        assert str(err.value).endswith("(condition clean+wiener)")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_come_back_in_plan_order(self, tmp_path, monkeypatch,
+                                             workers):
+        monkeypatch.setattr(harness, "_worker_count",
+                            lambda n_jobs: min(n_jobs, workers))
+        log = tmp_path / "finished.txt"
+        # the first job is still running when the second and third finish
+        jobs = [(_returns_after, (seconds, value, log), (), value)
+                for seconds, value in ((0.5, "a"), (0.0, "b"), (0.0, "c"))]
+        assert harness._run_jobs(jobs) == ["a", "b", "c"]
+        finished = log.read_text().split()
+        assert sorted(finished) == ["a", "b", "c"]
+        assert (finished[0] == "a") == (workers == 1)
+        assert multiprocessing.active_children() == []
 
 
 class _Libc:
@@ -1107,7 +1302,7 @@ class TestWorkerHeap:
 
         def recording_jobs(jobs):
             events.append(("jobs", len(jobs)))
-            run_jobs(jobs)
+            return run_jobs(jobs)
 
         class Recording(harness.ProcessPoolExecutor):
             def __init__(self, n_workers, **kwargs):
@@ -1121,7 +1316,8 @@ class TestWorkerHeap:
         run_experiment(_config(), man, tmp_path / "w", wav_root=root)
         assert events[:2] == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
         assert events[2][0] == "jobs" and events[2][1] > 0
-        assert len(events) == 3
+        # then the one cell's scoring job, and no further mallopt call
+        assert events[3:] == [("jobs", 1)]
         assert pools == ([] if workers == 1 else [None])
 
     def test_cli_sets_the_policy_once(self, tmp_path, monkeypatch, capsys):
