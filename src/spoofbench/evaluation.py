@@ -136,9 +136,10 @@ class LtasProfile:
     dft_size: int
 
 
-def compute_ltas(signal: AudioSignal, vad=None, frame_ms=20.0,
-                 dft_size=512, vad_threshold_db=30.0) -> LtasProfile:
-    """Mean short-term power spectrum over speech frames.
+def compute_ltas(signal: AudioSignal, vad=None,
+                 frame_ms=20.0) -> LtasProfile:
+    """Mean short-term power spectrum over speech frames, at a 512-point
+    DFT; without vad, speech frames are those within 30 dB of the loudest.
 
     Frames do not overlap, so the profile of a concatenation of whole-frame
     segments is the frame-count-weighted mean of the parts' profiles.
@@ -146,14 +147,14 @@ def compute_ltas(signal: AudioSignal, vad=None, frame_ms=20.0,
     frames = dsp.frame_signal(signal.samples, signal.sample_rate,
                               frame_ms=frame_ms, shift_ms=frame_ms)
     if vad is None:
-        vad = dsp.energy_vad(frames, threshold_db=vad_threshold_db)
+        vad = dsp.energy_vad(frames, threshold_db=30.0)
     vad = np.asarray(vad, dtype=bool)
     if vad.shape[0] != frames.frames.shape[0]:
         raise ValueError("VAD length does not match frame count")
     if not np.any(vad):
         raise NoActiveSpeechError("no speech frames for LTAS")
-    power = dsp.power_spectrum(frames, dft_size=dft_size)
-    return LtasProfile(power[vad].mean(axis=0), int(vad.sum()), dft_size)
+    power = dsp.power_spectrum(frames, dft_size=512)
+    return LtasProfile(power[vad].mean(axis=0), int(vad.sum()), 512)
 
 
 def save_ltas_csv(path, profile: LtasProfile, sample_rate):

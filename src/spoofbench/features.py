@@ -180,16 +180,15 @@ def _scmc(signal, fm, config):
     return dsp.dct_features(dsp.safe_log(scm), config.n_coeffs), None
 
 
-def resample_log_spectrum(rows, geo_freqs, n_points=None) -> np.ndarray:
-    """Cubic-spline resampling from a geometric frequency grid to a uniform one.
+def resample_log_spectrum(rows, geo_freqs) -> np.ndarray:
+    """Cubic-spline resampling from a geometric frequency grid to a uniform
+    one of as many points.
 
     Used to put constant-Q log spectra on a linear axis before the DCT.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     geo_freqs = np.asarray(geo_freqs, dtype=np.float64)
-    if n_points is None:
-        n_points = geo_freqs.size
-    uniform = np.linspace(geo_freqs[0], geo_freqs[-1], n_points)
+    uniform = np.linspace(geo_freqs[0], geo_freqs[-1], geo_freqs.size)
     spline = scipy.interpolate.CubicSpline(geo_freqs, rows, axis=1)
     return spline(uniform)
 

@@ -213,7 +213,8 @@ def gammatone_bank(sample_rate: int, n_filters: int = 32,
 
 @dataclass(frozen=True)
 class CqtKernel:
-    """Per-bin windowed complex exponential kernels on a geometric grid.
+    """Per-bin Hamming-windowed complex exponential kernels on a geometric
+    grid.
 
     Bin b sits at f_min * 2**(b / bins_per_octave); its kernel spans
     ceil(Q * sample_rate / f_b) samples where Q = 1 / (2**(1/bpo) - 1).
@@ -228,7 +229,6 @@ class CqtKernel:
     center_freqs: np.ndarray  # (B,)
     lengths: np.ndarray       # (B,) int
     q: float
-    window: str = "hamming"
     _rows: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -244,7 +244,7 @@ class CqtKernel:
     def kernel(self, b: int) -> np.ndarray:
         """Unit-normalized analysis kernel for bin b (complex, length L_b)."""
         length = int(self.lengths[b])
-        w = window_function(self.window, length)
+        w = window_function("hamming", length)
         phase = np.exp(2j * np.pi * self.center_freqs[b] / self.sample_rate
                        * np.arange(length))
         return w * phase / length
@@ -277,8 +277,8 @@ class CqtKernel:
 
 
 def cqt_kernel(sample_rate: int, bins_per_octave: int = 96,
-               f_min: float | None = None, f_max: float | None = None,
-               window: str = "hamming") -> CqtKernel:
+               f_min: float | None = None,
+               f_max: float | None = None) -> CqtKernel:
     if f_max is None:
         f_max = sample_rate / 2.0
     if f_min is None:
@@ -292,7 +292,7 @@ def cqt_kernel(sample_rate: int, bins_per_octave: int = 96,
     q = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
     lengths = np.maximum(np.ceil(q * sample_rate / freqs).astype(int), 2)
     return CqtKernel(sample_rate, bins_per_octave, float(f_min), float(f_max),
-                     freqs, lengths, q, window)
+                     freqs, lengths, q)
 
 
 def cqt(signal: AudioSignal, kernel: CqtKernel,

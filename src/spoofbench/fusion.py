@@ -62,11 +62,10 @@ def _sigmoid(z):
     return out
 
 
-def train_logistic_fusion(dev_score_sets, system_ids=None,
-                          l2_penalty=L2_PENALTY, max_iterations=200,
-                          grad_tol=1e-6) -> FusionModel:
+def train_logistic_fusion(dev_score_sets, system_ids=None) -> FusionModel:
     """Newton's method with step halving on the L2-regularized binomial
-    log-loss; the bias is not penalized.
+    log-loss, L2_PENALTY on the weights, the bias not penalized: at most
+    200 steps, until no gradient component reaches 1e-6.
 
     Scores are standardized per system for conditioning; the standardization
     is folded back into the returned weights, so the model applies directly
@@ -95,21 +94,21 @@ def train_logistic_fusion(dev_score_sets, system_ids=None,
         ll = np.where(z >= 0,
                       np.log1p(np.exp(-z)) + (1.0 - y) * z,
                       np.log1p(np.exp(z)) - y * z)
-        return ll.mean() + 0.5 * l2_penalty * np.sum(th[:k] ** 2)
+        return ll.mean() + 0.5 * L2_PENALTY * np.sum(th[:k] ** 2)
 
     value = objective(theta)
-    for _ in range(max_iterations):
+    for _ in range(200):
         z = x @ theta[:k] + theta[k]
         p = _sigmoid(z)
         grad = np.empty(k + 1)
-        grad[:k] = x.T @ (p - y) / n + l2_penalty * theta[:k]
+        grad[:k] = x.T @ (p - y) / n + L2_PENALTY * theta[:k]
         grad[k] = np.mean(p - y)
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < 1e-6:
             break
         r = p * (1.0 - p)
         xa = np.concatenate([x, np.ones((n, 1))], axis=1)
         hess = (xa * r[:, None]).T @ xa / n
-        hess[:k, :k] += l2_penalty * np.eye(k)
+        hess[:k, :k] += L2_PENALTY * np.eye(k)
         step = np.linalg.solve(hess, grad)
         scale = 1.0
         while scale > 1e-8:

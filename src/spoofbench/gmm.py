@@ -7,7 +7,6 @@ difference of per-frame average log-likelihoods under the two models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +85,14 @@ class GmmModel:
             raise ValueError("weights must be a probability vector")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
+        # (1/v, m/v, per-component constant): they depend on the model
+        # alone, so they are built with it
+        inv = 1.0 / self.variances                                   # (C, D)
+        const = (np.log(self.weights)
+                 - 0.5 * (d * _LOG_2PI + np.log(self.variances).sum(axis=1)
+                          + (self.means ** 2 * inv).sum(axis=1)))    # (C,)
+        object.__setattr__(self, "_likelihood_terms",
+                           (inv, self.means * inv, const))
 
     @property
     def n_components(self):
@@ -94,17 +101,6 @@ class GmmModel:
     @property
     def dim(self):
         return self.means.shape[1]
-
-    @cached_property
-    def _likelihood_terms(self):
-        """(1/v, m/v, per-component constant): they depend on the model
-        alone, so they are built on first use and kept."""
-        inv = 1.0 / self.variances                                   # (C, D)
-        const = (np.log(self.weights)
-                 - 0.5 * (self.dim * _LOG_2PI
-                          + np.log(self.variances).sum(axis=1)
-                          + (self.means ** 2 * inv).sum(axis=1)))    # (C,)
-        return inv, self.means * inv, const
 
     def stacked_log_likelihoods(self, utterances) -> np.ndarray:
         """log(w_c N(x; m_c, diag v_c)) for every frame and component of
@@ -148,11 +144,11 @@ def kmeans_pp_centers(frames, k, rng) -> np.ndarray:
 
 
 def train_gmm(frames, n_components, n_iterations=10, seed=0,
-              var_floor_frac=VAR_FLOOR_FRAC, chunk_size=100_000):
+              chunk_size=100_000):
     """EM for a diagonal GMM.
 
     Initialization: k-means++ means, uniform weights, global variances.
-    Variances are floored at var_floor_frac times the global per-dimension
+    Variances are floored at VAR_FLOOR_FRAC times the global per-dimension
     variance. Returns (model, history) where history[i] is the average
     log-likelihood of the data under the model entering iteration i (a
     non-decreasing sequence, EM's fixed-point guarantee).
@@ -165,7 +161,7 @@ def train_gmm(frames, n_components, n_iterations=10, seed=0,
         raise ValueError("need at least one component")
     rng = np.random.default_rng(seed)
     global_var = frames.var(axis=0)
-    floor = np.maximum(var_floor_frac * global_var, 1e-12)
+    floor = np.maximum(VAR_FLOOR_FRAC * global_var, 1e-12)
 
     model = GmmModel(np.full(n_components, 1.0 / n_components),
                      kmeans_pp_centers(frames, n_components, rng),

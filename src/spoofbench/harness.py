@@ -23,11 +23,12 @@ feature lacking a model, started once the jobs writing its clean training
 files are done.  An extraction job prepares its test audio in memory,
 rounded to 16-bit PCM at each step, so neither a worker count nor a warm
 cache changes a byte.  The run process then loads every model back, so a
-cold run reads each model file once, and builds the terms derived from
-each model.  The second stage scores, fuses and evaluates each grid cell in
-a job of its own; its workers are forked after the loading, so they inherit
-the models and their terms, and read only features from the cache.  With
-one usable CPU or one cell, the cells run in order in the run process.
+cold run reads each model file once; a model carries the terms derived
+from it from the moment it is built.  The second stage scores, fuses and
+evaluates each grid cell in a job of its own.  Jobs reach workers by plan
+index, so the cell workers inherit the loaded models and their terms, and
+read only features from the cache.  With one usable CPU or one cell, the
+cells run in order in the run process.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
@@ -281,6 +281,15 @@ def one_blas_thread():
             set_(count)
 
 
+_plan = ()   # the running pool's jobs, which its forked workers inherit
+
+
+def _planned_job(i: int):
+    """Run job i of _plan: the one way a job enters a worker."""
+    function, args, _, _ = _plan[i]
+    return function(*args)
+
+
 def _run_jobs(jobs) -> list:
     """Run jobs, each (function, args, after, context): function(*args),
     once the jobs at plan-order indices after, all earlier in the plan, are
@@ -288,20 +297,24 @@ def _run_jobs(jobs) -> list:
     job's result, in plan order.  The first failure in plan order cancels
     the jobs not yet started and is re-raised once the pool has shut down.
     A worker that dies breaks the pool, which is re-raised with the context
-    of the first job in plan order that did not finish.  Workers are forked
-    from a run's body, so they inherit its heap policy, its one BLAS thread
-    and whatever it has loaded."""
+    of the first job in plan order that did not finish.  A worker gets
+    only a plan index: a fork pool starts its workers at the first submit,
+    after the plan is published in _plan, so they inherit the jobs'
+    functions and arguments, and only results are pickled.  Workers also
+    inherit a run's heap policy, its one BLAS thread and what it loaded."""
+    global _plan
     n = _worker_count(len(jobs))
     if n <= 1 or "fork" not in get_all_start_methods():
         return [function(*args) for function, args, _, _ in jobs]
     pool = ProcessPoolExecutor(n, mp_context=get_context("fork"))
     futures, results = [], []
     try:
-        for function, args, after, _ in jobs:
-            if any(futures[i].exception() for i in after):
+        _plan = jobs
+        for i, (_, _, after, _) in enumerate(jobs):
+            if any(futures[j].exception() for j in after):
                 break
             try:
-                futures.append(pool.submit(function, *args))
+                futures.append(pool.submit(_planned_job, i))
             except BrokenProcessPool as exc:   # a worker died meanwhile
                 futures.append(Future())
                 futures[-1].set_exception(exc)
@@ -312,6 +325,7 @@ def _run_jobs(jobs) -> list:
                 raise _with_context(exc, context) from exc
     finally:
         pool.shutdown(cancel_futures=True)
+        _plan = ()
     return results
 
 
@@ -339,11 +353,7 @@ class IvectorStack:
     tv: ivector.TvMatrix
     wccn: np.ndarray
     class_means: dict
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Gram blocks of the UBM and TV pair, computed on first use."""
-        return ivector.gram_blocks(self.tv.matrix, self.ubm)
+    gram: np.ndarray   # ivector.gram_blocks(tv.matrix, ubm)
 
 
 def train_ivector_stack(frames, rows, *, ubm_components, tv_rank,
@@ -364,8 +374,8 @@ def train_ivector_stack(frames, rows, *, ubm_components, tv_rank,
                                               for u in frames)))
     tv, _ = ivector.train_tv(n, f, ubm, tv_rank, tv_iterations,
                              seed=derive_seed(seed, "tv"))
-    raw = ivector.ivectors_from_stats(n, f, ubm, tv,
-                                      ivector.gram_blocks(tv.matrix, ubm))
+    gram = ivector.gram_blocks(tv.matrix, ubm)
+    raw = ivector.ivectors_from_stats(n, f, ubm, tv, gram)
     labels = [r.label for r in rows]
     b = ivector.train_wccn(raw, labels)
     projected = ivector.apply_wccn(b, raw)
@@ -376,7 +386,7 @@ def train_ivector_stack(frames, rows, *, ubm_components, tv_rank,
             f"{rows[zero[0]].utt_id})")
     normed = ivector.length_normalize(projected)
     means = ivector.class_mean_ivectors(normed, labels)
-    return IvectorStack(ubm, tv, b, means), normed
+    return IvectorStack(ubm, tv, b, means, gram), normed
 
 
 def train_stack_plda(model_dir, labels, *, latent_rank, n_iterations,
@@ -451,11 +461,12 @@ def load_ivector_stack(model_dir):
     """(IvectorStack, training utterance ids) of a model dir."""
     model_dir = Path(model_dir)
     train_ids = _load_train_ids(model_dir)
-    stack = IvectorStack(gmm.load_gmm(model_dir / "ubm.gmm"),
-                         ivector.load_tv(model_dir / "tv.stv"),
-                         ivector.load_wccn(model_dir / "wccn.swc"),
+    ubm = gmm.load_gmm(model_dir / "ubm.gmm")
+    tv = ivector.load_tv(model_dir / "tv.stv")
+    stack = IvectorStack(ubm, tv, ivector.load_wccn(model_dir / "wccn.swc"),
                          dict(zip(*ivector.load_ivectors(
-                             model_dir / "class_means.txt"))))
+                             model_dir / "class_means.txt"))),
+                         ivector.gram_blocks(tv.matrix, ubm))
     return stack, train_ids
 
 
@@ -512,22 +523,6 @@ def load_model(name: str, marker):
     if name == "ivector":
         return load_ivector_stack(marker.parent)
     return ivector.load_plda(marker)
-
-
-def _derive_terms(models: dict):
-    """Build the terms that depend on a model alone, which each model
-    caches, for models as load_model returns them by name: the GMM terms of
-    both class GMMs and of the UBM, the stack's Gram blocks and the PLDA
-    pair inverses."""
-    if "gmm" in models:
-        for model in models["gmm"][:2]:
-            model._likelihood_terms
-    if "ivector" in models:
-        stack = models["ivector"][0]
-        stack.ubm._likelihood_terms
-        stack.gram
-    if "plda" in models:
-        models["plda"].pair_inverses
 
 
 def _train_job(todo, rows, feature_dir, labels, cfg: ExperimentConfig,
@@ -672,18 +667,6 @@ class ExperimentResult:
 
     def eer(self, cell_tag, backend, system, subset) -> float:
         return self.report(cell_tag, backend, system, subset).eer_percent
-
-
-# the cell scorer of the run whose cells are being scored: the run process
-# sets it before its pool forks, so each worker inherits the run's models and
-# their derived terms instead of unpickling them with every job
-_cell_scorer = None
-
-
-def _cell_job(cell: GridCell) -> list:
-    """One grid cell of the scoring stage: its SystemResult rows, from the
-    scorer the run set in _cell_scorer."""
-    return _cell_scorer(cell)
 
 
 class _Runner:
@@ -864,23 +847,20 @@ class _Runner:
         if "logistic" in cfg.fusion and "dev" not in subsets:
             raise ValueError("logistic fusion needs a dev subset in the "
                              "manifest")
+        for name, rows in subsets.items():
+            if lacking := {HUMAN, SPOOF} - {r.label for r in rows}:
+                raise ValueError(f"the {name} subset has no {lacking.pop()} "
+                                 f"utterances; its EER needs both classes")
         model_files = {kind: self._model_files(kind) for kind in cfg.features}
         _run_jobs(self._jobs(sum(subsets.values(), ()), model_files))
+        # loaded once, in this process, so the cell workers inherit them
         models = {kind: {name: load_model(name, path)
                          for name, path in files.items()}
                   for kind, files in model_files.items()}
-        # once per run, in this process, so that the workers inherit them
-        for kind_models in models.values():
-            _derive_terms(kind_models)
-        global _cell_scorer
-        _cell_scorer = partial(self._score_cell, models, subsets)
-        try:
-            cells = _run_jobs([
-                (_cell_job, (cell,), (),
-                 f"condition {condition_tag(cell, cfg.enhancement)}")
-                for cell in cfg.grid])
-        finally:
-            _cell_scorer = None
+        cells = _run_jobs([
+            (self._score_cell, (models, subsets, cell), (),
+             f"condition {condition_tag(cell, cfg.enhancement)}")
+            for cell in cfg.grid])
         results = [row for rows in cells for row in rows]
         self.work_dir.mkdir(parents=True, exist_ok=True)
         return ExperimentResult(self.work_dir, tuple(results),

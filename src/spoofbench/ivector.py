@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -257,14 +256,13 @@ class PldaModel:
     def rank(self):
         return self.mu.shape[0]
 
-    @cached_property
-    def pair_inverses(self):
-        """(same^-1, logdet same, diff^-1, logdet diff): the inverse
-        covariances of a stacked pair [w1 - mu; w2 - mu] under the
-        same-class and the different-class hypotheses, with their
-        log-determinants.  They depend on the model alone, so they are
-        built on first use and kept, and a pair LLR is two quadratic forms
-        (Sizov, Lee & Kinnunen, S+SSPR 2014)."""
+    def __post_init__(self):
+        """Build pair_inverses, (same^-1, logdet same, diff^-1, logdet
+        diff): the inverse covariances of a stacked pair [w1 - mu; w2 - mu]
+        under the same-class and the different-class hypotheses, with their
+        log-determinants.  They depend on the model alone, so they are built
+        with it, and a pair LLR is two quadratic forms (Sizov, Lee &
+        Kinnunen, S+SSPR 2014)."""
         r = self.rank
         between = self.factors @ self.factors.T
         total = between + self.sigma
@@ -273,8 +271,9 @@ class PldaModel:
                          [np.zeros((r, r)), total]])
         _, logdet_same = np.linalg.slogdet(same)
         _, logdet_diff = np.linalg.slogdet(diff)
-        return (np.linalg.inv(same), logdet_same, np.linalg.inv(diff),
-                logdet_diff)
+        object.__setattr__(self, "pair_inverses", (
+            np.linalg.inv(same), logdet_same, np.linalg.inv(diff),
+            logdet_diff))
 
 
 def train_plda(ivectors, labels, latent_rank=None, n_iterations=10, seed=0):

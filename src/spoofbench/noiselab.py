@@ -46,10 +46,7 @@ def _hangover_count(envelope, threshold, hang):
     return int(np.count_nonzero(np.arange(n) - last <= hang))
 
 
-def active_speech_level(signal: AudioSignal,
-                        margin_db: float = ACTIVITY_MARGIN_DB,
-                        hangover_s: float = HANGOVER_S,
-                        smooth_tc_s: float = SMOOTH_TC_S) -> ActiveLevel:
+def active_speech_level(signal: AudioSignal) -> ActiveLevel:
     """Active speech level in dB (re unit full scale, mean-square).
 
     The rectified signal is smoothed by two cascaded one-pole averagers, then
@@ -63,10 +60,10 @@ def active_speech_level(signal: AudioSignal,
     energy = float(np.sum(x * x))
     if n == 0 or energy <= 0.0:
         raise NoActiveSpeechError("signal has no energy")
-    g = float(np.exp(-1.0 / (signal.sample_rate * smooth_tc_s)))
+    g = float(np.exp(-1.0 / (signal.sample_rate * SMOOTH_TC_S)))
     p = lfilter([1.0 - g], [1.0, -g], np.abs(x))
     q = lfilter([1.0 - g], [1.0, -g], p)
-    hang = int(round(hangover_s * signal.sample_rate))
+    hang = int(round(HANGOVER_S * signal.sample_rate))
 
     prev = None   # (A_j, d_j) from the last rung below the margin
     for j in range(1, 64):
@@ -76,12 +73,13 @@ def active_speech_level(signal: AudioSignal,
             continue
         a_db = 10.0 * np.log10(energy / count)
         d = a_db - 20.0 * np.log10(c)
-        if d >= margin_db:
+        if d >= ACTIVITY_MARGIN_DB:
             if prev is None or d == prev[1]:
                 level = a_db
             else:
                 a0, d0 = prev
-                level = a0 + (margin_db - d0) * (a_db - a0) / (d - d0)
+                level = a0 + ((ACTIVITY_MARGIN_DB - d0) * (a_db - a0)
+                              / (d - d0))
             activity = energy / (10.0 ** (level / 10.0)) / n
             return ActiveLevel(float(level), float(min(activity, 1.0)))
         prev = (a_db, d)

@@ -119,8 +119,7 @@ def _subset_speakers(seed: int, subset: str):
 
 
 def make_toy_corpus(out_dir, seed: int = 0, n_train: int = 200,
-                    n_dev: int = 100, n_eval: int = 100,
-                    rate: int = SAMPLE_RATE) -> Manifest:
+                    n_dev: int = 100, n_eval: int = 100) -> Manifest:
     """Generate the corpus under out_dir and write manifest.tsv.
 
     Each subset is half human, half spoofed; spoofs are vocoded versions
@@ -142,8 +141,8 @@ def make_toy_corpus(out_dir, seed: int = 0, n_train: int = 200,
         for i in range(count):
             rng = np.random.default_rng([seed, _SUBSET_INDEX[subset], i])
             speaker = speakers[i % len(speakers)]
-            samples = synth_vowel(rng, speaker, rate)
-            signal = AudioSignal(samples, rate)
+            samples = synth_vowel(rng, speaker, SAMPLE_RATE)
+            signal = AudioSignal(samples, SAMPLE_RATE)
             if i % 2 == 0:
                 label, attack = HUMAN, "-"
             else:

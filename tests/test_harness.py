@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import shutil
 import stat
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -188,6 +189,24 @@ class TestRun:
         with pytest.raises(ValueError, match="needs a dev subset"):
             run_experiment(cfg, eval_only, tmp_path / "w", wav_root=root)
         assert extracted == []
+
+    @pytest.mark.parametrize("subset, dropped", [("eval", "spoof"),
+                                                 ("dev", "human")])
+    def test_one_class_subset_fails_before_any_job(self, corpus, tmp_path,
+                                                   subset, dropped):
+        """A scored subset with one class is refused by name before any
+        feature is extracted or any score file written: its EER needs a
+        target and a non-target trial."""
+        root, man = corpus
+        one_class = Manifest(tuple(
+            r for r in man if (r.subset, r.label) != (subset, dropped)))
+        work = tmp_path / "w"
+        with pytest.raises(ValueError) as err:
+            run_experiment(_config(), one_class, work, wav_root=root)
+        assert str(err.value) == (f"the {subset} subset has no {dropped} "
+                                  f"utterances; its EER needs both classes")
+        assert not (work / "cache").exists()
+        assert list(tmp_path.rglob("*.tsv")) == []
 
     def test_missing_wav_fails_before_compute(self, corpus, tmp_path):
         root, man = corpus
@@ -517,12 +536,13 @@ def _scoring_models(seed, dim=3, n_components=4, rank=3):
 
     ubm = mixture()
     size = n_components * dim
+    tv = ivector.TvMatrix(rng.standard_normal((size, rank)), ubm.means.ravel())
     stack = harness.IvectorStack(
-        ubm, ivector.TvMatrix(rng.standard_normal((size, rank)),
-                              ubm.means.ravel()),
+        ubm, tv,
         np.tril(rng.standard_normal((rank, rank))) + 3.0 * np.eye(rank),
         {label: ivector.length_normalize(rng.standard_normal(rank))
-         for label in ("human", "spoof")})
+         for label in ("human", "spoof")},
+        ivector.gram_blocks(tv.matrix, ubm))
     root = rng.standard_normal((rank, rank))
     plda = ivector.PldaModel(rng.standard_normal(rank),
                              rng.standard_normal((rank, 2)),
@@ -630,9 +650,10 @@ class TestBatchedScoring:
         # statistics and so a zero i-vector
         ubm = gmm.GmmModel(stack.ubm.weights, np.zeros_like(stack.ubm.means),
                            stack.ubm.variances)
+        tv = ivector.TvMatrix(stack.tv.matrix, ubm.means.ravel())
         models["ivector"] = (harness.IvectorStack(
-            ubm, ivector.TvMatrix(stack.tv.matrix, ubm.means.ravel()),
-            stack.wccn, stack.class_means), [])
+            ubm, tv, stack.wccn, stack.class_means,
+            ivector.gram_blocks(tv.matrix, ubm)), [])
         utts = [np.ones((4, 3)), np.zeros((3, 3)), np.zeros((2, 3))]
         want = ("cannot length-normalize a zero i-vector (utterance u1, "
                 "feature mfcc, back-end ivector-cosine, condition white_0dB)")
@@ -1034,8 +1055,10 @@ class TestExtractionStage:
         run_experiment(cfg, man, work, wav_root=root)
         assert extracted == []
         # an empty extraction and training plan, then one job per cell
-        jobs = [[job[0] for job in args[0]] for args in planned]
-        assert jobs == [[], [harness._cell_job] * len(cfg.grid)]
+        jobs = [[(job[0].__func__, job[3]) for job in args[0]]
+                for args in planned]
+        assert jobs == [[], [(harness._Runner._score_cell,
+                              f"condition {cell.tag}") for cell in cfg.grid]]
 
     def test_deleted_feature_file_is_the_only_job(self, corpus, tmp_path,
                                                   monkeypatch, in_process):
@@ -1245,6 +1268,70 @@ class TestCellStage:
         assert sorted(finished) == ["a", "b", "c"]
         assert (finished[0] == "a") == (workers == 1)
         assert multiprocessing.active_children() == []
+
+
+class TestJobHandoff:
+    """A job reaches a worker by its index in the published plan, so its
+    function and arguments are never pickled; and every model carries the
+    terms derived from it from the moment it is built, so scoring computes
+    none of them."""
+
+    def test_closures_over_unpicklable_state_run_in_workers(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
+        lock = threading.Lock()   # a lock cannot be pickled
+
+        def job(value):
+            with lock:
+                return value, os.getpid() != _PYTEST_PID
+        jobs = [(job, (value,), (), value) for value in ("a", "b", "c")]
+        jobs.append((lambda: 42, (), (), "lambda"))
+        assert harness._run_jobs(jobs) == [("a", True), ("b", True),
+                                           ("c", True), 42]
+        assert harness._plan == ()
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _loaded(models, model_dir):
+        """models saved under model_dir and loaded back as load_model gives
+        them."""
+        nat, syn, _ = models["gmm"]
+        stack, _ = models["ivector"]
+        train_ids = ["t0", "t1"]
+        harness.save_gmm_pair(model_dir / "gmm", nat, syn, train_ids)
+        harness.save_ivector_stack(
+            model_dir / "ivector", stack,
+            [stack.class_means["human"], stack.class_means["spoof"]],
+            train_ids)
+        plda = model_dir / "ivector" / "plda.spl"
+        ivector.save_plda(plda, models["plda"])
+        return {name: harness.load_model(name, marker) for name, marker in (
+            ("gmm", model_dir / "gmm" / harness.TRAIN_IDS),
+            ("ivector", model_dir / "ivector" / harness.TRAIN_IDS),
+            ("plda", plda))}
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_models_score_without_computing_a_term(self, tmp_path,
+                                                   monkeypatch, source):
+        built = _scoring_models(7)
+        models = built if source == "built" else self._loaded(built, tmp_path)
+        rng = np.random.default_rng(7)
+        utts = [rng.standard_normal((t, 3)) for t in (5, 9, 4, 7)]
+        rows = _scored_rows(len(utts))
+        want = harness.score_utterances(rows, iter(utts), built,
+                                        ALL_BACKENDS, "mfcc", "clean")
+        gmms = models["gmm"][:2] + (models["ivector"][0].ubm,)
+        assert all("_likelihood_terms" in vars(model) for model in gmms)
+
+        def fails(*args, **kwargs):
+            raise AssertionError("a model term was computed while scoring")
+        monkeypatch.setattr(ivector, "gram_blocks", fails)
+        monkeypatch.setattr(np.linalg, "inv", fails)
+        got = harness.score_utterances(rows, iter(utts), models,
+                                       ALL_BACKENDS, "mfcc", "clean")
+        for backend in ALL_BACKENDS:
+            assert got[backend].scores.tolist() == (
+                want[backend].scores.tolist())
 
 
 class _Libc:
