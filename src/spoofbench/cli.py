@@ -35,7 +35,7 @@ from .evaluation import compute_eer_rocch, compute_ltas, per_attack_eers, \
     save_ltas_csv
 from .manifest import SUBSETS, read_manifest
 from .noiselab import NOISE_KINDS
-from .scores import read_scores, write_scores
+from .scores import read_aligned, read_scores, write_scores
 from .toycorpus import make_toy_corpus
 
 
@@ -154,7 +154,9 @@ def cmd_fuse(args):
     if args.method == "logistic" and bool(args.dev) == bool(args.model):
         raise ValueError("logistic fusion needs exactly one of --dev "
                          "(sets to train on) and --model (a trained model)")
-    sets = [read_scores(p) for p in args.scores]
+    if args.dev and len(args.dev) != len(args.scores):
+        raise ValueError("need one --dev set per scored system")
+    sets = read_aligned(args.scores)
     if args.method == "average":
         fused = fusion.fuse_average(sets)
         model = fusion.average_model([f"sys{i}" for i in range(len(sets))])
@@ -162,10 +164,7 @@ def cmd_fuse(args):
         if args.model:
             model = fusion.load_fusion(args.model)
         else:
-            dev_sets = [read_scores(p) for p in args.dev]
-            if len(dev_sets) != len(sets):
-                raise ValueError("need one --dev set per scored system")
-            model = fusion.train_logistic_fusion(dev_sets)
+            model = fusion.train_logistic_fusion(read_aligned(args.dev))
         fused = fusion.apply_fusion(model, sets)
     write_scores(args.out, fused)
     if args.model_out:

@@ -125,7 +125,7 @@ def train_logistic_fusion(dev_score_sets, system_ids=None) -> FusionModel:
 
 
 def save_fusion(path, model: FusionModel):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# fusion model\n")
         fh.write(f"kind\t{model.kind}\n")
         fh.write(f"bias\t{float(model.bias)!r}\n")
@@ -136,7 +136,7 @@ def save_fusion(path, model: FusionModel):
 def load_fusion(path) -> FusionModel:
     kind, bias = None, None
     system_ids, weights = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

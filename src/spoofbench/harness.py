@@ -36,6 +36,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import pickle
 import secrets
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -284,10 +285,16 @@ def one_blas_thread():
 _plan = ()   # the running pool's jobs, which its forked workers inherit
 
 
-def _planned_job(i: int):
-    """Run job i of _plan: the one way a job enters a worker."""
-    function, args, _, _ = _plan[i]
-    return function(*args)
+def _planned_job(i: int) -> bytes:
+    """Run job i of _plan: the one way a job enters a worker.  The result
+    is pickled here, in the worker, so one that cannot be pickled is raised
+    with the job's context; the job's own errors pass unchanged."""
+    function, args, _, context = _plan[i]
+    result = function(*args)
+    try:
+        return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise _with_context(exc, context) from exc
 
 
 def _run_jobs(jobs) -> list:
@@ -297,7 +304,8 @@ def _run_jobs(jobs) -> list:
     job's result, in plan order.  The first failure in plan order cancels
     the jobs not yet started and is re-raised once the pool has shut down.
     A worker that dies breaks the pool, which is re-raised with the context
-    of the first job in plan order that did not finish.  A worker gets
+    of the first job in plan order that did not finish, and a result that
+    cannot be pickled is raised with its own job's context.  A worker gets
     only a plan index: a fork pool starts its workers at the first submit,
     after the plan is published in _plan, so they inherit the jobs'
     functions and arguments, and only results are pickled.  Workers also
@@ -320,7 +328,7 @@ def _run_jobs(jobs) -> list:
                 futures[-1].set_exception(exc)
         for future, (_, _, _, context) in zip(futures, jobs):
             try:
-                results.append(future.result())
+                results.append(pickle.loads(future.result()))
             except BrokenProcessPool as exc:
                 raise _with_context(exc, context) from exc
     finally:
@@ -611,13 +619,15 @@ def score_utterances(rows, frames, models, backends, kind,
         n_frames += len(f)
     if chunk:
         score(chunk, i + 1 - len(chunk))
+    # one trial list, whose columns every back-end's set shares
+    labels = [r.label for r in rows]
+    attack_ids = [r.attack_id for r in rows]
+    conditions = [condition] * len(rows)
     sets = {}
     for backend in backends:
         try:
-            sets[backend] = ScoreSet(list(utt_ids), scores[backend],
-                                     [r.label for r in rows],
-                                     [r.attack_id for r in rows],
-                                     [condition] * len(rows))
+            sets[backend] = ScoreSet(utt_ids, scores[backend], labels,
+                                     attack_ids, conditions)
         except ValueError as exc:
             raise _with_context(exc, context(backend)) from exc
     return sets

@@ -416,7 +416,7 @@ def save_ivectors(path, labels, ivectors, header="# i-vectors"):
     ivectors = np.atleast_2d(np.asarray(ivectors, dtype=np.float64))
     if len(labels) != ivectors.shape[0]:
         raise ValueError("one label per i-vector required")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for label, vec in zip(labels, ivectors):
             joined = " ".join(f"{v:.17g}" for v in vec)
@@ -426,7 +426,7 @@ def save_ivectors(path, labels, ivectors, header="# i-vectors"):
 def load_ivectors(path):
     """(labels, (N, D) array) of a save_ivectors file."""
     labels, rows = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):

@@ -3,6 +3,11 @@
 One row per trial: utt_id, score, label (human|spoof), attack_id ("-" for
 human trials), condition (e.g. "clean" or "white@0"). Scores are written
 with repr() so a re-read is bit-exact and repeated runs are byte-identical.
+
+A ScoreSet's four trial columns are shared, never copied: with_scores and
+read_aligned hand the same lists to every set that covers one trial list,
+so a fusion of many systems holds one copy of it.  Nothing mutates a
+column in place; build a new list to change one.
 """
 
 from __future__ import annotations
@@ -57,9 +62,17 @@ class ScoreSet:
         return np.array(self.labels, dtype=object) == HUMAN
 
     def with_scores(self, new_scores) -> "ScoreSet":
-        """Same trial list, different scores."""
-        return ScoreSet(list(self.utt_ids), new_scores, list(self.labels),
-                        list(self.attack_ids), list(self.conditions))
+        """Same trial list, different scores: the new set shares this one's
+        column lists."""
+        return ScoreSet(self.utt_ids, new_scores, self.labels,
+                        self.attack_ids, self.conditions)
+
+
+def _same_trials(a: ScoreSet, b: ScoreSet) -> bool:
+    """Whether a and b hold the same trial list, compared column by column;
+    a shared column's elements compare equal on identity alone."""
+    return all(getattr(a, column) == getattr(b, column)
+               for column in _METADATA)
 
 
 def check_aligned(score_sets):
@@ -67,10 +80,8 @@ def check_aligned(score_sets):
     if not score_sets:
         raise ValueError("no score sets given")
     first = score_sets[0]
-    for other in score_sets[1:]:
-        if any(getattr(other, column) != getattr(first, column)
-               for column in _METADATA):
-            raise AlignmentError("score sets cover different trial lists")
+    if not all(_same_trials(other, first) for other in score_sets[1:]):
+        raise AlignmentError("score sets cover different trial lists")
 
 
 def write_scores(path, scores: ScoreSet):
@@ -79,7 +90,7 @@ def write_scores(path, scores: ScoreSet):
         for u, s, lab, att, cond in zip(scores.utt_ids, scores.scores.tolist(),
                                         scores.labels, scores.attack_ids,
                                         scores.conditions)])
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(HEADER) + "\n" + body)
 
 
@@ -102,7 +113,7 @@ def read_scores(path) -> ScoreSet:
     """A score TSV read column by column; blank lines are skipped.  Only a
     file whose batched checks fail is walked row by row, to name the file
     and line of its first bad row."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != HEADER:
             raise ValueError(f"{path}: unexpected score header {header}")
@@ -118,3 +129,21 @@ def read_scores(path) -> ScoreSet:
         raise _first_bad_row(path, lines) from None
     return ScoreSet(fields[0::5], scores, fields[2::5], fields[3::5],
                     fields[4::5])
+
+
+def read_aligned(paths) -> list:
+    """The score sets of paths, files that must cover one trial list.  Each
+    file after the first is read, checked column by column against the
+    first and then given the first's columns, so its own strings are freed
+    at once; the first file that differs raises an AlignmentError naming
+    it.  Each file fails as read_scores fails on it."""
+    first = read_scores(paths[0])
+    sets = [first]
+    for path in paths[1:]:
+        other = read_scores(path)
+        if not _same_trials(other, first):
+            raise AlignmentError(f"{path}: covers a different trial list "
+                                 f"than {paths[0]}")
+        sets.append(first.with_scores(other.scores))
+        del other   # before the next file is read
+    return sets

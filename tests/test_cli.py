@@ -17,7 +17,7 @@ from spoofbench.cli import build_parser, main
 from spoofbench.config import GridCell, load_config
 from spoofbench.harness import _Runner, run_experiment
 from spoofbench.manifest import read_manifest
-from spoofbench.scores import read_scores
+from spoofbench.scores import ScoreSet, read_scores, write_scores
 from spoofbench.toycorpus import make_toy_corpus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -458,6 +458,42 @@ class TestErrorContract:
         assert "--dev" in err and "--model" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "f.tsv").exists()
+
+    def test_fuse_compares_dev_and_score_counts_before_reading(
+            self, tmp_path, capsys):
+        """The files do not exist, so a read would fail otherwise."""
+        files = [str(tmp_path / f"{name}.tsv") for name in ("a", "b", "c")]
+        rc = main(["fuse", "--method", "logistic", "--scores", *files[:2],
+                   "--dev", files[2], "--out", str(tmp_path / "f.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error\tValueError\tneed one --dev set per scored "
+                       "system\n")
+
+    @pytest.mark.parametrize("flag", ["--scores", "--dev"])
+    def test_fuse_names_the_misaligned_file(self, flag, tmp_path, capsys):
+        """A --scores or --dev file whose trial list differs from the first
+        of its flag is named, and nothing is written."""
+        def write(name, conditions):
+            path = tmp_path / f"{name}.tsv"
+            write_scores(path, ScoreSet(
+                ["u0", "u1"], [0.5, -0.5], ["human", "spoof"], ["-", "S1"],
+                conditions))
+            return str(path)
+        clean = ["clean", "clean"]
+        scores = [write("eval0", clean), write("eval1", clean)]
+        dev = [write("dev0", clean), write("dev1", clean)]
+        bad = write("bad", ["clean", "white@0"])
+        (scores if flag == "--scores" else dev)[1] = bad
+        out, model = tmp_path / "f.tsv", tmp_path / "m.txt"
+        rc = main(["fuse", "--method", "logistic", "--scores", *scores,
+                   "--dev", *dev, "--out", str(out),
+                   "--model-out", str(model)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error\tAlignmentError\t{bad}: ")
+        assert err.count("\n") == 1
+        assert not out.exists() and not model.exists()
 
     def test_nan_score_file_names_the_trial(self, tmp_path, capsys):
         path = tmp_path / "scores.tsv"

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import shutil
 import stat
 import threading
@@ -19,6 +20,7 @@ from spoofbench.audio import AudioSignal, read_wav, write_wav
 from spoofbench.config import ExperimentConfig, GridCell
 from spoofbench.errors import (DegenerateVectorError, EmptyFeaturesError,
                                HygieneError)
+from spoofbench.fusion import fuse_average
 from spoofbench.harness import (check_hygiene, condition_tag, derive_seed,
                                 run_experiment)
 from spoofbench.manifest import Manifest, ManifestRow
@@ -665,6 +667,22 @@ class TestBatchedScoring:
                             DegenerateVectorError) == want
 
 
+    def test_back_end_sets_share_one_trial_list(self):
+        """Every back-end's set, and a fusion of them, holds the columns of
+        the first back-end's set."""
+        utts = [np.ones((4, 3)), np.full((2, 3), 0.5), np.zeros((3, 3))]
+        sets = harness.score_utterances(_scored_rows(len(utts)), iter(utts),
+                                        _scoring_models(4), ALL_BACKENDS,
+                                        "mfcc", "clean")
+        first = sets[ALL_BACKENDS[0]]
+        fused = fuse_average(list(sets.values()))
+        for scores in (*sets.values(), fused):
+            for column in ("utt_ids", "labels", "attack_ids", "conditions"):
+                assert getattr(scores, column) is getattr(first, column)
+        assert first.utt_ids == ["u0", "u1", "u2"]
+        assert first.conditions == ["clean"] * 3
+
+
 class TestTempFiles:
     def test_leftover_fixed_temp_names_are_left_alone(self, corpus,
                                                       tmp_path):
@@ -948,6 +966,10 @@ def _sleeps(seconds):
 
 def _touch(path):
     path.touch()
+
+
+def _returns_a_lambda():
+    return lambda: 0
 
 
 def _tree_bytes(work):
@@ -1289,6 +1311,22 @@ class TestJobHandoff:
         assert harness._run_jobs(jobs) == [("a", True), ("b", True),
                                            ("c", True), 42]
         assert harness._plan == ()
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_result_names_its_job(self, monkeypatch):
+        """A result that cannot be pickled back is raised with its type
+        and its job's context; a job's own error keeps its message."""
+        monkeypatch.setattr(harness, "_worker_count", lambda n_jobs: 2)
+        with pytest.raises(Exception) as plain:
+            pickle.dumps(_returns_a_lambda())
+        jobs = [(_returns_a_lambda, (), (), "condition A"),
+                (_sleeps, (0.0,), (), "condition B")]
+        with pytest.raises(type(plain.value)) as err:
+            harness._run_jobs(jobs)
+        assert str(err.value) == f"{plain.value} (condition A)"
+        with pytest.raises(ValueError) as own:
+            harness._run_jobs([(_fails, ("bad input",), (), "condition A")])
+        assert str(own.value) == "bad input"
         assert multiprocessing.active_children() == []
 
     @staticmethod

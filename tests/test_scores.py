@@ -1,6 +1,11 @@
 """Tests for score-list TSV handling."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference import (aligned_by_trial_key, read_scores_rowwise,
                        write_scores_rowwise)
+import spoofbench
 from spoofbench.errors import AlignmentError
-from spoofbench.scores import (HEADER, ScoreSet, check_aligned, read_scores,
-                               write_scores)
+from spoofbench.scores import (HEADER, ScoreSet, check_aligned, read_aligned,
+                               read_scores, write_scores)
+
+METADATA = ("utt_ids", "labels", "attack_ids", "conditions")
 
 
 def make_scores(values, labels, attacks=None, conditions=None):
@@ -35,6 +43,9 @@ class TestScoreSet:
         assert t.utt_ids == s.utt_ids
         assert t.labels == s.labels
         assert np.array_equal(t.scores, [5.0, 6.0])
+        # the trial list is shared, not copied
+        for column in METADATA:
+            assert getattr(t, column) is getattr(s, column)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
@@ -198,3 +209,114 @@ class TestTsv:
             assert getattr(got, column) == getattr(want, column)
         assert np.array_equal(got.scores.view(np.int64),
                               want.scores.view(np.int64))
+
+
+def _write_trials(path, rows, values):
+    """A score file of (utt_id, label, attack_id, condition) rows."""
+    write_scores(path, ScoreSet([r[0] for r in rows], values,
+                                [r[1] for r in rows], [r[2] for r in rows],
+                                [r[3] for r in rows]))
+
+
+class TestReadAligned:
+    def _files(self, tmp_path, n=3):
+        rows = [("u0", "human", "-", "clean"), ("u1", "spoof", "S1", "clean"),
+                ("u2", "spoof", "S2", "clean")]
+        paths = []
+        for k in range(n):
+            paths.append(tmp_path / f"sys{k}.tsv")
+            _write_trials(paths[-1], rows, [k + 0.5, -k - 0.25, 1e-3 * k])
+        return paths
+
+    def test_every_set_holds_the_first_sets_columns(self, tmp_path):
+        paths = self._files(tmp_path)
+        sets = read_aligned(paths)
+        for got, path in zip(sets, paths):
+            want = read_scores(path)
+            for column in METADATA:
+                assert getattr(got, column) is getattr(sets[0], column)
+                assert getattr(got, column) == getattr(want, column)
+            assert np.array_equal(got.scores, want.scores)
+
+    def test_misaligned_file_is_named(self, tmp_path):
+        paths = self._files(tmp_path)
+        _write_trials(paths[1], [("u0", "human", "-", "clean"),
+                                 ("u1", "spoof", "S1", "white@0"),
+                                 ("u2", "spoof", "S2", "clean")],
+                      [0.0, 0.0, 0.0])
+        with pytest.raises(AlignmentError, match=re.escape(
+                f"{paths[1]}: covers a different trial list than "
+                f"{paths[0]}")):
+            read_aligned(paths)
+
+    def test_each_file_keeps_its_read_errors(self, tmp_path):
+        paths = self._files(tmp_path)
+        paths[2].write_text("\t".join(HEADER) + "\n"
+                            "u0\tabc\thuman\t-\tclean\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{paths[2]}:2: bad score 'abc'")):
+            read_aligned(paths)
+        paths[0].write_text("utt\tscore\n")
+        with pytest.raises(ValueError, match="unexpected score header"):
+            read_aligned(paths)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=st.lists(st.lists(st.tuples(
+        st.sampled_from(["u0", "u1"]), st.sampled_from(["human", "spoof"]),
+        st.sampled_from(["-", "S1"]), st.sampled_from(["clean", "white@0"]),
+        st.floats(allow_nan=False, allow_infinity=False)), max_size=3),
+        min_size=1, max_size=3))
+    def test_matches_separate_reads(self, tmp_path, files):
+        """read_aligned gives the values and score bits of reading each file
+        on its own, and raises exactly when check_aligned would."""
+        paths = []
+        for k, rows in enumerate(files):
+            paths.append(tmp_path / f"sys{k}.tsv")
+            _write_trials(paths[-1], [r[:4] for r in rows],
+                          np.array([r[4] for r in rows]))
+        want = [read_scores(p) for p in paths]
+        if not aligned_by_trial_key(want):
+            with pytest.raises(AlignmentError):
+                check_aligned(want)
+            with pytest.raises(AlignmentError):
+                read_aligned(paths)
+            return
+        got = read_aligned(paths)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for column in METADATA:
+                assert getattr(g, column) == getattr(w, column)
+                assert getattr(g, column) is getattr(got[0], column)
+            assert np.array_equal(g.scores.view(np.int64),
+                                  w.scores.view(np.int64))
+
+
+def test_text_artefacts_do_not_depend_on_the_locale(tmp_path):
+    """Score files, fusion models and i-vector files are UTF-8 under an
+    ASCII locale too: each round-trips a non-ASCII name."""
+    script = textwrap.dedent(r"""
+        import sys
+        import numpy as np
+        from spoofbench import fusion, ivector, scores
+
+        out = sys.argv[1]
+        s = scores.ScoreSet(["utt-\u00e9"], [1.5], ["human"], ["-"],
+                            ["clean"])
+        scores.write_scores(out + "/s.tsv", s)
+        assert scores.read_scores(out + "/s.tsv").utt_ids == s.utt_ids
+        model = fusion.FusionModel("logistic", ["sys-\u00e9"],
+                                   np.array([0.5]), 0.25)
+        fusion.save_fusion(out + "/f.txt", model)
+        assert fusion.load_fusion(out + "/f.txt").system_ids == ["sys-\u00e9"]
+        ivector.save_ivectors(out + "/i.txt", ["\u00e9"], [[1.0, 2.0]])
+        assert ivector.load_ivectors(out + "/i.txt")[0] == ["\u00e9"]
+    """)
+    src = str(Path(spoofbench.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "s.tsv").read_bytes().split(b"\n")[1].startswith(
+        "utt-\u00e9\t".encode("utf-8"))
