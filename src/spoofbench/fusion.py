@@ -124,6 +124,10 @@ def train_logistic_fusion(dev_score_sets, system_ids=None) -> FusionModel:
     return FusionModel("logistic", list(system_ids), weights, bias)
 
 
+# the tab-separated fields of each line of a saved model, by its first field
+_FIELD_COUNTS = {"kind": 2, "bias": 2, "weight": 3}
+
+
 def save_fusion(path, model: FusionModel):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# fusion model\n")
@@ -134,23 +138,34 @@ def save_fusion(path, model: FusionModel):
 
 
 def load_fusion(path) -> FusionModel:
+    """The model save_fusion wrote; a line with the wrong number of fields
+    or a bad number raises a ValueError naming its file and line."""
     kind, bias = None, None
     system_ids, weights = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
+            if parts[0] not in _FIELD_COUNTS:
+                raise ValueError(f"{path}: unknown fusion field {parts[0]!r}")
+            if len(parts) != _FIELD_COUNTS[parts[0]]:
+                raise ValueError(f"{path}:{ln}: expected "
+                                 f"{_FIELD_COUNTS[parts[0]]} fields")
             if parts[0] == "kind":
                 kind = parts[1]
-            elif parts[0] == "bias":
-                bias = float(parts[1])
-            elif parts[0] == "weight":
-                system_ids.append(parts[1])
-                weights.append(float(parts[2]))
+                continue
+            try:
+                value = float(parts[-1])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: bad number "
+                                 f"{parts[-1]!r}") from None
+            if parts[0] == "bias":
+                bias = value
             else:
-                raise ValueError(f"{path}: unknown fusion field {parts[0]!r}")
+                system_ids.append(parts[1])
+                weights.append(value)
     if kind is None or bias is None or not system_ids:
         raise ValueError(f"{path}: incomplete fusion model")
     return FusionModel(kind, system_ids, np.array(weights), bias)

@@ -16,9 +16,9 @@ import scipy.special
 from spoofbench import ivector
 from spoofbench.dsp import (analytic_envelope, frame_length_samples, frame_shift_samples,
                             frame_signal, n_frames_for, window_function)
-from spoofbench.errors import DegenerateVectorError
+from spoofbench.errors import AlignmentError, DegenerateVectorError
 from spoofbench.features import F0Track, FeatureConfig
-from spoofbench.scores import HEADER, ScoreSet
+from spoofbench.scores import HEADER, ScoreSet, read_scores
 
 
 def naive_dft(frame, dft_size):
@@ -346,6 +346,22 @@ def aligned_by_trial_key(score_sets):
 
     first = key(score_sets[0])
     return all(key(other) == first for other in score_sets[1:])
+
+
+def read_aligned_oracle(paths):
+    """read_aligned the plain way: read_scores of each file in turn, and an
+    AlignmentError naming the first file whose trial list, compared as
+    trial-key rows, differs from the first file's; every set holds the
+    first's columns."""
+    first = read_scores(paths[0])
+    sets = [first]
+    for path in paths[1:]:
+        other = read_scores(path)
+        if not aligned_by_trial_key([first, other]):
+            raise AlignmentError(f"{path}: covers a different trial list "
+                                 f"than {paths[0]}")
+        sets.append(first.with_scores(other.scores))
+    return sets
 
 
 def lower_hull_loop(points):

@@ -495,6 +495,21 @@ class TestErrorContract:
         assert err.count("\n") == 1
         assert not out.exists() and not model.exists()
 
+    def test_fuse_names_the_bad_model_line(self, tmp_path, capsys):
+        path = tmp_path / "s.tsv"
+        write_scores(path, ScoreSet(["u0", "u1"], [0.5, -0.5],
+                                    ["human", "spoof"], ["-", "S1"],
+                                    ["clean", "clean"]))
+        model = tmp_path / "m.txt"
+        model.write_text("kind\tlogistic\nbias\t0.0\nweight\tsys0\n")
+        out = tmp_path / "f.tsv"
+        rc = main(["fuse", "--method", "logistic", "--scores", str(path),
+                   "--model", str(model), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error\tValueError\t{model}:3: expected 3 fields\n")
+        assert not out.exists()
+
     def test_nan_score_file_names_the_trial(self, tmp_path, capsys):
         path = tmp_path / "scores.tsv"
         path.write_text("utt_id\tscore\tlabel\tattack_id\tcondition\n"

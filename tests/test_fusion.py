@@ -1,5 +1,7 @@
 """Tests for score averaging and logistic fusion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,23 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("kind\tlogistic\n")
         with pytest.raises(ValueError):
+            fu.load_fusion(path)
+
+    @pytest.mark.parametrize("line,message", [
+        ("weight\tsys0", "expected 3 fields"),
+        ("weight\tsys0\t1.0\t2.0", "expected 3 fields"),
+        ("bias", "expected 2 fields"),
+        ("kind\tlogistic\tmore", "expected 2 fields"),
+        ("bias\tabc", "bad number 'abc'"),
+        ("weight\tsys0\t1.0x", "bad number '1.0x'"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line,
+                                                message):
+        path = tmp_path / "bad.txt"
+        path.write_text("# fusion model\nkind\tlogistic\nbias\t0.5\n"
+                        f"{line}\nweight\tsys1\t1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: {message}")):
             fu.load_fusion(path)
 
     def test_unknown_field_rejected(self, tmp_path):

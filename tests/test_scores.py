@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
-from reference import (aligned_by_trial_key, read_scores_rowwise,
-                       write_scores_rowwise)
+from reference import (aligned_by_trial_key, read_aligned_oracle,
+                       read_scores_rowwise, write_scores_rowwise)
 import spoofbench
 from spoofbench.errors import AlignmentError
 from spoofbench.scores import (HEADER, ScoreSet, check_aligned, read_aligned,
@@ -218,6 +219,49 @@ def _write_trials(path, rows, values):
                                 [r[3] for r in rows]))
 
 
+# score texts that float() reads only as str (padding, underscores,
+# non-ASCII digits), that a ScoreSet refuses (nan, an overflow) or that no
+# row of 5 columns holds
+_ODD_SCORES = [" 2.5 ", "1_0", "\u0661\u0662", "1\x00", "", "abc", "nan",
+               "1e999", "1.0\n"]
+
+
+@st.composite
+def _raw_file_sets(draw):
+    """The texts of 1 to 4 score files over one trial list, each with its
+    own scores, line ends and final line end, and perhaps one odd score
+    text, a blank line, a dropped row, a doubled tab, a changed condition
+    or a bad header."""
+    trials = draw(st.lists(st.tuples(
+        st.sampled_from(["u0", "u1", "\u00e92"]),
+        st.sampled_from(["human", "spoof"]), st.sampled_from(["-", "S1"]),
+        st.sampled_from(["clean", "white@0"])), max_size=4))
+    texts = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [[u, repr(draw(st.floats(allow_nan=False,
+                                        allow_infinity=False))), lab, att,
+                 cond] for u, lab, att, cond in trials]
+        edit = draw(st.sampled_from([None, None, "score", "score", "blank",
+                                     "drop", "tabs", "condition", "header"]))
+        k = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if rows and edit == "score":
+            rows[k][1] = draw(st.sampled_from(_ODD_SCORES))
+        elif rows and edit == "tabs":
+            rows[k][0] += "\t"
+        elif rows and edit == "condition":
+            rows[k][4] = "babble@5"
+        rows = ["\t".join(row) for row in rows]
+        if edit == "blank":
+            rows.insert(k, "")
+        elif rows and edit == "drop":
+            del rows[k]
+        header = "utt_id\tscore" if edit == "header" else "\t".join(HEADER)
+        end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+        texts.append(end.join([header, *rows])
+                     + draw(st.sampled_from([end, ""])))
+    return texts
+
+
 class TestReadAligned:
     def _files(self, tmp_path, n=3):
         rows = [("u0", "human", "-", "clean"), ("u1", "spoof", "S1", "clean"),
@@ -290,6 +334,59 @@ class TestReadAligned:
                 assert getattr(g, column) is getattr(got[0], column)
             assert np.array_equal(g.scores.view(np.int64),
                                   w.scores.view(np.int64))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=_raw_file_sets())
+    @example(texts=["\t".join(HEADER) + "\nu0\t1.0\thuman\t-\tclean\n",
+                    "\t".join(HEADER) + "\nu0\t1.0\n\thuman\t-\tclean\n"])
+    def test_matches_the_oracle_on_raw_files(self, tmp_path, texts):
+        """On any file texts, read_aligned gives the oracle's values, score
+        bits and shared columns, or raises its error type and message.  The
+        example's later file differs from the first only inside a score
+        field, by a "\\n" that splits its row in two."""
+        paths = []
+        for k, text in enumerate(texts):
+            paths.append(tmp_path / f"sys{k}.tsv")
+            paths[-1].write_bytes(text.encode("utf-8"))
+
+        def outcome(read):
+            try:
+                sets = read(paths)
+            except ValueError as err:
+                return type(err), str(err)
+            return [([getattr(s, column) for column in METADATA],
+                     s.scores.view(np.int64).tolist(),
+                     [getattr(s, column) is getattr(sets[0], column)
+                      for column in METADATA]) for s in sets]
+
+        assert outcome(read_aligned) == outcome(read_aligned_oracle)
+
+    def test_aligned_files_are_parsed_once(self, tmp_path, monkeypatch):
+        """Only the first of 4 aligned files goes through read_scores; a
+        later CRLF copy of its file is read in full, to the same sets."""
+        paths = self._files(tmp_path, n=4)
+        want = read_aligned_oracle(paths)
+        calls = []
+
+        def counting(path, data=None):
+            calls.append(path)
+            return read_scores(path, data)
+
+        monkeypatch.setattr("spoofbench.scores.read_scores", counting)
+        plain = read_aligned(paths)
+        assert calls == [paths[0]]
+        paths[2].write_bytes(paths[2].read_bytes().replace(b"\n", b"\r\n"))
+        calls.clear()
+        crlf = read_aligned(paths)
+        assert calls == [paths[0], paths[2]]
+        for sets in (plain, crlf):
+            for got, w in zip(sets, want, strict=True):
+                for column in METADATA:
+                    assert getattr(got, column) is getattr(sets[0], column)
+                    assert getattr(got, column) == getattr(w, column)
+                assert np.array_equal(got.scores.view(np.int64),
+                                      w.scores.view(np.int64))
 
 
 def test_text_artefacts_do_not_depend_on_the_locale(tmp_path):
