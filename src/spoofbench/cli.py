@@ -11,32 +11,36 @@ condition and the files.  They call the harness's own stage functions:
 audio as a run prepares it, `score` scores that audio with the run's
 scorer, and `train --model` writes a model as a run caches it.  With the
 same config, a stage-by-stage pipeline writes the files `run` writes.  On
-failure the tool prints a single machine-parseable line to stderr::
+failure, a usage error included, the tool prints a single
+machine-parseable line to stderr::
 
     error\t<ExceptionType>\t<message>
 
-and exits nonzero; on success it exits zero.
+and exits 1; on success it exits zero.
+
+Importing this module loads numpy and the score-file modules only: `fuse`
+and `eval` run on those, and every other command imports the stages it
+runs (and with them scipy) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import config as configmod
-from . import features, fusion, harness
-from .audio import read_wav, write_features, write_wav
-from .config import ExperimentConfig, GridCell
-from .enhancement import ENHANCEMENT_METHODS
+from . import fusion, runtime
+from .config import (BACKENDS, ENHANCEMENT_METHODS, FEATURE_KINDS,
+                     NOISE_KINDS, ExperimentConfig, GridCell)
+from .errors import UsageError
 from .evaluation import compute_eer_rocch, compute_ltas, per_attack_eers, \
     save_ltas_csv
 from .manifest import SUBSETS, read_manifest
-from .noiselab import NOISE_KINDS
 from .scores import read_aligned, read_scores, write_scores
-from .toycorpus import make_toy_corpus
 
 
 def _config(args) -> ExperimentConfig:
@@ -66,6 +70,9 @@ def _manifest_rows(args, subset):
 # -- subcommand bodies ------------------------------------------------------
 
 def cmd_extract(args):
+    from . import features
+    from .audio import read_wav, write_features
+
     cfg = _config(args).feature_config(args.kind)
     signal = read_wav(args.wav)
     vad = None
@@ -79,6 +86,9 @@ def cmd_extract(args):
 def cmd_prepare(args):
     """Write each --subset row's test audio, exactly as a run scores it, to
     --out-dir/<utt_id>.wav; no output may replace a wav the manifest names."""
+    from . import harness
+    from .audio import read_wav, write_wav
+
     cfg = _config(args)
     cell = GridCell(args.noise_kind, args.snr)
     rows, paths = _manifest_rows(args, args.subset)
@@ -101,6 +111,9 @@ def cmd_train(args):
     --models under the name a run caches it by: the GMM pair or the
     i-vector stack from the manifest's train subset, or the PLDA scorer of
     the stack already in --models."""
+    from . import features, harness
+    from .audio import read_wav
+
     cfg = _config(args)
     rows, frames = (), None
     if args.model in harness.FRAME_MODELS:
@@ -123,9 +136,12 @@ def cmd_score(args):
     """Score the chosen subset with --backend in the --noise-kind/--snr/
     --enhance condition, prepared as a run prepares it, and write the score
     file."""
+    from . import harness
+    from .audio import read_wav
+
     cfg = _config(args)
     models = {}
-    for name in configmod.BACKENDS[args.backend]:
+    for name in BACKENDS[args.backend]:
         marker = Path(args.models) / harness.marker_name(name, cfg)
         try:
             models[name] = harness.load_model(name, marker)
@@ -191,6 +207,7 @@ def cmd_eval(args):
 
 
 def cmd_ltas(args):
+    from .audio import read_wav
     from .dsp import n_frames_for
 
     signal = read_wav(args.wav)
@@ -205,6 +222,8 @@ def cmd_ltas(args):
 
 
 def cmd_toy_corpus(args):
+    from .toycorpus import make_toy_corpus
+
     manifest = make_toy_corpus(args.out_dir, seed=args.seed,
                                n_train=args.train, n_dev=args.dev,
                                n_eval=args.eval)
@@ -212,6 +231,8 @@ def cmd_toy_corpus(args):
 
 
 def cmd_run(args):
+    from . import harness
+
     cfg = configmod.load_config(args.config)
     manifest = read_manifest(args.manifest)
     result = harness.run_experiment(cfg, manifest, args.work_dir,
@@ -223,6 +244,15 @@ def cmd_run(args):
 
 
 # -- argument wiring --------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so that main reports
+    them on the error contract's one stderr line; --help still prints its
+    text and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
 
 def _add_config_arg(p):
     p.add_argument("--config", default=None,
@@ -248,10 +278,13 @@ def _add_condition_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spoofbench",
         description="synthetic-speech spoofing detection workbench")
     sub = parser.add_subparsers(dest="command", required=True)
+    # stages: the modules a command runs beyond this one's imports, loaded
+    # before main pins the BLAS threads so that the pin covers them
+    parser.set_defaults(stages=())
 
     p = sub.add_parser("prepare", help="write test audio as a run scores it")
     _add_corpus_args(p)
@@ -259,33 +292,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True,
                    help="directory of the <utt_id>.wav files; no manifest "
                         "wav may be among them")
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func=cmd_prepare, stages=("harness",))
 
     p = sub.add_parser("extract", help="extract features from one wav")
-    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
+    p.add_argument("--kind", required=True, choices=FEATURE_KINDS)
     _add_config_arg(p)
     p.add_argument("--wav", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vad-from", default=None,
                    help="take voicing decisions from this (clean) wav")
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=cmd_extract, stages=("features",))
 
     p = sub.add_parser("train", help="train a model of one feature")
     p.add_argument("--model", required=True,
                    choices=tuple(dict.fromkeys(
-                       m for models in configmod.BACKENDS.values()
-                       for m in models)))
-    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
+                       m for models in BACKENDS.values() for m in models)))
+    p.add_argument("--kind", required=True, choices=FEATURE_KINDS)
     _add_corpus_args(p)
     p.add_argument("--models", required=True,
                    help="model directory: the GMM pair (gmm), or the "
                         "i-vector stack and its PLDA scorers (ivector, "
                         "plda)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, stages=("harness",))
 
     p = sub.add_parser("score", help="score utterances with a back-end")
-    p.add_argument("--backend", required=True, choices=configmod.BACKENDS)
-    p.add_argument("--kind", required=True, choices=features.FEATURE_KINDS)
+    p.add_argument("--backend", required=True, choices=BACKENDS)
+    p.add_argument("--kind", required=True, choices=FEATURE_KINDS)
     _add_corpus_args(p)
     p.add_argument("--models", required=True,
                    help="directory written by train --model gmm (gmm) or "
@@ -293,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "ivector-plda, which also needs train --model plda)")
     _add_condition_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, stages=("harness",))
 
     p = sub.add_parser("fuse", help="combine score files")
     p.add_argument("--method", choices=fusion.FUSION_METHODS, required=True)
@@ -319,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-vad", dest="with_vad", action="store_false",
                    help="average over all frames, not just speech")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ltas)
+    p.set_defaults(func=cmd_ltas, stages=("audio", "dsp"))
 
     p = sub.add_parser("toy-corpus", help="generate the built-in corpus")
     p.add_argument("--out-dir", required=True)
@@ -327,24 +359,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=200)
     p.add_argument("--dev", type=int, default=100)
     p.add_argument("--eval", type=int, default=100)
-    p.set_defaults(func=cmd_toy_corpus)
+    p.set_defaults(func=cmd_toy_corpus, stages=("toycorpus",))
 
     p = sub.add_parser("run", help="execute a full experiment grid")
     p.add_argument("--config", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--wav-root", default=None)
     p.add_argument("--work-dir", required=True)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, stages=("harness",))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    harness._keep_freed_heap()
     try:
-        with harness.one_blas_thread():   # as a run pins its own stages
+        args = build_parser().parse_args(argv)
+        runtime.keep_freed_heap()
+        for name in args.stages:
+            importlib.import_module(f"{__package__}.{name}")
+        with runtime.one_blas_thread():   # as a run pins its own stages
             args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary
         message = " ".join(str(exc).split())

@@ -5,6 +5,11 @@ optional enhancement / fusion, per-feature parameter overrides and the
 root seed.  Caching and seeds derive from the parsed settings, not from
 the file's text, so two configs that resolve to the same settings share
 cache entries.
+
+This module also owns the workbench's vocabularies (feature kinds, noise
+kinds, enhancement methods, back-ends) and the front-end settings, so the
+CLI can offer them without importing the signal-processing stack; each
+stage module dispatches on exactly its vocabulary.
 """
 
 from __future__ import annotations
@@ -14,15 +19,84 @@ import io
 import math
 from dataclasses import dataclass, fields
 
-from . import features
-from .enhancement import ENHANCEMENT_METHODS
 from .fusion import FUSION_METHODS
-from .noiselab import NOISE_KINDS
+
+FEATURE_KINDS = ("mfcc", "imfcc", "scmc", "cqcc", "mhec", "rps", "mgd",
+                 "cosphase")
+NOISE_KINDS = ("white", "car", "babble")
+ENHANCEMENT_METHODS = ("specsub-mag", "specsub-pow", "wiener")
 
 # each back-end and the models it needs, in training order: a GMM pair, or
 # an i-vector stack scored by cosine or by the stack's PLDA model
 BACKENDS = {"gmm": ("gmm",), "ivector-cosine": ("ivector",),
             "ivector-plda": ("ivector", "plda")}
+
+
+# the phase-pattern features, used raw; every other kind gets deltas + CMS
+# by default
+_RAW_KINDS = {"rps", "cosphase"}
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    kind: str
+    n_coeffs: int = 32
+    n_filters: int = 32
+    frame_ms: float = 20.0
+    shift_ms: float = 10.0
+    dft_size: int = 512
+    window: str = "hamming"
+    add_delta: bool | None = None        # None -> per-kind default
+    add_deltadelta: bool | None = None
+    apply_cms: bool | None = None
+    vad_threshold_db: float = 30.0
+    # modified group delay shaping
+    mgd_alpha: float = 0.3
+    mgd_gamma: float = 0.1
+    mgd_cep_lifter: int | None = 30
+    # constant-Q geometry (f_max = Nyquist, f_min = f_max / 2**octaves)
+    cqt_bins_per_octave: int = 96
+    cqt_octaves: int = 9
+    # pitch tracking for RPS
+    f0_min: float = 50.0
+    f0_max: float = 500.0
+    f0_frame_ms: float = 100.0
+    f0_voicing_threshold: float = 0.3
+    # MHEC gammatone span and envelope smoothing
+    gt_f_lo: float = 100.0
+    gt_f_hi: float = 8000.0
+    envelope_cutoff_hz: float = 20.0
+
+    def __post_init__(self):
+        if self.kind not in FEATURE_KINDS:
+            raise ValueError(f"unknown feature kind {self.kind!r}")
+        if self.n_coeffs < 1:
+            raise ValueError("n_coeffs must be positive")
+        if self.want_deltadelta and not self.want_delta:
+            raise ValueError("delta-delta requires delta")
+
+    @property
+    def want_delta(self) -> bool:
+        if self.add_delta is None:
+            return self.kind not in _RAW_KINDS
+        return self.add_delta
+
+    @property
+    def want_deltadelta(self) -> bool:
+        if self.add_deltadelta is None:
+            return self.add_delta is None and self.want_delta
+        return self.add_deltadelta
+
+    @property
+    def want_cms(self) -> bool:
+        if self.apply_cms is None:
+            return self.kind not in _RAW_KINDS
+        return self.apply_cms
+
+    @property
+    def dimension(self) -> int:
+        mult = 1 + int(self.want_delta) + int(self.want_deltadelta)
+        return self.n_coeffs * mult
 
 
 @dataclass(frozen=True)
@@ -76,7 +150,7 @@ def parse_grid_cell(text: str) -> GridCell:
 class ExperimentConfig:
     name: str = "experiment"
     seed: int = 0
-    features: tuple = features.FEATURE_KINDS
+    features: tuple = FEATURE_KINDS
     backends: tuple = ("gmm",)
     grid: tuple = (GridCell(),)
     enhancement: str | None = None
@@ -98,7 +172,7 @@ class ExperimentConfig:
         object.__setattr__(self, "feature_overrides",
                            tuple(tuple(o) for o in self.feature_overrides))
         for kind in self.features + tuple(k for k, _, _ in self.feature_overrides):
-            if kind not in features.FEATURE_KINDS:
+            if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
         if not self.features:
             raise ValueError("at least one feature kind is required")
@@ -126,13 +200,13 @@ class ExperimentConfig:
         for kind, _, _ in self.feature_overrides:
             self.feature_config(kind)
 
-    def feature_config(self, kind: str) -> features.FeatureConfig:
+    def feature_config(self, kind: str) -> FeatureConfig:
         """The front-end settings every stage uses: the defaults of `kind`,
         then DESK_FEATURE_OVERRIDES, then this config's overrides of kind."""
         merged = dict(DESK_FEATURE_OVERRIDES.get(kind, ()))
         merged.update((name, value) for k, name, value
                       in self.feature_overrides if k == kind)
-        return features.FeatureConfig(kind, **merged)
+        return FeatureConfig(kind, **merged)
 
 
 # desk-scale CQT geometry: full-resolution kernels dominate runtime while
@@ -205,7 +279,7 @@ _READ_BY_TYPE = {"int": (int, {int}), "float": (float, {float}),
                  "str": (str, {str}),
                  "bool | None": (_optional(_flag), {bool, type(None)}),
                  "int | None": (_optional(int), {int, type(None)})}
-_FIELD_TYPES = {f.name: f.type for f in fields(features.FeatureConfig)
+_FIELD_TYPES = {f.name: f.type for f in fields(FeatureConfig)
                 if f.name != "kind"}
 _FEATURE_KEYS = {name: (name, _READ_BY_TYPE[type_name][0], str)
                  for name, type_name in _FIELD_TYPES.items()}
@@ -224,7 +298,7 @@ def load_config(path) -> ExperimentConfig:
         kind = None
         if section.startswith("feature."):
             kind = section.split(".", 1)[1]
-            if kind not in features.FEATURE_KINDS:
+            if kind not in FEATURE_KINDS:
                 raise ValueError(f"{path}: unknown feature kind {kind!r} "
                                  f"in [{section}]")
             keys = _FEATURE_KEYS

@@ -9,10 +9,12 @@ take their noise statistics from a leading noise-only stretch of the input,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .audio import AudioSignal
+from .config import ENHANCEMENT_METHODS  # noqa: F401 - re-exported
 
 FRAME_MS = 20.0
 LEAD_MS = 120.0
@@ -142,15 +144,16 @@ def wiener_filter(signal: AudioSignal, profile: NoiseProfile | None = None,
     return AudioSignal(out, signal.sample_rate)
 
 
-ENHANCEMENT_METHODS = ("specsub-mag", "specsub-pow", "wiener")
+# the enhancer of each method of ENHANCEMENT_METHODS, in its order
+_ENHANCERS = {"specsub-mag": partial(spectral_subtract, domain="magnitude"),
+              "specsub-pow": partial(spectral_subtract, domain="power"),
+              "wiener": wiener_filter}
 
 
 def enhance(signal: AudioSignal, method: str) -> AudioSignal:
     """Name-based dispatch used by the harness config."""
-    if method == "specsub-mag":
-        return spectral_subtract(signal, domain="magnitude")
-    if method == "specsub-pow":
-        return spectral_subtract(signal, domain="power")
-    if method == "wiener":
-        return wiener_filter(signal)
-    raise ValueError(f"unknown enhancement method {method!r}")
+    try:
+        enhancer = _ENHANCERS[method]
+    except KeyError:
+        raise ValueError(f"unknown enhancement method {method!r}") from None
+    return enhancer(signal)

@@ -23,3 +23,8 @@ class AlignmentError(ValueError):
 
 class HygieneError(ValueError):
     """Train/test contamination: a model was asked to score its own training data."""
+
+
+class UsageError(ValueError):
+    """A command line that names no known command, lacks a required flag or
+    gives a flag a value it does not take."""

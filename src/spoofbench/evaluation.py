@@ -1,5 +1,6 @@
 """Detection metrics: EER on the ROC convex hull, per-attack aggregation,
-and long-term average spectrum diagnostics.
+and long-term average spectrum diagnostics.  The metrics need numpy alone;
+the spectrum imports its DSP helpers when it runs.
 
 A report's EER comes from one vectorised sweep of the step ROC (a sort
 and a `searchsorted` per class), costing O(n log n) in the trial count.
@@ -10,13 +11,15 @@ where the step ROC has tens of thousands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audio import AudioSignal
-from . import dsp
 from .errors import NoActiveSpeechError
 from .scores import ScoreSet
+
+if TYPE_CHECKING:
+    from .audio import AudioSignal
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,8 @@ def compute_ltas(signal: AudioSignal, vad=None,
     Frames do not overlap, so the profile of a concatenation of whole-frame
     segments is the frame-count-weighted mean of the parts' profiles.
     """
+    from . import dsp   # scipy.fft, which scoring commands do not load
+
     frames = dsp.frame_signal(signal.samples, signal.sample_rate,
                               frame_ms=frame_ms, shift_ms=frame_ms)
     if vad is None:

@@ -24,73 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp, filterbanks
 from .audio import AudioSignal
+from .config import FEATURE_KINDS, FeatureConfig  # noqa: F401 - re-exported
 from .errors import AlignmentError, EmptyFeaturesError
-
-# the phase-pattern features, used raw; every other kind gets deltas + CMS
-# by default
-_RAW_KINDS = {"rps", "cosphase"}
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    kind: str
-    n_coeffs: int = 32
-    n_filters: int = 32
-    frame_ms: float = 20.0
-    shift_ms: float = 10.0
-    dft_size: int = 512
-    window: str = "hamming"
-    add_delta: bool | None = None        # None -> per-kind default
-    add_deltadelta: bool | None = None
-    apply_cms: bool | None = None
-    vad_threshold_db: float = 30.0
-    # modified group delay shaping
-    mgd_alpha: float = 0.3
-    mgd_gamma: float = 0.1
-    mgd_cep_lifter: int | None = 30
-    # constant-Q geometry (f_max = Nyquist, f_min = f_max / 2**octaves)
-    cqt_bins_per_octave: int = 96
-    cqt_octaves: int = 9
-    # pitch tracking for RPS
-    f0_min: float = 50.0
-    f0_max: float = 500.0
-    f0_frame_ms: float = 100.0
-    f0_voicing_threshold: float = 0.3
-    # MHEC gammatone span and envelope smoothing
-    gt_f_lo: float = 100.0
-    gt_f_hi: float = 8000.0
-    envelope_cutoff_hz: float = 20.0
-
-    def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.n_coeffs < 1:
-            raise ValueError("n_coeffs must be positive")
-        if self.want_deltadelta and not self.want_delta:
-            raise ValueError("delta-delta requires delta")
-
-    @property
-    def want_delta(self) -> bool:
-        if self.add_delta is None:
-            return self.kind not in _RAW_KINDS
-        return self.add_delta
-
-    @property
-    def want_deltadelta(self) -> bool:
-        if self.add_deltadelta is None:
-            return self.add_delta is None and self.want_delta
-        return self.add_deltadelta
-
-    @property
-    def want_cms(self) -> bool:
-        if self.apply_cms is None:
-            return self.kind not in _RAW_KINDS
-        return self.apply_cms
-
-    @property
-    def dimension(self) -> int:
-        mult = 1 + int(self.want_delta) + int(self.want_deltadelta)
-        return self.n_coeffs * mult
 
 
 @lru_cache(maxsize=32)
@@ -202,7 +137,7 @@ def _cqcc(signal, fm, config):
 
 # gammatone channels per streamed MHEC block.  mhec_band_energies of the
 # 32-channel bank, timed on one BLAS thread inside a fork-pool worker with
-# the workers' heap policy (harness._keep_freed_heap), over 20 toy
+# the workers' heap policy (runtime.keep_freed_heap), over 20 toy
 # utterances in two runs, took a median of 57.5/61.8 ms at 4 rows,
 # 58.0/65.2 at 8 and 56.4/65.2 at 16, with 600-1,000 minor faults per 20
 # utterances at each size: within noise, and 8 rows keep a block's memory
@@ -477,14 +412,12 @@ def _cosphase(signal, fm, config):
     return dsp.dct_features(np.cos(np.unwrap(phase, axis=1)), config.n_coeffs), None
 
 
-# front-end of each kind: (signal, frames, config) -> (cepstra, rows), one
-# cepstral row per analysis frame, or per frame that the boolean mask rows
-# selects
+# front-end of each kind of FEATURE_KINDS, in its order: (signal, frames,
+# config) -> (cepstra, rows), one cepstral row per analysis frame, or per
+# frame that the boolean mask rows selects
 _FRONT_ENDS = {
     "mfcc": partial(_filterbank_cepstra, filterbanks.mel_filterbank),
     "imfcc": partial(_filterbank_cepstra, filterbanks.inverted_mel_filterbank),
     "scmc": _scmc, "cqcc": _cqcc, "mhec": _mhec, "rps": _rps, "mgd": _mgd,
     "cosphase": _cosphase,
 }
-
-FEATURE_KINDS = tuple(_FRONT_ENDS)

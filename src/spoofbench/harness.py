@@ -33,21 +33,20 @@ cells run in order in the run process.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import os
 import pickle
 import secrets
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg  # noqa: F401 - scipy's OpenBLAS, loaded before a run pins
 
-from . import features, gmm, ivector
+from . import features, gmm, ivector, runtime
 from .audio import (AudioSignal, read_features, read_wav, to_pcm16,
                     write_features)
 from .config import BACKENDS, ExperimentConfig, GridCell
@@ -84,9 +83,9 @@ IVECTOR_STACK_VERSION = 2
 # 512, 768, 1,024 and 1,536 frames.  1,024 was chosen under glibc's default
 # allocator, whose dynamic thresholds a larger chunk outgrew (a pass took
 # 6.7k and 11.4k minor faults at 2,048 and 4,096 frames, none at 1,024).
-# With the run's heap policy (_keep_freed_heap) 4,096 frames gave no gain
-# on score-warm (0.209, 0.248, 0.203 s against 0.213, 0.208, 0.209) and
-# 2.3-2.8 MB more peak RSS, so the budget stays at 1,024.  A chunk's
+# With the run's heap policy (runtime.keep_freed_heap) 4,096 frames gave no
+# gain on score-warm (0.209, 0.248, 0.203 s against 0.213, 0.208, 0.209)
+# and 2.3-2.8 MB more peak RSS, so the budget stays at 1,024.  A chunk's
 # component log-likelihoods take 256 KB per model at 32 components and
 # 4 MB at the paper's 512
 _SCORE_CHUNK_FRAMES = 1024
@@ -196,90 +195,6 @@ def _read_features(feature_dir: Path, rows, kind: str):
 def _worker_count(n_jobs: int) -> int:
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     return min(n_jobs, len(cpus) or 1)
-
-
-# glibc mallopt parameters (malloc.h), and the values a run or a CLI
-# command sets: the largest mmap threshold glibc accepts on 64-bit, and a
-# trim threshold above any heap a process here reaches
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_KEEP_MMAP_THRESHOLD = 32 << 20
-_KEEP_TRIM_THRESHOLD = 1 << 30
-
-
-def _keep_freed_heap():
-    """Make this process's malloc keep the memory it frees.
-
-    Extraction allocates and frees multi-MB FFT and filter temporaries per
-    block, and scoring its chunk temporaries per chunk; by default glibc
-    returns those to the system (mmap above its dynamic threshold, heap
-    trim below), so the next block or chunk faults them back in.  Both
-    thresholds are set explicitly, so the policy does not depend on the
-    dynamic threshold the process has reached.  Pool workers forked
-    afterwards inherit it.  mallopt has no getter, so the caller's policy
-    cannot be given back.  Where there is no mallopt this does nothing, and
-    it never raises."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _KEEP_MMAP_THRESHOLD)
-        mallopt(_M_TRIM_THRESHOLD, _KEEP_TRIM_THRESHOLD)
-    except (AttributeError, OSError, TypeError):   # no mallopt to call
-        pass
-
-
-# (get, set) thread-count functions of the OpenBLAS builds that numpy and
-# scipy ship; each library keeps a thread pool of its own
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"))
-
-
-def _find_blas_threads() -> tuple:
-    """(get, set) of every OpenBLAS that numpy and scipy.linalg load, looked
-    up through /proc/self/maps; empty where there is none to find."""
-    import scipy.linalg  # noqa: F401 - loads scipy's OpenBLAS before the scan
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return ()
-    found = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get = getattr(handle, get_name, None)
-            set_ = getattr(handle, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                found.append((get, set_))
-                break
-    return tuple(found)
-
-
-_BLAS_THREADS = _find_blas_threads()   # once per process; workers inherit it
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the body with every loaded OpenBLAS at one thread, then give
-    each its caller's count back.  A multi-threaded GEMM rounds differently
-    from a single-threaded one, so this keeps model and score bytes from
-    depending on OPENBLAS_NUM_THREADS; where no thread count can be set,
-    this does nothing."""
-    before = [get() for get, _ in _BLAS_THREADS]
-    for _, set_ in _BLAS_THREADS:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(_BLAS_THREADS, before):
-            set_(count)
 
 
 _plan = ()   # the running pool's jobs, which its forked workers inherit
@@ -846,8 +761,8 @@ class _Runner:
         return results
 
     def run(self) -> ExperimentResult:
-        _keep_freed_heap()
-        with one_blas_thread():
+        runtime.keep_freed_heap()
+        with runtime.one_blas_thread():
             return self._run()
 
     def _run(self) -> ExperimentResult:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.signal import butter, lfilter
 
 from .audio import AudioSignal
+from .config import NOISE_KINDS  # noqa: F401 - re-exported
 from .errors import NoActiveSpeechError
 
 ACTIVITY_MARGIN_DB = 15.9
@@ -175,14 +176,15 @@ def babble_noise(n: int, sample_rate: int, seed=None) -> np.ndarray:
     return total / max(np.std(total), 1e-30)
 
 
-NOISE_KINDS = ("white", "car", "babble")
+# the generator of each kind of NOISE_KINDS, in its order:
+# (n, sample_rate, seed) -> unit-variance noise
+_GENERATORS = {"white": lambda n, sample_rate, seed: white_noise(n, seed),
+               "car": car_noise, "babble": babble_noise}
 
 
 def make_noise(kind: str, n: int, sample_rate: int, seed=None) -> np.ndarray:
-    if kind == "white":
-        return white_noise(n, seed)
-    if kind == "car":
-        return car_noise(n, sample_rate, seed)
-    if kind == "babble":
-        return babble_noise(n, sample_rate, seed)
-    raise ValueError(f"unknown noise kind {kind!r}")
+    try:
+        generate = _GENERATORS[kind]
+    except KeyError:
+        raise ValueError(f"unknown noise kind {kind!r}") from None
+    return generate(n, sample_rate, seed)

@@ -17,6 +17,7 @@ compared column by column, as a separate read_scores would decide.
 
 from __future__ import annotations
 
+import copy
 import io
 from dataclasses import dataclass
 from itertools import repeat
@@ -45,13 +46,18 @@ class ScoreSet:
         for column in _METADATA:
             if not isinstance(getattr(self, column), list):
                 setattr(self, column, list(getattr(self, column)))
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        n = len(self.utt_ids)
         if not (len(self.labels) == len(self.attack_ids)
-                == len(self.conditions) == self.scores.shape[0] == n):
+                == len(self.conditions) == len(self.utt_ids)):
             raise ValueError("score set columns have unequal lengths")
-        bad = set(self.labels) - {HUMAN, SPOOF}
-        if bad:
+        self._take_scores(self.scores, check_labels=True)
+
+    def _take_scores(self, scores, check_labels=False):
+        """Set scores, which must fit this set's trial list, be finite and,
+        with check_labels, come with known labels."""
+        self.scores = np.asarray(scores, dtype=np.float64)
+        if self.scores.shape[0] != len(self.utt_ids):
+            raise ValueError("score set columns have unequal lengths")
+        if check_labels and (bad := set(self.labels) - {HUMAN, SPOOF}):
             raise ValueError(f"unknown labels {sorted(bad)}")
         finite = np.isfinite(self.scores)
         if not finite.all():
@@ -69,9 +75,11 @@ class ScoreSet:
 
     def with_scores(self, new_scores) -> "ScoreSet":
         """Same trial list, different scores: the new set shares this one's
-        column lists."""
-        return ScoreSet(self.utt_ids, new_scores, self.labels,
-                        self.attack_ids, self.conditions)
+        column lists, which this set has already checked, so only the new
+        scores are checked."""
+        new = copy.copy(self)
+        new._take_scores(new_scores)
+        return new
 
 
 def _same_trials(a: ScoreSet, b: ScoreSet) -> bool:

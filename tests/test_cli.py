@@ -1,17 +1,21 @@
 """End-to-end command-line checks; most invoke main() in process."""
 
 import argparse
+import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spoofbench import config, features
+import spoofbench
+from spoofbench import config, enhancement, features, noiselab
 from spoofbench.audio import read_features
 from spoofbench.cli import build_parser, main
 from spoofbench.config import GridCell, load_config
@@ -522,6 +526,30 @@ class TestErrorContract:
         assert "nan for trial s1" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "spoofbench eval: the following arguments are required: "
+                   "--scores"),
+        (["fuse", "--method", "bogus", "--scores", "a.tsv", "--out", "f"],
+         "spoofbench fuse: argument --method: invalid choice: 'bogus' "
+         "(choose from 'average', 'logistic')"),
+        (["bogus"], "spoofbench: argument command: invalid choice: 'bogus' "
+                    "(choose from 'prepare', 'extract', 'train', 'score', "
+                    "'fuse', 'eval', 'ltas', 'toy-corpus', 'run')"),
+    ])
+    def test_usage_error_is_one_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error\tUsageError\t{message}\n"
+
+    def test_help_prints_its_text_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["eval", "--help"])
+        assert done.value.code == 0
+        out, err = capsys.readouterr()
+        assert out == _subcommand("eval").format_help()
+        assert err == ""
+
     def test_entry_point_exit_codes(self, tmp_path):
         # exercise the installed console script end to end
         ok = subprocess.run(
@@ -552,3 +580,77 @@ def test_readme_table_lists_the_subcommands():
     sub, = (a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     assert table == list(sub.choices)
+
+
+def _subcommand(name):
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command, dest, dispatch", [
+    ("extract", "kind", features._FRONT_ENDS),
+    ("train", "kind", features._FRONT_ENDS),
+    ("score", "kind", features._FRONT_ENDS),
+    ("score", "noise_kind", noiselab._GENERATORS),
+    ("prepare", "noise_kind", noiselab._GENERATORS),
+    ("score", "enhance", enhancement._ENHANCERS),
+    ("prepare", "enhance", enhancement._ENHANCERS),
+])
+def test_choice_lists_are_the_stage_dispatch_tables(command, dest, dispatch):
+    action, = (a for a in _subcommand(command)._actions if a.dest == dest)
+    assert tuple(action.choices) == tuple(dispatch)
+
+
+# scipy's signal stack and the pipeline stages, none of which the score-file
+# commands run
+HEAVY_MODULES = ("scipy.signal", "scipy.interpolate", "scipy.io", "scipy.fft",
+                 "scipy.linalg", "spoofbench.harness", "spoofbench.features",
+                 "spoofbench.noiselab")
+
+_SCORE_COMMANDS = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    from spoofbench import cli
+
+    heavy, dev, evals, out = json.loads(sys.argv[1])
+    loaded = [[m for m in heavy if m in sys.modules]]
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["fuse", "--method", "logistic",
+                               "--scores", *evals, "--dev", *dev,
+                               "--out", out + "/fused.tsv",
+                               "--model-out", out + "/fusion.txt"]))
+        loaded.append([m for m in heavy if m in sys.modules])
+        codes.append(cli.main(["eval", "--scores", out + "/fused.tsv",
+                               "--per-attack", "--out", out + "/eer.txt"]))
+        loaded.append([m for m in heavy if m in sys.modules])
+    print(json.dumps([codes, loaded]))
+""")
+
+
+def test_score_file_commands_load_no_signal_stack(tmp_path):
+    """A fresh `import spoofbench.cli`, then `fuse` and `eval`, load
+    neither scipy's signal stack nor the pipeline stages."""
+    rng = np.random.default_rng(5)
+    labels = ["human", "spoof"] * 20
+    attacks = ["-" if lab == "human" else f"A{i % 3}"
+               for i, lab in enumerate(labels)]
+    paths = {"dev": [], "eval": []}
+    for subset, files in paths.items():
+        for k in range(2):
+            path = tmp_path / f"sys{k}.{subset}.tsv"
+            write_scores(path, ScoreSet(
+                [f"{subset}{i}" for i in range(40)], rng.standard_normal(40),
+                labels, attacks, ["clean"] * 40))
+            files.append(str(path))
+    src = str(Path(spoofbench.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SCORE_COMMANDS, json.dumps(
+            [HEAVY_MODULES, paths["dev"], paths["eval"], str(tmp_path)])],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == [[], [], []]
+    assert (tmp_path / "eer.txt").read_text().startswith("eer_percent\t")

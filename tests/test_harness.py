@@ -1,11 +1,16 @@
+import json
 import multiprocessing
 import os
 import pickle
 import shutil
 import stat
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 from reference import (baum_welch_stats_oracle, detection_score_oracle,
                        embed_ivector_oracle, ivector_from_stats_oracle,
                        llr_score_oracle, plda_detection_score_oracle)
-from spoofbench import cli, features, gmm, harness, ivector
+import spoofbench
+from spoofbench import cli, features, gmm, harness, ivector, runtime
 from spoofbench.audio import AudioSignal, read_wav, write_wav
-from spoofbench.config import ExperimentConfig, GridCell
+from spoofbench.config import ExperimentConfig, GridCell, canonical_text
 from spoofbench.errors import (DegenerateVectorError, EmptyFeaturesError,
                                HygieneError)
 from spoofbench.fusion import fuse_average
@@ -1381,33 +1387,41 @@ class _Libc:
             self.mallopt = lambda param, value: calls.append((param, value))
 
 
+def _stub_libc(monkeypatch, calls):
+    """Make ctypes.CDLL(None) return _Libc(calls); every other library,
+    such as an OpenBLAS that the BLAS pin looks up, loads as before."""
+    real = runtime.ctypes.CDLL
+    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda name: (
+        _Libc(calls) if name is None else real(name)))
+
+
 class TestWorkerHeap:
     """A run and a CLI command make their process keep the memory it frees,
     before any job runs; pool workers inherit that heap policy."""
 
     def test_initializer_sets_both_thresholds(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(calls))
-        harness._keep_freed_heap()
+        _stub_libc(monkeypatch, calls)
+        runtime.keep_freed_heap()
         # glibc's M_MMAP_THRESHOLD (-3) at its 64-bit ceiling, then
         # M_TRIM_THRESHOLD (-1)
         assert calls == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
 
     def test_without_mallopt_the_initializer_does_nothing(self, monkeypatch):
-        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(None))
-        assert harness._keep_freed_heap() is None
+        _stub_libc(monkeypatch, None)
+        assert runtime.keep_freed_heap() is None
 
         def no_library(name):
             raise OSError("no C library")
-        monkeypatch.setattr(harness.ctypes, "CDLL", no_library)
-        assert harness._keep_freed_heap() is None
+        monkeypatch.setattr(runtime.ctypes, "CDLL", no_library)
+        assert runtime.keep_freed_heap() is None
 
     def test_without_mallopt_two_workers_write_the_bytes_of_one(
             self, corpus, tmp_path, monkeypatch):
         root, man = corpus
         cfg = _config(features=("mfcc", "rps"),
                       grid=(GridCell(), GridCell("white", 0.0)))
-        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(None))
+        _stub_libc(monkeypatch, None)
         trees = []
         for workers in (1, 2):
             monkeypatch.setattr(harness, "_worker_count",
@@ -1422,7 +1436,7 @@ class TestWorkerHeap:
                                                 monkeypatch, workers):
         root, man = corpus
         events, pools = [], []
-        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(events))
+        _stub_libc(monkeypatch, events)
         run_jobs = harness._run_jobs
 
         def recording_jobs(jobs):
@@ -1447,7 +1461,7 @@ class TestWorkerHeap:
 
     def test_cli_sets_the_policy_once(self, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(calls))
+        _stub_libc(monkeypatch, calls)
         assert cli.main(["toy-corpus", "--out-dir", str(tmp_path / "c"),
                          "--train", "2", "--dev", "2", "--eval", "2"]) == 0
         assert calls == [(-3, 32 * 2 ** 20), (-1, 2 ** 30)]
@@ -1455,7 +1469,7 @@ class TestWorkerHeap:
 
     def test_without_mallopt_a_command_succeeds_silently(self, tmp_path,
                                                          monkeypatch, capsys):
-        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: _Libc(None))
+        _stub_libc(monkeypatch, None)
         assert cli.main(["toy-corpus", "--out-dir", str(tmp_path / "c"),
                          "--train", "2", "--dev", "2", "--eval", "2"]) == 0
         assert (tmp_path / "c" / "manifest.tsv").is_file()
@@ -1469,31 +1483,31 @@ class TestBlasThreads:
 
     @pytest.fixture
     def restore_threads(self):
-        before = [get() for get, _ in harness._BLAS_THREADS]
+        before = [get() for get, _ in runtime._blas_threads()]
         yield
-        for (_, set_), count in zip(harness._BLAS_THREADS, before):
+        for (_, set_), count in zip(runtime._blas_threads(), before):
             set_(count)
 
     @staticmethod
     def _set(count):
-        for _, set_ in harness._BLAS_THREADS:
+        for _, set_ in runtime._blas_threads():
             set_(count)
 
     @staticmethod
     def _counts():
-        return [get() for get, _ in harness._BLAS_THREADS]
+        return [get() for get, _ in runtime._blas_threads()]
 
     def test_numpy_and_scipy_blas_are_found(self):
-        assert len(harness._BLAS_THREADS) == 2
+        assert len(runtime._blas_threads()) == 2
 
     def test_one_thread_inside_and_the_callers_count_after(
             self, restore_threads):
         self._set(2)
-        with harness.one_blas_thread():
+        with runtime.one_blas_thread():
             assert self._counts() == [1, 1]
         assert self._counts() == [2, 2]
         with pytest.raises(KeyError):
-            with harness.one_blas_thread():
+            with runtime.one_blas_thread():
                 raise KeyError("a failing body")
         assert self._counts() == [2, 2]
 
@@ -1525,6 +1539,71 @@ class TestBlasThreads:
             trees.append(_tree_bytes(work))
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
+
+
+_RUN_AFTER_A_LIGHT_IMPORT = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    from spoofbench import cli, runtime
+
+    argv = json.loads(sys.argv[1])
+    light = "scipy.linalg" not in sys.modules
+    before = [get() for get, _ in runtime._blas_threads()]
+    mallopt = []
+
+    class Libc:   # a C library that records mallopt calls
+        def __init__(self):
+            self.mallopt = lambda param, value: mallopt.append((param, value))
+
+    cdll = runtime.ctypes.CDLL
+    runtime.ctypes.CDLL = lambda name: Libc() if name is None else cdll(name)
+    run_command, inside = cli.cmd_run, []
+
+    def recording_run_command(args):
+        from spoofbench import harness
+
+        body = harness._Runner._run
+
+        def recording_body(self):
+            inside.append([[get() for get, _ in runtime._blas_threads()],
+                           list(mallopt)])
+            return body(self)
+        harness._Runner._run = recording_body
+        return run_command(args)
+    cli.cmd_run = recording_run_command
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    after = [get() for get, _ in runtime._blas_threads()]
+    print(json.dumps([light, before, code, inside, after]))
+""")
+
+
+def test_run_after_a_light_cli_import_pins_both_blas_libraries(corpus,
+                                                                tmp_path):
+    """`import spoofbench.cli` loads no scipy, so only numpy's OpenBLAS is
+    loaded when a command starts; a `run` still sets the heap policy and
+    runs with numpy's and scipy's OpenBLAS at one thread, and gives both
+    their count back."""
+    root, _ = corpus
+    ini = tmp_path / "run.ini"
+    ini.write_text(canonical_text(_config()), encoding="utf-8")
+    argv = ["run", "--config", str(ini), "--manifest",
+            str(root / "manifest.tsv"), "--work-dir", str(tmp_path / "w")]
+    src = str(Path(spoofbench.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AFTER_A_LIGHT_IMPORT, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"),
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    light, before, code, inside, after = json.loads(
+        done.stdout.splitlines()[-1])
+    assert light and before == [2]
+    assert code == 0
+    policy = [[-3, 32 * 2 ** 20], [-1, 2 ** 30]]
+    # the command's policy, then the run's, both before the run's body
+    assert inside == [[[1, 1], policy + policy]]
+    assert after == [2, 2]
+    assert (tmp_path / "w" / "summary.tsv").is_file()
 
 
 class TestTrainingStage:

@@ -48,6 +48,29 @@ class TestScoreSet:
         for column in METADATA:
             assert getattr(t, column) is getattr(s, column)
 
+    def test_with_scores_checks_only_the_new_scores(self, monkeypatch):
+        s = make_scores([1.0, 2.0], ["human", "spoof"])
+        errors = {}
+        for name, values in (("length", [1.0]), ("nan", [1.0, np.nan]),
+                             ("inf", [1.0, -np.inf])):
+            with pytest.raises(ValueError) as built:
+                ScoreSet(s.utt_ids, values, s.labels, s.attack_ids,
+                         s.conditions)
+            errors[name] = (values, str(built.value))
+
+        def rechecks(self):
+            raise AssertionError("with_scores checked the trial list again")
+        monkeypatch.setattr(ScoreSet, "__post_init__", rechecks)
+        t = s.with_scores([5.0, 6.0])
+        assert t.scores.dtype == np.float64
+        assert np.array_equal(t.scores, [5.0, 6.0])
+        assert np.array_equal(s.scores, [1.0, 2.0])
+        # a bad score set fails with the error its constructor gives
+        for values, message in errors.values():
+            with pytest.raises(ValueError) as got:
+                s.with_scores(values)
+            assert str(got.value) == message
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             make_scores([1.0], ["genuine"])
