@@ -105,9 +105,9 @@ def compute_eer_rocch(scores: ScoreSet) -> EvalReport:
     return _report(scores.scores[human], scores.scores[~human])
 
 
-def per_attack_eers(scores: ScoreSet, average_over=None):
-    """One report per attack (targets shared, non-targets filtered), plus a
-    macro-average over `average_over` (default: every attack present)."""
+def per_attack_eers(scores: ScoreSet):
+    """One report per attack (targets shared, non-targets filtered), plus
+    their macro-average."""
     human = scores.target_mask
     attacks = np.asarray(scores.attack_ids)
     tar = scores.scores[human]
@@ -119,13 +119,7 @@ def per_attack_eers(scores: ScoreSet, average_over=None):
     for attack in present:
         non = scores.scores[spoof & (attacks == attack)]
         reports[attack] = _report(tar, non)
-    chosen = present if average_over is None else list(average_over)
-    if not chosen:
-        raise ValueError("empty attack subset for averaging")
-    missing = set(chosen) - set(present)
-    if missing:
-        raise ValueError(f"attacks not present in scores: {sorted(missing)}")
-    macro = float(np.mean([reports[a].eer_percent for a in chosen]))
+    macro = float(np.mean([reports[a].eer_percent for a in present]))
     return reports, macro
 
 

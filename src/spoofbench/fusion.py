@@ -138,8 +138,9 @@ def save_fusion(path, model: FusionModel):
 
 
 def load_fusion(path) -> FusionModel:
-    """The model save_fusion wrote; a line with the wrong number of fields
-    or a bad number raises a ValueError naming its file and line."""
+    """The model save_fusion wrote; a line with an unknown field, the wrong
+    number of fields or a bad number raises a ValueError naming its file
+    and line."""
     kind, bias = None, None
     system_ids, weights = [], []
     with open(path, encoding="utf-8") as fh:
@@ -149,7 +150,8 @@ def load_fusion(path) -> FusionModel:
                 continue
             parts = line.split("\t")
             if parts[0] not in _FIELD_COUNTS:
-                raise ValueError(f"{path}: unknown fusion field {parts[0]!r}")
+                raise ValueError(f"{path}:{ln}: unknown fusion field "
+                                 f"{parts[0]!r}")
             if len(parts) != _FIELD_COUNTS[parts[0]]:
                 raise ValueError(f"{path}:{ln}: expected "
                                  f"{_FIELD_COUNTS[parts[0]]} fields")

@@ -15,6 +15,8 @@ from .audio import load_arrays, save_arrays
 _GMM_MAGIC = b"SPGM1"
 VAR_FLOOR_FRAC = 1e-4
 _LOG_2PI = np.log(2.0 * np.pi)
+# frames per block of EM's E-step, which bounds its (T, C) temporaries
+_EM_CHUNK_FRAMES = 100_000
 # np.exp is fast and its result normal at and above _EXP_FAST; below
 # _EXP_ZERO its result is exactly 0.0 (it underflows below -745.13)
 _EXP_FAST = -700.0
@@ -143,8 +145,7 @@ def kmeans_pp_centers(frames, k, rng) -> np.ndarray:
     return centers
 
 
-def train_gmm(frames, n_components, n_iterations=10, seed=0,
-              chunk_size=100_000):
+def train_gmm(frames, n_components, n_iterations=10, seed=0):
     """EM for a diagonal GMM.
 
     Initialization: k-means++ means, uniform weights, global variances.
@@ -173,8 +174,8 @@ def train_gmm(frames, n_components, n_iterations=10, seed=0,
         sum_x = np.zeros((n_components, d))
         sum_x2 = np.zeros((n_components, d))
         total_ll = 0.0
-        for start in range(0, t, chunk_size):
-            block = frames[start:start + chunk_size]
+        for start in range(0, t, _EM_CHUNK_FRAMES):
+            block = frames[start:start + _EM_CHUNK_FRAMES]
             comp_ll = model.stacked_log_likelihoods([block])
             frame_ll = _logsumexp_rows(comp_ll)
             total_ll += float(frame_ll.sum())

@@ -73,8 +73,9 @@ CACHE_VERSIONS = {"mfcc": 3, "imfcc": 3, "scmc": 3, "cqcc": 3, "mhec": 3,
 # the bytes of a trained stack or of its PLDA scorer, so an old work dir
 # retrains its stacks instead of mixing old models with new code (2: the
 # training i-vectors come from one batched posterior solve, which moves
-# them, WCCN, the class means and PLDA at rounding level)
-IVECTOR_STACK_VERSION = 2
+# them, WCCN, the class means and PLDA at rounding level; 3: TV training's
+# E-step runs the same batched slices, which moves T at rounding level)
+IVECTOR_STACK_VERSION = 3
 
 # the most frames score_utterances stacks into one chunk; an utterance
 # with more makes a chunk of its own.  Scoring score-warm's eight (condition,

@@ -76,16 +76,6 @@ class TvMatrix:
         return self.matrix.shape[1]
 
 
-def _posterior(n_vec, ftilde_flat, tv_mat, inv_var_flat, gram):
-    """Posterior precision L, mean E[w], and the linear term b for one
-    utterance. gram holds T_c^T Sigma_c^-1 T_c per component."""
-    rank = tv_mat.shape[1]
-    lmat = np.eye(rank) + np.tensordot(n_vec, gram, axes=1)
-    b = tv_mat.T @ (ftilde_flat * inv_var_flat)
-    cov = np.linalg.inv(lmat)
-    return lmat, cov @ b, b, cov
-
-
 def gram_blocks(tv_mat, ubm):
     """T_c^T Sigma_c^-1 T_c for every component c, shape (C, R, R).
 
@@ -95,6 +85,29 @@ def gram_blocks(tv_mat, ubm):
     c, d = ubm.means.shape
     blocks = tv_mat.reshape(c, d, tv_mat.shape[1])
     return np.einsum("cdr,cd,cds->crs", blocks, ubm.variances ** -1.0, blocks)
+
+
+def _posteriors(n, f, ubm: GmmModel, tv_mat, mean, gram):
+    """The total-variability posterior of each utterance, one slice of
+    utterances at a time: yields (rows, N, centred F flattened to (S, C*D),
+    precisions L = I + sum_c N_c G_c, linear terms b = T^T Sigma^-1 F~,
+    means L^-1 b) per slice.  Each slice gets its precisions from one
+    product and its means from one batched solve (Glembek et al., ICASSP
+    2011), and holds at most _SOLVE_BYTES of precisions, so memory does not
+    grow with B.  mean is the (C, D) UBM means that F is centred on."""
+    c, d = ubm.means.shape
+    rank = tv_mat.shape[1]
+    inv_var = (1.0 / ubm.variances).ravel()
+    step = max(1, _SOLVE_BYTES // (8 * rank * rank))
+    for lo in range(0, len(n), step):
+        nb = np.asarray(n[lo:lo + step], dtype=np.float64)
+        fb = np.asarray(f[lo:lo + step], dtype=np.float64)
+        ftilde = (fb - nb[:, :, None] * mean).reshape(-1, c * d)
+        precision = np.eye(rank) + (nb @ gram.reshape(c, rank * rank)
+                                    ).reshape(-1, rank, rank)
+        b = (ftilde * inv_var) @ tv_mat
+        yield (slice(lo, lo + len(nb)), nb, ftilde, precision, b,
+               np.linalg.solve(precision, b[:, :, None])[:, :, 0])
 
 
 def train_tv(n, f, ubm: GmmModel, rank, n_iterations=10, seed=0):
@@ -111,11 +124,6 @@ def train_tv(n, f, ubm: GmmModel, rank, n_iterations=10, seed=0):
         raise ValueError("rank must satisfy 1 <= R < n_components * dim")
     if len(n) == 0:
         raise ValueError("no statistics to train on")
-    n_all = np.asarray(n, dtype=np.float64)
-    ft_all = (np.asarray(f, dtype=np.float64)
-              - n_all[:, :, None] * ubm.means).reshape(len(n_all), c * d)
-    inv_var = (1.0 / ubm.variances).ravel()
-
     rng = np.random.default_rng(seed)
     scale = np.sqrt(ubm.variances.mean())
     tv_mat = 0.1 * scale * rng.standard_normal((c * d, rank))
@@ -123,22 +131,21 @@ def train_tv(n, f, ubm: GmmModel, rank, n_iterations=10, seed=0):
     history = []
     for _ in range(n_iterations):
         gram = gram_blocks(tv_mat, ubm)
-        a_acc = np.zeros((c, rank, rank))
+        a_acc = np.zeros((c, rank * rank))
         b_acc = np.zeros((c * d, rank))
         objective = 0.0
-        for i in range(n_all.shape[0]):
-            lmat, mean_w, b, cov = _posterior(n_all[i], ft_all[i], tv_mat,
-                                              inv_var, gram)
-            second = cov + np.outer(mean_w, mean_w)
-            a_acc += n_all[i][:, None, None] * second[None, :, :]
-            b_acc += np.outer(ft_all[i], mean_w)
-            _, logdet = np.linalg.slogdet(lmat)
-            objective += -0.5 * logdet + 0.5 * float(b @ mean_w)
+        for _, nb, ftilde, precision, b, w in _posteriors(
+                n, f, ubm, tv_mat, ubm.means, gram):
+            second = np.linalg.inv(precision) + w[:, :, None] * w[:, None, :]
+            a_acc += nb.T @ second.reshape(len(nb), rank * rank)
+            b_acc += ftilde.T @ w
+            _, logdet = np.linalg.slogdet(precision)
+            objective += float(-0.5 * logdet.sum() + 0.5 * np.sum(b * w))
         history.append(objective)
-        b_blocks = b_acc.reshape(c, d, rank)
-        for comp in range(c):
-            tv_mat.reshape(c, d, rank)[comp] = np.linalg.solve(
-                a_acc[comp], b_blocks[comp].T).T
+        tv_mat = np.linalg.solve(
+            a_acc.reshape(c, rank, rank),
+            b_acc.reshape(c, d, rank).transpose(0, 2, 1)
+        ).transpose(0, 2, 1).reshape(c * d, rank)
     return TvMatrix(tv_mat, ubm.means.ravel()), history
 
 
@@ -147,24 +154,12 @@ def ivectors_from_stats(n, f, ubm: GmmModel, tv: TvMatrix,
     """Posterior means of the total-variability latent, one row per
     utterance, from zeroth (B, C) and first (B, C, D) order statistics,
     arrays or sequences of per-utterance rows; gram is
-    gram_blocks(tv.matrix, ubm).  A slice of utterances gets its
-    precisions I + sum_c N_c G_c from one product, and one batched solve
-    gives their means (Glembek et al., ICASSP 2011).  A slice holds at most
-    _SOLVE_BYTES of precisions, so memory does not grow with B."""
+    gram_blocks(tv.matrix, ubm)."""
     c, d = ubm.means.shape
-    rank = tv.rank
-    inv_var = (1.0 / ubm.variances).ravel()
-    step = max(1, _SOLVE_BYTES // (8 * rank * rank))
-    out = np.empty((len(n), rank))
-    for lo in range(0, len(n), step):
-        nb = np.asarray(n[lo:lo + step], dtype=np.float64)
-        fb = np.asarray(f[lo:lo + step], dtype=np.float64)
-        ftilde = (fb - nb[:, :, None] * tv.mean.reshape(c, d)).reshape(
-            -1, c * d)
-        precision = np.eye(rank) + (nb @ gram.reshape(c, rank * rank)
-                                    ).reshape(-1, rank, rank)
-        out[lo:lo + step] = np.linalg.solve(
-            precision, ((ftilde * inv_var) @ tv.matrix)[:, :, None])[:, :, 0]
+    out = np.empty((len(n), tv.rank))
+    for rows, *_, w in _posteriors(n, f, ubm, tv.matrix,
+                                   tv.mean.reshape(c, d), gram):
+        out[rows] = w
     return out
 
 

@@ -213,6 +213,46 @@ def ivector_from_stats_oracle(n, f, ubm, tv):
     return np.linalg.inv(lmat) @ b
 
 
+def train_tv_oracle(n, f, ubm, rank, n_iterations=10, seed=0):
+    """EM for the total-variability matrix one utterance at a time: each
+    utterance's precision is inverted for its posterior mean and covariance,
+    N_c (cov + w w^T) is added into every component's accumulator, and the
+    M-step solves one component at a time.  Returns (T, history) as
+    ivector.train_tv does."""
+    c, d = ubm.means.shape
+    n_all = np.asarray(n, dtype=np.float64)
+    ft_all = (np.asarray(f, dtype=np.float64)
+              - n_all[:, :, None] * ubm.means).reshape(len(n_all), c * d)
+    inv_var = (1.0 / ubm.variances).ravel()
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(ubm.variances.mean())
+    tv_mat = 0.1 * scale * rng.standard_normal((c * d, rank))
+    history = []
+    for _ in range(n_iterations):
+        blocks = tv_mat.reshape(c, d, rank)
+        gram = np.einsum("cdr,cd,cds->crs", blocks, ubm.variances ** -1.0,
+                         blocks)
+        a_acc = np.zeros((c, rank, rank))
+        b_acc = np.zeros((c * d, rank))
+        objective = 0.0
+        for i in range(n_all.shape[0]):
+            lmat = np.eye(rank) + np.tensordot(n_all[i], gram, axes=1)
+            b = tv_mat.T @ (ft_all[i] * inv_var)
+            cov = np.linalg.inv(lmat)
+            mean_w = cov @ b
+            second = cov + np.outer(mean_w, mean_w)
+            a_acc += n_all[i][:, None, None] * second[None, :, :]
+            b_acc += np.outer(ft_all[i], mean_w)
+            _, logdet = np.linalg.slogdet(lmat)
+            objective += -0.5 * logdet + 0.5 * float(b @ mean_w)
+        history.append(objective)
+        b_blocks = b_acc.reshape(c, d, rank)
+        for comp in range(c):
+            tv_mat.reshape(c, d, rank)[comp] = np.linalg.solve(
+                a_acc[comp], b_blocks[comp].T).T
+    return tv_mat, history
+
+
 def plda_llr_oracle(model, w1, w2):
     """Two-covariance PLDA pair LLR with both 2R x 2R covariances and their
     log-determinants rebuilt per call."""

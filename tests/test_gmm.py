@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference import component_log_likelihoods_oracle, llr_score_oracle
+from spoofbench import gmm
 from spoofbench.gmm import (GmmModel, _exp, _logsumexp_rows,
                             kmeans_pp_centers, llr_scores, load_gmm,
                             save_gmm, train_gmm)
@@ -263,10 +264,12 @@ class TestTraining:
         assert np.array_equal(m1.means, m2.means)
         assert h1 == h2
 
-    def test_chunked_estep_matches_unchunked(self):
+    def test_chunked_estep_matches_unchunked(self, monkeypatch):
         frames = np.random.default_rng(11).standard_normal((257, 3))
-        m1, h1 = train_gmm(frames, 3, seed=12, chunk_size=10)
-        m2, h2 = train_gmm(frames, 3, seed=12, chunk_size=10_000)
+        monkeypatch.setattr(gmm, "_EM_CHUNK_FRAMES", 10)
+        m1, h1 = train_gmm(frames, 3, seed=12)
+        monkeypatch.setattr(gmm, "_EM_CHUNK_FRAMES", 10_000)
+        m2, h2 = train_gmm(frames, 3, seed=12)
         assert np.allclose(m1.means, m2.means, atol=1e-10)
         assert np.allclose(h1, h2, atol=1e-10)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (baum_welch_stats_oracle, cosine_score_oracle,
                        detection_score_oracle, ivector_from_stats_oracle,
-                       plda_llr_oracle)
+                       plda_llr_oracle, train_tv_oracle)
 from spoofbench.errors import DegenerateVectorError
 from spoofbench.gmm import GmmModel
 from spoofbench import ivector as iv
@@ -225,6 +225,54 @@ class TestTotalVariability:
         want = np.array([ivector_from_stats_oracle(a, b, ubm, tv)
                          for a, b in stats])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @staticmethod
+    def _random_stats(rng, c, d, n_utts):
+        """Zeroth order statistics bounded away from zero, so that every
+        component's M-step system is well posed, and first order ones
+        scattered around the UBM means."""
+        ubm = _toy_ubm(rng, c=c, d=d)
+        n = rng.random((n_utts, c)) * 50.0 + 0.5
+        f = n[:, :, None] * (ubm.means + rng.standard_normal((n_utts, c, d)))
+        return ubm, n, f
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(1, 5),
+           d=st.integers(2, 4), rank=st.integers(1, 6),
+           n_utts=st.integers(1, 12), n_iterations=st.integers(1, 4))
+    def test_training_matches_per_utterance_oracle(self, seed, c, d, rank,
+                                                   n_utts, n_iterations):
+        """The batched E-step and M-step give the TV matrix of the
+        per-utterance, per-component EM within 1e-9 of its largest |value|,
+        and its history within 1e-9 relative."""
+        rng = np.random.default_rng(seed)
+        ubm, n, f = self._random_stats(rng, c, d, n_utts)
+        rank = min(rank, c * d - 1)
+        tv, history = iv.train_tv(n, f, ubm, rank, n_iterations, seed=5)
+        want, want_history = train_tv_oracle(n, f, ubm, rank, n_iterations,
+                                             seed=5)
+        assert np.abs(tv.matrix - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.allclose(history, want_history, rtol=1e-9, atol=0.0)
+
+    def test_training_in_slices_matches_one_slice(self, monkeypatch):
+        """An E-step over several slices of bounded bytes trains the TV
+        matrix and history of one slice, within 1e-9."""
+        rng = np.random.default_rng(32)
+        ubm, n, f = self._random_stats(rng, 4, 3, 7)
+        tv_one, history_one = iv.train_tv(n, f, ubm, 5, n_iterations=3,
+                                          seed=2)
+        batches, slogdet = [], np.linalg.slogdet
+
+        def recording(a):
+            batches.append(len(a))
+            return slogdet(a)
+        monkeypatch.setattr(iv.np.linalg, "slogdet", recording)
+        monkeypatch.setattr(iv, "_SOLVE_BYTES", 3 * 8 * 5 * 5)
+        tv, history = iv.train_tv(n, f, ubm, 5, n_iterations=3, seed=2)
+        assert batches == [3, 3, 1] * 3
+        assert (np.abs(tv.matrix - tv_one.matrix).max()
+                <= 1e-9 * np.abs(tv_one.matrix).max())
+        assert np.allclose(history, history_one, rtol=1e-9, atol=0.0)
 
     def test_invalid_rank_raises(self):
         rng = np.random.default_rng(9)
